@@ -426,12 +426,6 @@ def positroid_decoration(v: Permutation, w: Permutation, k: int) -> DecoratedPer
 # Enumeration helpers
 # ---------------------------------------------------------------------------
 
-def all_permutations(n: int) -> Iterator[Permutation]:
-    from itertools import permutations as _permutations
-
-    return _permutations(range(1, n + 1))
-
-
 def all_min_reps(k: int, n: int) -> Iterator[Permutation]:
     """All of W^K_min, as inverses of Grassmannian permutations."""
     for top in combinations(range(1, n + 1), k):
@@ -441,10 +435,6 @@ def all_min_reps(k: int, n: int) -> Iterator[Permutation]:
 # ---------------------------------------------------------------------------
 # JSON encoding
 # ---------------------------------------------------------------------------
-
-def perm_to_json(w: Permutation) -> list[int]:
-    return list(w)
-
 
 def decorated_to_json(sigma: DecoratedPermutation) -> dict:
     return {"perm": list(sigma.perm), "white_fixed": sorted(sigma.white_fixed)}

@@ -77,31 +77,191 @@ class Quiver:
 
 
 def mutate_quiver(Q: Quiver, q: Hashable) -> Quiver:
-    """Fomin-Zelevinsky mutation at a mutable vertex.
-
-    1. for each path r -> q -> s add r -> s (unless r, s both frozen);
-    2. reverse all arrows at q;
-    3. cancel oriented 2-cycles.
-    """
+    """Fomin-Zelevinsky mutation at a mutable vertex: the exchange-matrix rule
+    of :func:`_mutate_b` on the quiver's skew-symmetric matrix, with arrows
+    between frozen vertices dropped.  Arrows come out sorted by
+    ``(str(source), str(target))``."""
     if q not in Q.frozen or Q.frozen[q]:
         raise ValueError(f"cannot mutate at {q!r}")
-    net: Counter[tuple[Hashable, Hashable]] = Counter()
-    for a in Q.arrows:
-        net[a] += 1
-    for r in Q.arrows_into(q):
-        for s in Q.arrows_from(q):
-            if not (Q.frozen[r] and Q.frozen[s]):
-                net[(r, s)] += 1
-    for s, t in list(net):
-        if q in (s, t):
-            m = net.pop((s, t))
-            net[(t, s)] += m
+    verts = list(Q.frozen)
+    B = _b_matrix(Q, verts)
+    return _quiver_from_b(verts, Q.frozen, _mutate_b(B, verts.index(q)))
+
+
+# ---------------------------------------------------------------------------
+# Exchange matrices
+# ---------------------------------------------------------------------------
+
+ExchangeMatrix = tuple[tuple[int, ...], ...]
+
+
+def _b_matrix(Q: Quiver, verts: Sequence[Hashable]) -> ExchangeMatrix:
+    """Skew-symmetric exchange matrix of Q in the vertex order ``verts``:
+    ``b_ij`` = #arrows i -> j minus #arrows j -> i."""
+    idx = {v: i for i, v in enumerate(verts)}
+    B = [[0] * len(verts) for _ in verts]
+    for s, t in Q.arrows:
+        i, j = idx[s], idx[t]
+        B[i][j] += 1
+        B[j][i] -= 1
+    return tuple(map(tuple, B))
+
+
+def _quiver_from_b(verts: Sequence[Hashable], frozen: dict, B: ExchangeMatrix) -> Quiver:
+    """The quiver of B on ``verts``, frozen-frozen entries dropped; arrows in
+    ``(str(source), str(target))`` order, ties kept in vertex order."""
+    order = sorted(range(len(verts)), key=lambda i: str(verts[i]))
     arrows: list[tuple[Hashable, Hashable]] = []
-    for (s, t), m in sorted(net.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-        m -= net.get((t, s), 0)
-        if m > 0 and not (Q.frozen[s] and Q.frozen[t]):
-            arrows.extend([(s, t)] * m)
-    return Quiver(dict(Q.frozen), tuple(arrows))
+    for i in order:
+        s, row = verts[i], B[i]
+        fs = frozen[s]
+        for j in order:
+            m = row[j]
+            if m > 0 and not (fs and frozen[verts[j]]):
+                arrows.extend([(s, verts[j])] * m)
+    return Quiver(dict(frozen), tuple(arrows))
+
+
+def _mutate_b(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Fomin-Zelevinsky matrix mutation at k:
+    ``b'_ij = -b_ij`` if k in (i, j), else
+    ``b'_ij = b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2``.
+    Rows with ``b_ik = 0`` are shared with B."""
+    Bk = B[k]
+    out = []
+    for i, row in enumerate(B):
+        a = row[k]
+        if i == k:
+            out.append(tuple(-x for x in row))
+            continue
+        if a == 0:
+            out.append(row)
+            continue
+        if a > 0:
+            r = [x + a * b if b > 0 else x for x, b in zip(row, Bk)]
+        else:
+            r = [x - a * b if b < 0 else x for x, b in zip(row, Bk)]
+        r[k] = -a
+        out.append(tuple(r))
+    return tuple(out)
+
+
+def _canonical_label(B: ExchangeMatrix, colour: Sequence) -> tuple[int, ...]:
+    """Canonical form of a vertex-coloured symmetric or skew-symmetric integer
+    matrix: the lexicographically least ``B[L[p]][L[q]]``, flattened row by
+    row, over the leaves L of an individualization-refinement search tree
+    (McKay-Piperno, "Practical graph isomorphism II", 2014).
+
+    A node is an ordered partition of the vertices, stored as each vertex's
+    cell start.  Refinement splits cells by the multiset of (cell, entry)
+    over each vertex's nonzero row entries until the partition is equitable;
+    a non-discrete node individualizes each vertex of its first smallest
+    non-singleton cell in turn.  Equal forms at two leaves give an
+    automorphism; it ends the search below the point where the two paths
+    part, and children in one orbit of the automorphisms fixing the node's
+    path are searched once.  Cell order starts from the sort order of
+    ``colour``, so a leaf's position p always has the p-th least colour and
+    the form is complete for colour multisets that agree."""
+    n = len(B)
+    nbrs = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+
+    def refine(col: list[int]) -> list[int]:
+        # cells are numbered by their start, so an entry b_ij read as
+        # n * b_ij + cell(j) keeps both
+        cells = len(set(col))
+        while True:
+            sig = [(col[i], sorted([n * b + col[j] for j, b in nbrs[i]])) for i in range(n)]
+            order = sorted(range(n), key=sig.__getitem__)
+            new = [0] * n
+            start, count, prev = 0, 0, None
+            for pos, i in enumerate(order):
+                if sig[i] != prev:
+                    start, prev = pos, sig[i]
+                    count += 1
+                new[i] = start
+            if count == cells or count == n:
+                return new
+            col, cells = new, count
+
+    first = best = None  # (form, leaf, path) of the first and the least leaf
+    gens: list[list[int]] = []  # automorphisms found, as vertex maps
+
+    def parting_depth(path_a: list[int], path_b: list[int]) -> int:
+        d = 0
+        while path_a[d] == path_b[d]:
+            d += 1
+        return d
+
+    def orbit_roots(path: list[int]) -> list[int]:
+        root = list(range(n))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        for g in gens:
+            if all(g[p] == p for p in path):
+                for v in range(n):
+                    a, b = find(v), find(g[v])
+                    if a != b:
+                        root[max(a, b)] = min(a, b)
+        return [find(v) for v in range(n)]
+
+    def search(col: list, path: list[int]) -> int:
+        """Searches the subtree at ``path``; returns the depth at which the
+        search continues (less than ``len(path)`` to abandon this node)."""
+        nonlocal first, best
+        col = refine(col)
+        depth = len(path)
+        size = [0] * n
+        for c in col:
+            size[c] += 1
+        open_cells = [(m, s) for s, m in enumerate(size) if m > 1]
+        if not open_cells:
+            leaf = [0] * n
+            for v, c in enumerate(col):
+                leaf[c] = v
+            form = tuple([B[i][j] for i in leaf for j in leaf])
+            if first is None:
+                first = best = (form, leaf, path)
+                return depth
+            for known in (first, best):
+                if form == known[0]:
+                    g = [0] * n
+                    for u, v in zip(known[1], leaf):
+                        g[u] = v
+                    gens.append(g)
+                    return parting_depth(known[2], path)
+            if form < best[0]:
+                best = (form, leaf, path)
+            return depth
+        s = min(open_cells)[1]
+        cell = [v for v in range(n) if col[v] == s]
+        tried: list[int] = []
+        roots, seen_gens = None, -1
+        for v in cell:
+            if tried and gens:
+                if seen_gens != len(gens):
+                    roots, seen_gens = orbit_roots(path), len(gens)
+                if any(roots[u] == roots[v] for u in tried):
+                    continue
+            tried.append(v)
+            child = col[:]
+            for u in cell:
+                child[u] = s + 1
+            child[v] = s
+            back = search(child, path + [v])
+            if back < depth:
+                return back
+        return depth
+
+    start: dict = {}
+    for pos, c in enumerate(sorted(colour)):
+        start.setdefault(c, pos)
+    search([start[c] for c in colour], [])
+    return best[0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,66 +538,14 @@ def mutable_grid_quiver(mut: shapes.Partition) -> Quiver:
 
 
 def canonical_form(Q: Quiver) -> tuple:
-    """Canonical invariant of a quiver up to isomorphism (respecting frozen
-    flags): the minimal arrow-matrix encoding over vertex orderings compatible
-    with an iteratively refined degree coloring."""
+    """Canonical invariant of a quiver up to isomorphism respecting frozen
+    flags: the sorted frozen flags and the canonical relabelling of Q's
+    exchange matrix (:func:`_canonical_label`), frozen flags being the
+    initial colours.  Equal for two quivers exactly when they are
+    isomorphic."""
     verts = list(Q.frozen)
-    n = len(verts)
-    idx = {v: i for i, v in enumerate(verts)}
-    mat = [[0] * n for _ in range(n)]
-    for s, t in Q.arrows:
-        mat[idx[s]][idx[t]] += 1
-
-    # refinement: start from (frozen, out/in degree multisets), then fold in
-    # neighbor colors until stable
-    color = [
-        (
-            Q.frozen[verts[i]],
-            tuple(sorted(m for m in mat[i] if m)),
-            tuple(sorted(mat[j][i] for j in range(n) if mat[j][i])),
-        )
-        for i in range(n)
-    ]
-    for _ in range(n):
-        signature = [
-            (
-                color[i],
-                tuple(sorted((color[j], mat[i][j]) for j in range(n) if mat[i][j])),
-                tuple(sorted((color[j], mat[j][i]) for j in range(n) if mat[j][i])),
-            )
-            for i in range(n)
-        ]
-        relabel = {sig: rank for rank, sig in enumerate(sorted(set(signature), key=repr))}
-        new_color = [relabel[sig] for sig in signature]
-        if len(set(new_color)) == len(set(color)):
-            color = new_color
-            break
-        color = new_color
-
-    classes: dict[object, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(color[i], []).append(i)
-    ordered_classes = [classes[c] for c in sorted(classes, key=repr)]
-    class_sizes = tuple(len(g) for g in ordered_classes)
-
-    best: tuple | None = None
-
-    def search(order: list[int], remaining: list[list[int]]) -> None:
-        nonlocal best
-        if not remaining:
-            rows = tuple(tuple(mat[i][j] for j in order) for i in order)
-            flags = tuple(Q.frozen[verts[i]] for i in order)
-            cand = (flags, rows)
-            if best is None or cand < best:
-                best = cand
-            return
-        group, rest = remaining[0], remaining[1:]
-        for pick in iter_permutations(group):
-            search(order + list(pick), rest)
-
-    search([], ordered_classes)
-    assert best is not None
-    return (class_sizes, best)
+    flags = [Q.frozen[v] for v in verts]
+    return tuple(sorted(flags)), _canonical_label(_b_matrix(Q, verts), flags)
 
 
 @dataclass(frozen=True)
@@ -469,14 +577,28 @@ def mutation_class_explore(
     stop_on_multiple_arrow: bool = True,
 ) -> MutationClassReport:
     """Breadth-first search of the mutation class of the mutable part of Q, up
-    to quiver isomorphism."""
+    to quiver isomorphism.  The search runs on exchange matrices keyed by
+    :func:`_canonical_label`; representatives are Quivers on Q's mutable
+    vertices."""
     Q0 = Q.restrict_mutable()
+    # Individualization-refinement has exponential worst cases.  Up to 12
+    # vertices the most symmetric quivers tried (no arrows, oriented cycles,
+    # disjoint triangles, K_{6,6}, the Paley tournament) label in about 10 ms
+    # each; larger inputs are not measured.
     if len(Q0.frozen) > 12:
-        raise ValueError("exhaustive canonical hashing is limited to <= 12 mutable vertices")
-    seen = {canonical_form(Q0)}
+        raise ValueError(
+            "mutation_class_explore is limited to <= 12 mutable vertices: its "
+            "canonical labeling has exponential worst cases and is measured "
+            "only up to 12 vertices"
+        )
+    verts = list(Q0.frozen)
+    B0 = _b_matrix(Q0, verts)
+    colour = [0] * len(verts)
+    seen = {_canonical_label(B0, colour)}
     reps = [Q0] if keep_representatives else []
-    frontier = [Q0]
-    saw_multiple = Q0.max_multiplicity() >= 2
+    # (matrix, vertex it was reached by): mutating there again gives its parent
+    frontier = [(B0, -1)]
+    saw_multiple = _max_multiplicity(B0) >= 2
     depth = 0
     bound_hit = False
     while frontier and not (saw_multiple and stop_on_multiple_arrow):
@@ -485,18 +607,20 @@ def mutation_class_explore(
             break
         depth += 1
         nxt = []
-        for cur in frontier:
-            for q in cur.mutable_vertices():
-                new = mutate_quiver(cur, q)
-                key = canonical_form(new)
+        for cur, via in frontier:
+            for q in range(len(verts)):
+                if q == via:
+                    continue
+                new = _mutate_b(cur, q)
+                key = _canonical_label(new, colour)
                 if key in seen:
                     continue
                 seen.add(key)
-                if new.max_multiplicity() >= 2:
+                if _max_multiplicity(new) >= 2:
                     saw_multiple = True
                 if keep_representatives:
-                    reps.append(new)
-                nxt.append(new)
+                    reps.append(_quiver_from_b(verts, Q0.frozen, new))
+                nxt.append((new, q))
                 if len(seen) > max_size:
                     bound_hit = True
                     nxt = []
@@ -512,6 +636,10 @@ def mutation_class_explore(
     return MutationClassReport(
         closed, len(seen), bound_hit, saw_multiple, tuple(reps)
     )
+
+
+def _max_multiplicity(B: ExchangeMatrix) -> int:
+    return max(map(max, B), default=0)
 
 
 def dynkin_quiver(type_name: str) -> Quiver:
@@ -535,32 +663,14 @@ def dynkin_quiver(type_name: str) -> Quiver:
 
 
 def underlying_graph_isomorphic(Q1: Quiver, Q2: Quiver) -> bool:
-    """Isomorphism of underlying undirected (multi)graphs; brute force with
-    degree pruning, adequate for Dynkin-sized quivers."""
-    v1, v2 = list(Q1.frozen), list(Q2.frozen)
-    if len(v1) != len(v2) or len(Q1.arrows) != len(Q2.arrows):
-        return False
-    und1 = Counter(frozenset(a) for a in Q1.arrows)
-    und2 = Counter(frozenset(a) for a in Q2.arrows)
+    """Isomorphism of underlying undirected (multi)graphs: equal canonical
+    forms of the symmetrised matrices ``|B|``, frozen flags ignored."""
 
-    def degs(und, verts):
-        d = {v: 0 for v in verts}
-        for pair, m in und.items():
-            for v in pair:
-                d[v] += m
-        return d
+    def form(Q: Quiver) -> tuple[int, ...]:
+        B = _b_matrix(Q, list(Q.frozen))
+        return _canonical_label(tuple(tuple(map(abs, row)) for row in B), [0] * len(B))
 
-    d1, d2 = degs(und1, v1), degs(und2, v2)
-    if sorted(d1.values()) != sorted(d2.values()):
-        return False
-    for assign in iter_permutations(v2):
-        mapping = dict(zip(v1, assign))
-        if any(d1[v] != d2[mapping[v]] for v in v1):
-            continue
-        mapped = Counter(frozenset(mapping[x] for x in pair) for pair in und1.elements())
-        if mapped == und2:
-            return True
-    return False
+    return form(Q1) == form(Q2)
 
 
 # ---------------------------------------------------------------------------

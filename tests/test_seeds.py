@@ -207,6 +207,170 @@ def test_canonical_form_isomorphism_invariance():
     assert seeds.canonical_form(Q) != seeds.canonical_form(other)
 
 
+def random_quiver(rng, n):
+    """Random quiver on 0..n-1: about a third of the vertices frozen, arrows
+    of multiplicity 1-3 in random directions, listed in random order."""
+    frozen = {v: rng.random() < 0.3 for v in range(n)}
+    arrows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if frozen[i] and frozen[j] or rng.random() < 0.5:
+                continue
+            pair = (i, j) if rng.random() < 0.5 else (j, i)
+            arrows += [pair] * rng.choice((1, 1, 2, 3))
+    rng.shuffle(arrows)
+    return seeds.Quiver(frozen, tuple(arrows))
+
+
+def relabel(Q, rng):
+    """Q under a random bijection of its vertices, with vertices and arrows
+    also listed in a random order."""
+    verts = list(Q.frozen)
+    image = verts[:]
+    rng.shuffle(image)
+    f = dict(zip(verts, image))
+    rng.shuffle(verts)
+    arrows = [(f[s], f[t]) for s, t in Q.arrows]
+    rng.shuffle(arrows)
+    return seeds.Quiver({f[v]: Q.frozen[v] for v in verts}, tuple(arrows))
+
+
+def reference_mutate_quiver(Q, q):
+    """The arrow-list mutation rule: compose paths through q, reverse the
+    arrows at q, cancel 2-cycles, list arrows by (str(source), str(target))."""
+    from collections import Counter
+
+    net = Counter(Q.arrows)
+    for r in Q.arrows_into(q):
+        for s in Q.arrows_from(q):
+            if not (Q.frozen[r] and Q.frozen[s]):
+                net[(r, s)] += 1
+    for s, t in list(net):
+        if q in (s, t):
+            net[(t, s)] += net.pop((s, t))
+    arrows = []
+    for (s, t), m in sorted(net.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
+        m -= net.get((t, s), 0)
+        if m > 0 and not (Q.frozen[s] and Q.frozen[t]):
+            arrows.extend([(s, t)] * m)
+    return seeds.Quiver(dict(Q.frozen), tuple(arrows))
+
+
+def test_mutate_quiver_matches_arrow_rule():
+    rng = random.Random(21)
+    for _ in range(300):
+        Q = random_quiver(rng, rng.randint(1, 9))
+        for q in Q.mutable_vertices():
+            got, want = seeds.mutate_quiver(Q, q), reference_mutate_quiver(Q, q)
+            assert got.arrows == want.arrows and got == want
+
+
+def test_matrix_mutation_is_involution():
+    rng = random.Random(22)
+    for _ in range(100):
+        Q = random_quiver(rng, rng.randint(1, 9))
+        B = seeds._b_matrix(Q, list(Q.frozen))
+        for k in range(len(B)):
+            assert seeds._mutate_b(seeds._mutate_b(B, k), k) == B
+
+
+def test_canonical_form_matches_networkx_isomorphism():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import categorical_edge_match, categorical_node_match
+
+    def to_nx(Q, G):
+        # arrows as edges with multiplicity m; a quiver has no 2-cycles, so
+        # in an undirected G the multiplicity is that of the one direction
+        G.add_nodes_from((v, {"frozen": f}) for v, f in Q.frozen.items())
+        for s, t in Q.arrows:
+            G.add_edge(s, t, m=G.edges[s, t]["m"] + 1 if G.has_edge(s, t) else 1)
+        return G
+
+    node, edge = categorical_node_match("frozen", None), categorical_edge_match("m", None)
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        Q1 = random_quiver(rng, n)
+        # an isomorphic copy, a mutation of one, or an unrelated quiver
+        Q2 = relabel(Q1, rng)
+        pick = rng.random()
+        if pick < 0.3 and Q2.mutable_vertices():
+            Q2 = seeds.mutate_quiver(Q2, rng.choice(Q2.mutable_vertices()))
+        elif pick < 0.5:
+            Q2 = random_quiver(rng, n)
+        iso = nx.is_isomorphic(to_nx(Q1, nx.DiGraph()), to_nx(Q2, nx.DiGraph()),
+                               node_match=node, edge_match=edge)
+        assert (seeds.canonical_form(Q1) == seeds.canonical_form(Q2)) == iso, (Q1, Q2)
+        und = nx.is_isomorphic(to_nx(Q1, nx.Graph()), to_nx(Q2, nx.Graph()), edge_match=edge)
+        assert seeds.underlying_graph_isomorphic(Q1, Q2) == und, (Q1, Q2)
+        outcomes.add((iso, und))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_canonical_form_symmetric_quivers():
+    # unions of oriented cycles and disjoint copies of one quiver have many
+    # automorphisms, so the labeling search prunes by them
+    def cycles(*sizes):
+        arrows, off = [], 0
+        for m in sizes:
+            arrows += [(off + i, off + (i + 1) % m) for i in range(m)]
+            off += m
+        return seeds.Quiver({i: False for i in range(off)}, tuple(arrows))
+
+    def copies(Q, c):
+        return seeds.Quiver(
+            {(t, v): f for t in range(c) for v, f in Q.frozen.items()},
+            tuple(((t, s), (t, u)) for t in range(c) for s, u in Q.arrows),
+        )
+
+    rng = random.Random(24)
+    quivers = [cycles(3, 3, 6), cycles(3, 6), cycles(4, 4, 3), cycles(3, 9), cycles(5, 5)]
+    quivers += [copies(random_quiver(rng, rng.randint(2, 4)), rng.randint(2, 3)) for _ in range(20)]
+    for Q in quivers:
+        want = seeds.canonical_form(Q)
+        for _ in range(10):
+            R = relabel(Q, rng)
+            assert seeds.canonical_form(R) == want, Q
+            assert seeds.underlying_graph_isomorphic(Q, R), Q
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_canonical_form_oriented_cycle_is_fast(n):
+    import time
+
+    rng = random.Random(n)
+    cycle = seeds.Quiver({i: False for i in range(n)}, tuple((i, (i + 1) % n) for i in range(n)))
+    t0 = time.perf_counter()
+    want = seeds.canonical_form(cycle)
+    for _ in range(5):
+        assert seeds.canonical_form(relabel(cycle, rng)) == want
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "name,size",
+    [("D4", 6), ("D5", 26), ("D6", 80), ("D7", 246), ("E6", 67), ("E7", 416), ("E8", 1574)],
+)
+def test_mutation_class_sizes_from_scrambled_starts(name, size):
+    # published class sizes (Buan-Torkildsen; Torkildsen), from a relabelled
+    # start mutated along a random sequence
+    rng = random.Random(size)
+    Q = relabel(seeds.dynkin_quiver(name), rng)
+    for _ in range(2 * len(Q.frozen)):
+        Q = seeds.mutate_quiver(Q, rng.choice(Q.mutable_vertices()))
+    rep = seeds.mutation_class_explore(Q, keep_representatives=True)
+    assert rep.verdict == "finite" and rep.class_size == size
+    assert len({seeds.canonical_form(r) for r in rep.representatives}) == size
+    assert all(set(r.frozen) == set(Q.frozen) for r in rep.representatives)
+
+
+def test_mutation_class_vertex_cap():
+    Q = seeds.Quiver({i: False for i in range(13)}, tuple((i, i + 1) for i in range(12)))
+    with pytest.raises(ValueError, match="12 mutable vertices"):
+        seeds.mutation_class_explore(Q)
+
+
 def test_gr2n_labels_stay_plucker():
     # finite type A: full closure of the Gr(2,5) and Gr(2,6) top-cell seed
     # patterns; every label reached by mutation identifies with a Pluecker
