@@ -23,13 +23,6 @@ class OplusDiagram:
             if not shapes.contains_box(self.shape, b):
                 raise ValueError(f"plus at {b} outside shape {self.shape}")
 
-    def is_plus(self, b: Box) -> bool:
-        return b in self.plus
-
-    def toggle(self, b: Box) -> "OplusDiagram":
-        plus = self.plus ^ {b}
-        return OplusDiagram(self.shape, plus)
-
     def render(self) -> str:
         rows = []
         for r, part in enumerate(self.shape, start=1):

@@ -342,11 +342,6 @@ class DecoratedPermutation:
     def n(self) -> int:
         return len(self.perm)
 
-    def black_fixed(self) -> frozenset[int]:
-        return frozenset(
-            i for i, wi in enumerate(self.perm, start=1) if wi == i and i not in self.white_fixed
-        )
-
     def antiexcedances(self) -> frozenset[int]:
         """Values i with sigma^{-1}(i) > i, together with white fixed points."""
         inv = inverse(self.perm)

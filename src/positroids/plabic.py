@@ -301,20 +301,6 @@ def trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
     return tuple(out), DecoratedPermutation(pi, frozenset(white))
 
 
-def trip_permutation_positions(G: PlabicGraph) -> DecoratedPermutation:
-    """The trip permutation on boundary *positions* (independent of labels)."""
-    images = {}
-    white = set()
-    pos = {bd: p for p, bd in enumerate(G.boundary_order, start=1)}
-    for bd in G.boundary_order:
-        end_bd, walk = _trip_from(G, bd)
-        images[pos[bd]] = pos[end_bd]
-        if bd == end_bd and _leaf_color(G, walk) == WHITE:
-            white.add(pos[bd])
-    pi = tuple(images[p] for p in range(1, G.n + 1))
-    return DecoratedPermutation(pi, frozenset(white))
-
-
 # ---------------------------------------------------------------------------
 # Face labelings
 # ---------------------------------------------------------------------------
@@ -325,18 +311,12 @@ class FaceLabeling:
     faces: Faces
     labels: tuple[frozenset[int], ...]
 
-    def label_of(self, idx: int) -> frozenset[int]:
-        return self.labels[idx]
-
     def index_of(self, label: Iterable[int]) -> int:
         lab = frozenset(label)
         for i, l in enumerate(self.labels):
             if l == lab:
                 return i
         raise KeyError(f"no face labeled {sorted(lab)}")
-
-    def label_set(self) -> tuple[frozenset[int], ...]:
-        return self.labels
 
 
 def _edge_adjacency(G: PlabicGraph, fc: Faces, skip_edges: set) -> dict[int, set[int]]:
@@ -493,7 +473,9 @@ def add_bridge(G: PlabicGraph, a: int, b: int) -> PlabicGraph:
     n = G.n
     if not 1 <= a < b <= n:
         raise InvalidBridge(f"need 1 <= a < b <= n, got ({a}, {b})")
-    lifted = permmod.bounded_affine(trip_permutation_positions(G))
+    # the trip permutation on boundary positions, independent of the labels
+    by_position = replace(G, labels={bd: p for p, bd in enumerate(G.boundary_order, start=1)})
+    lifted = permmod.bounded_affine(trips(by_position)[1])
     if lifted.window[a - 1] <= lifted.window[b - 1]:
         raise InvalidBridge(f"bounded affine permutation not decreasing on ({a}, {b})")
 
@@ -949,12 +931,51 @@ def to_json(G: PlabicGraph) -> dict:
     }
 
 
-def from_json(data: dict) -> PlabicGraph:
+def _int_list(value, what: str, length: int | None = None) -> list[int]:
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise PlabicError(f"{what} must be a list of integers")
+    if length is not None and len(value) != length:
+        raise PlabicError(f"{what} must have {length} entries")
+    return value
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def from_json(data) -> PlabicGraph:
+    """Inverse of :func:`to_json`.  Data of the wrong shape or type, or
+    rotations that do not match the edges, raise :class:`PlabicError`."""
+    if not isinstance(data, dict):
+        raise PlabicError("graph JSON must be an object")
+    missing = [key for key in ("n", "boundary_labels", "vertices", "edges", "rotations")
+               if key not in data]
+    if missing:
+        raise PlabicError(f"graph JSON lacks {', '.join(missing)}")
     n = data["n"]
-    boundary = tuple(-p for p in range(1, n + 1))
-    labels = {-p: lab for p, lab in enumerate(data["boundary_labels"], start=1)}
-    colors = {v["id"]: v["color"] for v in data["vertices"]}
-    edges = {i: (a, b) for i, (a, b) in enumerate(data["edges"], start=1)}
+    if not _is_int(n) or n < 0:
+        raise PlabicError("n must be a non-negative integer")
+    labels = {-p: lab for p, lab in enumerate(
+        _int_list(data["boundary_labels"], "boundary_labels", n), start=1)}
+    boundary = tuple(labels)
+    vertices = data["vertices"]
+    if not isinstance(vertices, list) or not all(
+        isinstance(v, dict) and _is_int(v.get("id")) and v["id"] > 0
+        and v.get("color") in (BLACK, WHITE) for v in vertices
+    ):
+        raise PlabicError('vertices must be a list of {"id": positive integer, "color": "b" or "w"}')
+    colors = {v["id"]: v["color"] for v in vertices}
+    if not isinstance(data["edges"], list):
+        raise PlabicError("edges must be a list")
+    edges = {}
+    for i, ends in enumerate(data["edges"], start=1):
+        a, b = _int_list(ends, "an edge", 2)
+        if not all(v in labels or v in colors for v in (a, b)):
+            raise PlabicError(f"edge {ends} uses an unknown vertex")
+        edges[i] = (a, b)
+    rotations = data["rotations"]
+    if not isinstance(rotations, dict) or sorted(rotations) != sorted(map(str, colors)):
+        raise PlabicError("rotations must map each vertex id, as a string, to its neighbors")
     # rotations reference neighbors; recover edge ids, consuming parallel
     # edges in listed order
     incident: dict[int, dict[int, list[int]]] = {}
@@ -962,10 +983,15 @@ def from_json(data: dict) -> PlabicGraph:
         incident.setdefault(a, {}).setdefault(b, []).append(eid)
         incident.setdefault(b, {}).setdefault(a, []).append(eid)
     rot = {}
-    for v_str, nbrs in data["rotations"].items():
+    for v_str, nbrs in rotations.items():
         v = int(v_str)
         pools = {w: list(eids) for w, eids in incident.get(v, {}).items()}
-        rot[v] = tuple(pools[w].pop(0) for w in nbrs)
+        order = []
+        for w in _int_list(nbrs, f"the rotation at {v}"):
+            if not pools.get(w):
+                raise PlabicError(f"the rotation at {v} lists {w} more often than an edge joins them")
+            order.append(pools[w].pop(0))
+        rot[v] = tuple(order)
     G = PlabicGraph(boundary, labels, colors, edges, rot)
     G.validate()
     return G

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations as iter_permutations
 from typing import Hashable, Iterable, Sequence
 
 from positroids import perm as permmod
@@ -57,9 +56,6 @@ class Quiver:
     def arrows_into(self, q: Hashable) -> tuple[Hashable, ...]:
         return tuple(s for s, t in self.arrows if t == q)
 
-    def reversed(self) -> "Quiver":
-        return Quiver(dict(self.frozen), tuple((t, s) for s, t in self.arrows))
-
     def delete_vertex(self, v: Hashable) -> "Quiver":
         frozen = {u: f for u, f in self.frozen.items() if u != v}
         return Quiver(frozen, tuple(a for a in self.arrows if v not in a))
@@ -70,10 +66,6 @@ class Quiver:
             {v: False for v in self.frozen if v in keep},
             tuple((s, t) for s, t in self.arrows if s in keep and t in keep),
         )
-
-    def max_multiplicity(self) -> int:
-        counts = Counter(self.arrows)
-        return max(counts.values(), default=0)
 
 
 def mutate_quiver(Q: Quiver, q: Hashable) -> Quiver:
@@ -269,9 +261,14 @@ def _canonical_label(B: ExchangeMatrix, colour: Sequence) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 class ClusterExpression:
-    """Base class; subclasses are Pluecker symbols and exchange quotients."""
+    """Base class; subclasses are Pluecker symbols and exchange quotients.
 
-    def evaluate(self, M: Matrix, cache: dict | None = None) -> Fraction:
+    ``evaluate(M, memo)`` computes the value at the sample point M exactly.
+    ``memo`` belongs to that one sample: Pluecker values are kept under their
+    column set and exchange quotients under ``id()``, so shared subexpressions
+    are evaluated once.  A memo must not outlive the expressions it holds."""
+
+    def evaluate(self, M: Matrix, memo: dict) -> Fraction:
         raise NotImplementedError
 
 
@@ -279,13 +276,10 @@ class ClusterExpression:
 class PluckerSymbol(ClusterExpression):
     columns: frozenset[int]
 
-    def evaluate(self, M: Matrix, cache: dict | None = None) -> Fraction:
-        if cache is None:
-            return pluecker.plucker(M, self.columns)
-        key = (id(M), self.columns)
-        if key not in cache:
-            cache[key] = pluecker.plucker(M, self.columns)
-        return cache[key]
+    def evaluate(self, M: Matrix, memo: dict) -> Fraction:
+        if self.columns not in memo:
+            memo[self.columns] = pluecker.plucker(M, self.columns)
+        return memo[self.columns]
 
     def __repr__(self) -> str:
         return "D" + "".join(str(c) for c in sorted(self.columns))
@@ -299,23 +293,21 @@ class ExchangeExpr(ClusterExpression):
     in_factors: tuple[ClusterExpression, ...]
     divisor: ClusterExpression
 
-    def evaluate(self, M: Matrix, cache: dict | None = None) -> Fraction:
-        if cache is None:
-            cache = {}
-        key = (id(M), id(self))
-        if key in cache:
-            return cache[key]
+    def evaluate(self, M: Matrix, memo: dict) -> Fraction:
+        key = id(self)
+        if key in memo:
+            return memo[key]
         num = Fraction(1)
         for f in self.out_factors:
-            num *= f.evaluate(M, cache)
+            num *= f.evaluate(M, memo)
         num2 = Fraction(1)
         for f in self.in_factors:
-            num2 *= f.evaluate(M, cache)
-        den = self.divisor.evaluate(M, cache)
+            num2 *= f.evaluate(M, memo)
+        den = self.divisor.evaluate(M, memo)
         if den == 0:
             raise ZeroDivisionError("exchange denominator vanishes at this sample point")
         val = (num + num2) / den
-        cache[key] = val
+        memo[key] = val
         return val
 
 
@@ -326,9 +318,13 @@ def expressions_agree(
 ) -> bool:
     """Exact agreement at every sample point (probabilistic identity testing:
     for honest Laurent expressions a false positive needs every sample to hit
-    a hypersurface, which has vanishing probability over the integer box)."""
-    cache: dict = {}
-    return all(a.evaluate(M, cache) == b.evaluate(M, cache) for M in samples)
+    a hypersurface, which has vanishing probability over the integer box).
+    Each sample gets its own memo, shared by a and b."""
+    for M in samples:
+        memo: dict = {}
+        if a.evaluate(M, memo) != b.evaluate(M, memo):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +335,6 @@ def expressions_agree(
 class LabeledSeed:
     quiver: Quiver
     labels: dict[Hashable, ClusterExpression]
-
-    def label(self, v: Hashable) -> ClusterExpression:
-        return self.labels[v]
-
-    def plucker_labels(self) -> dict[Hashable, frozenset[int]]:
-        out = {}
-        for v, lab in self.labels.items():
-            if isinstance(lab, PluckerSymbol):
-                out[v] = lab.columns
-        return out
 
     def delete_vertex(self, v: Hashable) -> "LabeledSeed":
         labels = {u: l for u, l in self.labels.items() if u != v}
@@ -369,67 +355,55 @@ def mutate_seed(S: LabeledSeed, q: Hashable) -> LabeledSeed:
 
 
 def seeds_equal(S1: LabeledSeed, S2: LabeledSeed, up_to_arrow_reversal: bool = False) -> bool:
-    """Label-preserving quiver isomorphism.  Labels must evaluate equal as
-    data (Pluecker symbols compare by column set); correspondences are matched
-    by label, brute-forcing ties."""
+    """Label-preserving quiver isomorphism that keeps frozen flags.  Labels
+    match as data: Pluecker symbols by column set, other labels by identity.
 
-    def key(lab: ClusterExpression):
-        return lab.columns if isinstance(lab, PluckerSymbol) else id(lab)
+    Each vertex is coloured by (frozen flag, label key); the seeds are equal
+    when the colour multisets agree and the coloured exchange matrices have
+    the same canonical form (:func:`_canonical_label`), or, with
+    ``up_to_arrow_reversal``, when S1's form equals that of ``-B2``."""
 
-    by_label1: dict = {}
-    for v, lab in S1.labels.items():
-        by_label1.setdefault(key(lab), []).append(v)
-    by_label2: dict = {}
-    for v, lab in S2.labels.items():
-        by_label2.setdefault(key(lab), []).append(v)
-    if set(by_label1) != set(by_label2):
+    def coloured(S: LabeledSeed) -> tuple[ExchangeMatrix, list]:
+        verts = list(S.quiver.frozen)
+        colour = []
+        for v in verts:
+            lab = S.labels[v]
+            key = (0, tuple(sorted(lab.columns))) if isinstance(lab, PluckerSymbol) else (1, id(lab))
+            colour.append((S.quiver.frozen[v], key))
+        return _b_matrix(S.quiver, verts), colour
+
+    B1, c1 = coloured(S1)
+    B2, c2 = coloured(S2)
+    if sorted(c1) != sorted(c2):
         return False
-    if any(len(by_label1[k]) != len(by_label2[k]) for k in by_label1):
-        return False
-
-    def try_maps(keys: list, mapping: dict) -> bool:
-        if not keys:
-            return _quiver_map_ok(S1, S2, mapping, up_to_arrow_reversal)
-        k, rest = keys[0], keys[1:]
-        for assignment in iter_permutations(by_label2[k]):
-            trial = dict(mapping)
-            trial.update(zip(by_label1[k], assignment))
-            if try_maps(rest, trial):
-                return True
-        return False
-
-    return try_maps(list(by_label1), {})
-
-
-def _quiver_map_ok(
-    S1: LabeledSeed, S2: LabeledSeed, mapping: dict, up_to_arrow_reversal: bool
-) -> bool:
-    if any(S1.quiver.frozen[v] != S2.quiver.frozen[mapping[v]] for v in mapping):
-        return False
-    a1 = Counter((mapping[s], mapping[t]) for s, t in S1.quiver.arrows)
-    a2 = Counter(S2.quiver.arrows)
-    if a1 == a2:
+    form = _canonical_label(B1, c1)
+    if form == _canonical_label(B2, c2):
         return True
-    if up_to_arrow_reversal:
-        return Counter((t, s) for s, t in a1.elements()) == a2
-    return False
+    if not up_to_arrow_reversal:
+        return False
+    return form == _canonical_label(tuple(tuple(-b for b in row) for row in B2), c2)
 
 
 # ---------------------------------------------------------------------------
 # The rectangles seed
 # ---------------------------------------------------------------------------
 
-def rectangles_quiver(lam: shapes.Partition) -> Quiver:
-    """Quiver on the boxes of lam: arrows up and left between adjacent boxes,
-    a southeast diagonal arrow in every 2x2 rectangle, frozen at the boxes on
-    the southeast boundary, and frozen-frozen arrows dropped."""
-    frozen = {b: shapes.is_lambda_frozen(lam, b) for b in shapes.boxes(lam)}
+def _grid_quiver(frozen: dict[shapes.Box, bool]) -> Quiver:
+    """Quiver on the boxes in ``frozen`` (in that order): arrows up and left
+    between adjacent boxes and a southeast diagonal arrow in every 2x2
+    rectangle, frozen-frozen arrows dropped, arrows sorted."""
     arrows = []
     for (r, c) in frozen:
         for target in ((r - 1, c), (r, c - 1), (r + 1, c + 1)):
             if target in frozen and not (frozen[(r, c)] and frozen[target]):
                 arrows.append(((r, c), target))
     return Quiver(frozen, tuple(sorted(arrows)))
+
+
+def rectangles_quiver(lam: shapes.Partition) -> Quiver:
+    """The grid quiver on the boxes of lam, in :func:`shapes.boxes` order,
+    frozen at the boxes on the southeast boundary."""
+    return _grid_quiver({b: shapes.is_lambda_frozen(lam, b) for b in shapes.boxes(lam)})
 
 
 def rectangles_seed(k: int, n: int, v: Permutation, x: Permutation) -> LabeledSeed:
@@ -525,16 +499,9 @@ def classify_mutable_shape(mut: shapes.Partition) -> str:
 
 
 def mutable_grid_quiver(mut: shapes.Partition) -> Quiver:
-    """The all-mutable grid quiver on the boxes of a partition: up, left, and
-    2x2 diagonal arrows (the mutable part of a rectangles quiver)."""
-    boxes = set(shapes.boxes(mut))
-    frozen = {b: False for b in sorted(boxes)}
-    arrows = []
-    for (r, c) in sorted(boxes):
-        for target in ((r - 1, c), (r, c - 1), (r + 1, c + 1)):
-            if target in boxes:
-                arrows.append(((r, c), target))
-    return Quiver(frozen, tuple(arrows))
+    """The all-mutable grid quiver on the boxes of a partition, in sorted box
+    order (the mutable part of a rectangles quiver)."""
+    return _grid_quiver({b: False for b in sorted(shapes.boxes(mut))})
 
 
 def canonical_form(Q: Quiver) -> tuple:

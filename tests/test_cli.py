@@ -1,7 +1,13 @@
+import io
 import json
 import subprocess
 import sys
 
+import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+from positroids import cli, plabic
 from positroids.cli import main
 
 RUN = [sys.executable, "-m", "positroids.cli"]
@@ -164,7 +170,7 @@ def test_ppalg_module_pretty():
 
 
 def test_ppalg_crosscheck_small():
-    code, out, _ = run_cli(["ppalg", "crosscheck", "--n", "4", "--exhaustive"])
+    code, out, _ = run_cli(["ppalg", "crosscheck", "--n", "4"])
     assert code == 0
     data = json.loads(out)
     assert data["failures"] == 0
@@ -225,3 +231,98 @@ def test_ppalg_quiver_json():
     data = json.loads(out)
     assert len(data["vertices"]) == 10
     assert sum(1 for v in data["vertices"] if v["frozen"]) == 6
+
+
+def test_ppalg_crosscheck_jobs_clamped_to_cpus(monkeypatch, capsys):
+    import concurrent.futures
+
+    started = []
+
+    class FakePool:
+        """Records the pool size and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert main(["ppalg", "crosscheck", "--n", "3", "--jobs", "100000"]) == 0
+    assert started == [3]
+    assert json.loads(capsys.readouterr().out)["failures"] == 0
+    assert main(["ppalg", "crosscheck", "--n", "3", "--jobs", "2"]) == 0
+    assert started == [3, 2]
+
+
+# ---------------------------------------------------------------------------
+# malformed graph JSON: exit 2 with one error line, never a traceback
+# ---------------------------------------------------------------------------
+
+GRAPH_COMMANDS = (
+    ["plabic", "faces", "--mode", "target"],
+    ["plabic", "trips"],
+    ["seed", "from-graph"],
+)
+
+
+def run_main_on(argv, stdin_text, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def malformed_graphs():
+    good = plabic.to_json(plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4)))
+    cases = {"list": [1], "n not int": {"n": "x"}, "null": None}
+    for key in good:
+        cases[f"no {key}"] = {k: v for k, v in good.items() if k != key}
+    twice = json.loads(json.dumps(good))
+    twice["rotations"]["6"] = [8, 8, 2]  # 6 and 8 share one edge
+    cases["neighbour twice"] = twice
+    stranger = json.loads(json.dumps(good))
+    stranger["rotations"]["6"] = [8, 1, 5]  # 5 is not a neighbour of 6
+    cases["not a neighbour"] = stranger
+    cases["bool n"] = dict(good, n=True)
+    cases["edge of 3"] = dict(good, edges=[[-1, 1, 2]] + good["edges"][1:])
+    cases["bad color"] = dict(good, vertices=[{"id": 1, "color": "red"}] + good["vertices"][1:])
+    cases["short labels"] = dict(good, boundary_labels=[1, 2])
+    return cases
+
+
+@pytest.mark.parametrize("argv", GRAPH_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(malformed_graphs()))
+def test_malformed_graph_json_exits_2(name, argv, monkeypatch, capsys):
+    text = json.dumps(malformed_graphs()[name])
+    code, out, err = run_main_on(argv, text, monkeypatch, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 8) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+graph_like = st.fixed_dictionaries(
+    {key: json_values for key in ("n", "boundary_labels", "vertices", "edges", "rotations")}
+)
+
+
+@seed(20260)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=json_values | graph_like)
+def test_plabic_faces_on_arbitrary_json_exits_0_or_2(data, monkeypatch, capsys):
+    code, _, err = run_main_on(["plabic", "faces", "--mode", "target"], json.dumps(data), monkeypatch, capsys)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error: ")

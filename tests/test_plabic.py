@@ -311,10 +311,12 @@ def test_add_bridge_composes_transposition():
         k, v, x = random_skew_pair(n, rng)
         word = perm.columnar_expression(x, k)
         G = plabic.lollipop_graph(k, n)
-        lifted = perm.bounded_affine(plabic.trip_permutation_positions(G))
+        # boundary labels are the positions here, so trips are on positions
+        assert G.boundary_labels == tuple(range(1, n + 1))
+        lifted = perm.bounded_affine(plabic.trips(G)[1])
         for i in word:
             G = plabic.add_bridge(G, i, i + 1)
-            sigma = plabic.trip_permutation_positions(G)
+            sigma = plabic.trips(G)[1]
             new = perm.bounded_affine(sigma)
             expect = tuple(
                 lifted.window[i] if p == i - 1 else

@@ -60,6 +60,18 @@ def test_mutate_seed_involution_numeric():
     assert seeds.expressions_agree(back.labels[q], S.labels[q], samples)
 
 
+def test_expressions_agree_checks_every_sample():
+    # D12 and D13 agree at the first sample only; each sample has its own memo
+    d12, d13 = seeds.PluckerSymbol(frozenset({1, 2})), seeds.PluckerSymbol(frozenset({1, 3}))
+    ratio = seeds.ExchangeExpr((d12,), (d13,), d12)
+    first = pluecker.matrix([[1, 0, 0], [0, 1, 1]])
+    second = pluecker.matrix([[1, 0, 0], [0, 1, 2]])
+    assert seeds.expressions_agree(d12, d13, [first])
+    assert not seeds.expressions_agree(d12, d13, [first, second])
+    assert seeds.expressions_agree(ratio, seeds.ExchangeExpr((d13,), (d12,), d12), [first, second])
+    assert not seeds.expressions_agree(ratio, seeds.ExchangeExpr((d12,), (d12,), d12), [first, second])
+
+
 def test_square_move_label_is_plucker():
     # Gr(2,5) top-cell seed: mutating the face 24 yields D_{35} numerically
     from conftest import golden_gr25_graph
@@ -263,6 +275,151 @@ def test_mutate_quiver_matches_arrow_rule():
         for q in Q.mutable_vertices():
             got, want = seeds.mutate_quiver(Q, q), reference_mutate_quiver(Q, q)
             assert got.arrows == want.arrows and got == want
+
+
+def reference_seeds_equal(S1, S2, up_to_arrow_reversal=False):
+    """Label-preserving quiver isomorphism by brute force: vertices are
+    matched by label key (column set of a Pluecker symbol, else id()), and
+    every assignment within each tie of label keys is tried."""
+    from collections import Counter
+    from itertools import permutations
+
+    def key(lab):
+        return lab.columns if isinstance(lab, seeds.PluckerSymbol) else id(lab)
+
+    by_label1, by_label2 = {}, {}
+    for S, by_label in ((S1, by_label1), (S2, by_label2)):
+        for v, lab in S.labels.items():
+            by_label.setdefault(key(lab), []).append(v)
+    if set(by_label1) != set(by_label2):
+        return False
+    if any(len(by_label1[k]) != len(by_label2[k]) for k in by_label1):
+        return False
+
+    def map_ok(mapping):
+        if any(S1.quiver.frozen[v] != S2.quiver.frozen[mapping[v]] for v in mapping):
+            return False
+        a1 = Counter((mapping[s], mapping[t]) for s, t in S1.quiver.arrows)
+        a2 = Counter(S2.quiver.arrows)
+        if a1 == a2:
+            return True
+        if up_to_arrow_reversal:
+            return Counter((t, s) for s, t in a1.elements()) == a2
+        return False
+
+    def try_maps(keys, mapping):
+        if not keys:
+            return map_ok(mapping)
+        k, rest = keys[0], keys[1:]
+        for assignment in permutations(by_label2[k]):
+            trial = dict(mapping)
+            trial.update(zip(by_label1[k], assignment))
+            if try_maps(rest, trial):
+                return True
+        return False
+
+    return try_maps(list(by_label1), {})
+
+
+def relabel_seed(S, rng, reverse=False):
+    """S on new vertex names under a random bijection, vertices and arrows
+    listed in a random order, arrows reversed if asked."""
+    verts = list(S.quiver.frozen)
+    image = [("v", v) for v in verts]
+    rng.shuffle(image)
+    f = dict(zip(verts, image))
+    rng.shuffle(verts)
+    arrows = [(f[t], f[s]) if reverse else (f[s], f[t]) for s, t in S.quiver.arrows]
+    rng.shuffle(arrows)
+    quiver = seeds.Quiver({f[v]: S.quiver.frozen[v] for v in verts}, tuple(arrows))
+    return seeds.LabeledSeed(quiver, {f[v]: S.labels[v] for v in verts})
+
+
+def perturb_seed(S, rng, pool):
+    """S with one local change, which may or may not leave its class: a
+    label replaced, two labels swapped, a frozen vertex unfrozen, one arrow
+    removed, or the arrows between two vertices reversed."""
+    frozen, labels, arrows = dict(S.quiver.frozen), dict(S.labels), list(S.quiver.arrows)
+    verts = list(frozen)
+    kind = rng.randrange(5)
+    if kind == 0:
+        labels[rng.choice(verts)] = rng.choice(pool)
+    elif kind == 1:
+        a, b = rng.choice(verts), rng.choice(verts)
+        labels[a], labels[b] = labels[b], labels[a]
+    elif kind == 2 and any(frozen.values()):
+        frozen[rng.choice([v for v in verts if frozen[v]])] = False
+    elif kind == 3 and arrows:
+        arrows.pop(rng.randrange(len(arrows)))
+    elif arrows:
+        a, b = rng.choice(arrows)
+        arrows = [(t, s) if {s, t} == {a, b} else (s, t) for s, t in arrows]
+    return seeds.LabeledSeed(seeds.Quiver(frozen, tuple(arrows)), labels)
+
+
+def test_seeds_equal_matches_brute_force():
+    rng = random.Random(31)
+    d12 = seeds.PluckerSymbol(frozenset({1, 2}))
+    expr = seeds.ExchangeExpr((d12,), (), d12)
+    # the second {1, 2} symbol is a different object with an equal key
+    labels = [d12, seeds.PluckerSymbol(frozenset({1, 2})), seeds.PluckerSymbol(frozenset({1, 3})),
+              seeds.PluckerSymbol(frozenset({2, 3})), expr]
+    outcomes = {}
+    compared = 0
+    while compared < 2400:
+        pool = rng.sample(labels, rng.randint(1, 3))
+        Q = random_quiver(rng, rng.randint(1, 6))
+        S1 = seeds.LabeledSeed(Q, {v: rng.choice(pool) for v in Q.frozen})
+        kind = rng.randrange(4)
+        if kind == 0:
+            S2 = S1
+        elif kind == 1:
+            S2 = perturb_seed(S1, rng, pool)
+        elif kind == 2:
+            S2 = perturb_seed(perturb_seed(S1, rng, pool), rng, pool)
+        else:
+            Q2 = random_quiver(rng, len(Q.frozen))
+            S2 = seeds.LabeledSeed(Q2, dict(zip(Q2.frozen, S1.labels.values())))
+        S2 = relabel_seed(S2, rng, reverse=rng.random() < 0.5)
+        for reversal in (False, True):
+            got = seeds.seeds_equal(S1, S2, up_to_arrow_reversal=reversal)
+            assert got == reference_seeds_equal(S1, S2, reversal), (S1, S2, reversal)
+            outcomes[reversal, got] = outcomes.get((reversal, got), 0) + 1
+            compared += 1
+    assert set(outcomes) == {(False, False), (False, True), (True, False), (True, True)}
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def reference_grid_quivers(lam):
+    """``rectangles_quiver(lam)`` and ``mutable_grid_quiver(lam)`` as each
+    built its own arrows: boxes in ``shapes.boxes`` order (frozen on the
+    southeast boundary, frozen-frozen arrows dropped, arrows sorted) and in
+    sorted order (all mutable, arrows in the order they are found)."""
+    frozen = {b: shapes.is_lambda_frozen(lam, b) for b in shapes.boxes(lam)}
+    arrows = []
+    for (r, c) in frozen:
+        for target in ((r - 1, c), (r, c - 1), (r + 1, c + 1)):
+            if target in frozen and not (frozen[(r, c)] and frozen[target]):
+                arrows.append(((r, c), target))
+    rect = seeds.Quiver(frozen, tuple(sorted(arrows)))
+    boxes = set(shapes.boxes(lam))
+    arrows = []
+    for (r, c) in sorted(boxes):
+        for target in ((r - 1, c), (r, c - 1), (r + 1, c + 1)):
+            if target in boxes:
+                arrows.append(((r, c), target))
+    return rect, seeds.Quiver({b: False for b in sorted(boxes)}, tuple(arrows))
+
+
+def test_grid_quivers_match_their_old_construction():
+    shapes_tried = [lam for m in range(1, 8) for lam in shapes.partitions_in_box(m, m)
+                    if shapes.size(lam) == m]
+    shapes_tried += [(5, 3), (4, 3, 1), (4, 3, 2), (5, 5, 5), (4, 4, 4, 4), (6, 5, 3, 3, 1)]
+    for lam in shapes_tried:
+        for got, want in zip((seeds.rectangles_quiver(lam), seeds.mutable_grid_quiver(lam)),
+                             reference_grid_quivers(lam)):
+            assert list(got.frozen.items()) == list(want.frozen.items())
+            assert got.arrows == want.arrows
 
 
 def test_matrix_mutation_is_involution():
