@@ -455,10 +455,62 @@ def lollipop_graph(k: int, n: int) -> PlabicGraph:
     return PlabicGraph(boundary, labels, colors, edges, rot)
 
 
-def _next_ids(G: PlabicGraph) -> tuple[int, int]:
-    next_v = max(G.colors, default=0) + 1
-    next_e = max(G.edges, default=0) + 1
-    return next_v, next_e
+_OTHER = {BLACK: WHITE, WHITE: BLACK}
+
+
+class _Edit:
+    """A mutable copy of a graph's colors, edges and rotations, for one local
+    move.  New vertex and edge ids count up from the largest ids in use, in
+    the order they are asked for, so a move always numbers its output the
+    same way."""
+
+    def __init__(self, G: PlabicGraph):
+        self.G = G
+        self.colors = dict(G.colors)
+        self.edges = dict(G.edges)
+        self.rot = {v: list(r) for v, r in G.rot.items()}
+        self.next_v = max(G.colors, default=0) + 1
+        self.next_e = max(G.edges, default=0) + 1
+
+    def new_vertex(self, color: str) -> int:
+        v = self.next_v
+        self.next_v += 1
+        self.colors[v] = color
+        return v
+
+    def new_edge(self, a: int, b: int) -> int:
+        e = self.next_e
+        self.next_e += 1
+        self.edges[e] = (a, b)
+        return e
+
+    def reattach(self, e: int, old: int, new: int) -> None:
+        """Move the end of edge e at vertex old to vertex new."""
+        a, b = self.edges[e]
+        self.edges[e] = (new if a == old else a, new if b == old else b)
+
+    def swap(self, v: int, old: int, new: int) -> None:
+        """Put edge new in the slot of edge old in v's rotation, if v has one."""
+        if v > 0:
+            self.rot[v] = [new if e == old else e for e in self.rot[v]]
+
+    def subdivide(self, e: int, a: int, color: str) -> int:
+        """Put a new degree-2 vertex of the given color on edge e: e now runs
+        from a to it, and a new edge from it to e's far end takes e's slot
+        there.  Returns the new vertex."""
+        b = next(w for w in self.edges[e] if w != a)
+        m = self.new_vertex(color)
+        e_new = self.new_edge(m, b)
+        self.edges[e] = (a, m)
+        self.rot[m] = [e, e_new]
+        self.swap(b, e, e_new)
+        return m
+
+    def build(self) -> PlabicGraph:
+        H = PlabicGraph(self.G.boundary_order, dict(self.G.labels), self.colors, self.edges,
+                        {v: tuple(r) for v, r in self.rot.items()})
+        H.validate()
+        return H
 
 
 def add_bridge(G: PlabicGraph, a: int, b: int) -> PlabicGraph:
@@ -492,69 +544,30 @@ def add_bridge(G: PlabicGraph, a: int, b: int) -> PlabicGraph:
             raise InvalidBridge(f"lollipop at position {p} must be "
                                 + ("white" if want == WHITE else "black"))
 
-    colors = dict(G.colors)
-    edges = dict(G.edges)
-    rot = {v: list(r) for v, r in G.rot.items()}
-    next_v, next_e = _next_ids(G)
+    ed = _Edit(G)
 
     def attach(p: int, color: str) -> int:
-        """Bridge vertex at position p; returns its id and updates state."""
-        nonlocal next_v, next_e
+        """Bridge vertex at position p: the lollipop leaf there, or a new
+        vertex on the pendant edge."""
         bd = G.boundary_order[p - 1]
         e_pend = G.pendant_edge(bd)
         t = G.other_end(e_pend, bd)
-        if len(G.rot[t]) == 1:  # reuse the lollipop leaf
+        if len(G.rot[t]) == 1:
             return t
-        v_new = next_v
-        next_v += 1
-        colors[v_new] = color
-        e_inner = next_e
-        next_e += 1
-        # pendant edge now ends at v_new; new inner edge continues to t
-        edges[e_pend] = (bd, v_new)
-        edges[e_inner] = (v_new, t)
-        rot[t] = [e_inner if e == e_pend else e for e in rot[t]]
-        if colors[t] == color:  # bipartite fix: degree-2 buffer on the inner edge
-            m = next_v
-            next_v += 1
-            colors[m] = WHITE if color == BLACK else BLACK
-            e_buf = next_e
-            next_e += 1
-            edges[e_inner] = (v_new, m)
-            edges[e_buf] = (m, t)
-            rot[m] = [e_inner, e_buf]
-            rot[t] = [e_buf if e == e_inner else e for e in rot[t]]
-            rot[v_new] = [e_pend, e_inner]
-        else:
-            rot[v_new] = [e_pend, e_inner]
+        v_new = ed.subdivide(e_pend, bd, color)
+        if G.colors[t] == color:  # bipartite fix: degree-2 buffer on the inner edge
+            ed.subdivide(ed.rot[v_new][1], v_new, _OTHER[color])
         return v_new
 
     w_new = attach(a, WHITE)
     b_new = attach(b, BLACK)
-    e_br = next_e
-    edges[e_br] = (w_new, b_new)
-
-    def bridge_rotation(v: int, p: int, first: bool) -> list[int]:
-        bd = G.boundary_order[p - 1]
-        e_bd = next(e for e, ends in edges.items() if set(ends) == {bd, v})
-        others = [e for e in rot.get(v, []) if e != e_bd] if v in rot else []
-        inner = others[0] if others else None
-        if first:  # white endpoint at a: ccw (bridge, boundary, interior)
-            return [e_br, e_bd] + ([inner] if inner is not None else [])
-        return [e_bd, e_br] + ([inner] if inner is not None else [])
-
-    rot[w_new] = bridge_rotation(w_new, a, True)
-    rot[b_new] = bridge_rotation(b_new, b, False)
-
-    H = PlabicGraph(
-        G.boundary_order,
-        dict(G.labels),
-        colors,
-        edges,
-        {v: tuple(r) for v, r in rot.items()},
-    )
-    H.validate()
-    return H
+    e_br = ed.new_edge(w_new, b_new)
+    # ccw at the white end: (bridge, boundary, interior); at the black end
+    # (boundary, bridge, interior); a reused leaf has no interior edge
+    for v, first in ((w_new, True), (b_new, False)):
+        e_bd, *inner = ed.rot[v]
+        ed.rot[v] = ([e_br, e_bd] if first else [e_bd, e_br]) + inner
+    return ed.build()
 
 
 def bridge_graph(k: int, n: int, x: Permutation) -> PlabicGraph:
@@ -605,64 +618,42 @@ def contract_degree2(G: PlabicGraph, x: int) -> PlabicGraph:
         raise PlabicError(f"{x} is adjacent to the boundary")
     if u == v:
         raise PlabicError(f"contracting {x} would create a loop")
-    colors = dict(G.colors)
-    edges = dict(G.edges)
-    rot = {w: list(r) for w, r in G.rot.items()}
-    del colors[x], rot[x], edges[e1], edges[e2]
+    ed = _Edit(G)
+    del ed.colors[x], ed.rot[x], ed.edges[e1], ed.edges[e2], ed.colors[v]
     # splice v's other edges into u's rotation at the slot of e1
-    rv = rot.pop(v)
+    rv = ed.rot.pop(v)
     i = rv.index(e2)
     spliced = rv[i + 1:] + rv[:i]
     for e in spliced:
-        a, b = edges[e]
-        edges[e] = (u if a == v else a, u if b == v else b)
-    ru = rot[u]
+        ed.reattach(e, v, u)
+    ru = ed.rot[u]
     j = ru.index(e1)
-    rot[u] = ru[:j] + spliced + ru[j + 1:]
-    del colors[v]
-    H = PlabicGraph(G.boundary_order, dict(G.labels), colors, edges,
-                    {w: tuple(r) for w, r in rot.items()})
-    H.validate()
-    return H
+    ed.rot[u] = ru[:j] + spliced + ru[j + 1:]
+    return ed.build()
 
 
 def expand_vertex(G: PlabicGraph, v: int, e_pair: tuple[int, int]) -> PlabicGraph:
     """(M2, reversed) split off a ccw-adjacent pair of edges of v onto a new
-    same-colored vertex, joined to v through a new degree-2 vertex."""
+    same-colored vertex, joined to v through a new degree-2 vertex.  Every
+    dart keeps its ``(edge id, end)`` name, and the face between the pair
+    keeps its darts."""
     e_a, e_b = e_pair
     order = G.rot[v]
     i = order.index(e_a)
     if order[(i + 1) % len(order)] != e_b:
         raise PlabicError(f"edges {e_pair} are not ccw-adjacent at {v}")
-    colors = dict(G.colors)
-    edges = dict(G.edges)
-    rot = {w: list(r) for w, r in G.rot.items()}
-    next_v, next_e = _next_ids(G)
-    v2, mid = next_v, next_v + 1
-    e_v2mid, e_midv = next_e, next_e + 1
-    colors[v2] = G.colors[v]
-    colors[mid] = WHITE if G.colors[v] == BLACK else BLACK
+    ed = _Edit(G)
+    v2 = ed.new_vertex(G.colors[v])
+    mid = ed.new_vertex(_OTHER[G.colors[v]])
+    e_v2mid = ed.new_edge(v2, mid)
+    e_midv = ed.new_edge(mid, v)
     for e in (e_a, e_b):
-        a, b = edges[e]
-        edges[e] = (v2 if a == v else a, v2 if b == v else b)
-    edges[e_v2mid] = (v2, mid)
-    edges[e_midv] = (mid, v)
-    rot[v2] = [e_a, e_b, e_v2mid]
-    rot[mid] = [e_v2mid, e_midv]
-    # rebuild v's rotation: everything except e_a, e_b, with the connector in their slot
-    new_rv = []
-    for j, e in enumerate(order):
-        if e == e_a:
-            new_rv.append(e_midv)
-        elif e == e_b:
-            continue
-        else:
-            new_rv.append(e)
-    rot[v] = new_rv
-    H = PlabicGraph(G.boundary_order, dict(G.labels), colors, edges,
-                    {w: tuple(r) for w, r in rot.items()})
-    H.validate()
-    return H
+        ed.reattach(e, v, v2)
+    ed.rot[v2] = [e_a, e_b, e_v2mid]
+    ed.rot[mid] = [e_v2mid, e_midv]
+    # the connector takes the slot of the pair in v's rotation
+    ed.rot[v] = [e_midv if e == e_a else e for e in order if e != e_b]
+    return ed.build()
 
 
 def insert_degree2_pair(G: PlabicGraph, eid: int) -> PlabicGraph:
@@ -672,29 +663,11 @@ def insert_degree2_pair(G: PlabicGraph, eid: int) -> PlabicGraph:
     for w in (u, v):
         if w > 0 and len(G.rot[w]) == 1:
             raise PlabicError(f"subdividing edge {eid} would strand the lollipop leaf {w}")
-    colors = dict(G.colors)
-    edges = dict(G.edges)
-    rot = {w: list(r) for w, r in G.rot.items()}
-    next_v, next_e = _next_ids(G)
-    y, z = next_v, next_v + 1
-    e_yz, e_zv = next_e, next_e + 1
-
-    if u > 0:
-        colors[y] = WHITE if G.colors[u] == BLACK else BLACK
-    else:  # u is a boundary vertex; y must oppose z, which must oppose v
-        colors[y] = G.colors[v]
-    colors[z] = WHITE if colors[y] == BLACK else BLACK
-    edges[eid] = (u, y)
-    edges[e_yz] = (y, z)
-    edges[e_zv] = (z, v)
-    rot[y] = [eid, e_yz]
-    rot[z] = [e_yz, e_zv]
-    if v > 0:
-        rot[v] = [e_zv if e == eid else e for e in rot[v]]
-    H = PlabicGraph(G.boundary_order, dict(G.labels), colors, edges,
-                    {w: tuple(r) for w, r in rot.items()})
-    H.validate()
-    return H
+    ed = _Edit(G)
+    # y must oppose u; next to a boundary u, it must oppose z, which opposes v
+    y = ed.subdivide(eid, u, _OTHER[G.colors[u]] if u > 0 else G.colors[v])
+    ed.subdivide(ed.rot[y][1], y, _OTHER[ed.colors[y]])
+    return ed.build()
 
 
 def remove_degree2_pair(G: PlabicGraph, y: int) -> PlabicGraph:
@@ -713,17 +686,11 @@ def remove_degree2_pair(G: PlabicGraph, y: int) -> PlabicGraph:
     u, v = G.other_end(e_u, y), G.other_end(e_v, z)
     if u < 0 and v < 0:
         raise PlabicError("removal would join two boundary vertices")
-    colors = dict(G.colors)
-    edges = dict(G.edges)
-    rot = {w: list(r) for w, r in G.rot.items()}
-    del colors[y], colors[z], rot[y], rot[z], edges[e_mid], edges[e_v]
-    edges[e_u] = (u, v)
-    if v > 0:
-        rot[v] = [e_u if e == e_v else e for e in rot[v]]
-    H = PlabicGraph(G.boundary_order, dict(G.labels), colors, edges,
-                    {w: tuple(r) for w, r in rot.items()})
-    H.validate()
-    return H
+    ed = _Edit(G)
+    del ed.colors[y], ed.colors[z], ed.rot[y], ed.rot[z], ed.edges[e_mid], ed.edges[e_v]
+    ed.edges[e_u] = (u, v)
+    ed.swap(v, e_v, e_u)
+    return ed.build()
 
 
 def full_contract(G: PlabicGraph) -> PlabicGraph:
@@ -740,18 +707,19 @@ def full_contract(G: PlabicGraph) -> PlabicGraph:
         G = contract_degree2(G, candidates[0])
 
 
-def _square_face_data(G: PlabicGraph, label: frozenset[int]):
-    labeling = face_labeling(G, "target")
-    idx = labeling.index_of(label)
-    face = labeling.faces.faces[idx]
+def _square_defect(G: PlabicGraph, face: Face) -> str | None:
+    """Why no square move applies at ``face`` of the fully contracted graph
+    G, or None when one does: the face must be an interior quadrilateral
+    whose four corners are distinct internal vertices of degree at least 3.
+    (Its corner colors alternate because G is bipartite.)"""
     if face.boundary or len(face.darts) != 4:
-        raise NotSquareEligible(f"face {sorted(label)} is not an interior quadrilateral")
-    if any(isinstance(d[0], tuple) for d in face.darts):
-        raise NotSquareEligible("face touches the boundary circle")
-    corners = [G.dart_head(d) for d in face.darts]
-    if len(set(corners)) != 4 or any(G.is_boundary(c) for c in corners):
-        raise NotSquareEligible("face corners are not four distinct internal vertices")
-    return face, corners
+        return "is not an interior quadrilateral"
+    corners = {G.dart_head(d) for d in face.darts}
+    if len(corners) != 4 or any(G.is_boundary(c) for c in corners):
+        return "does not have four distinct internal corners"
+    if any(len(G.rot[c]) < 3 for c in corners):
+        return "has a degree-2 corner"
+    return None
 
 
 def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
@@ -764,68 +732,40 @@ def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
     """
     label = frozenset(label)
     G = full_contract(G)
-    face, corners = _square_face_data(G, label)
-    if any(len(G.rot[c]) < 3 for c in corners):
-        raise NotSquareEligible("square face has a degree-2 corner")
+    labeling = face_labeling(G, "target")
+    face = labeling.faces.faces[labeling.index_of(label)]
+    defect = _square_defect(G, face)
+    if defect is not None:
+        raise NotSquareEligible(f"face {sorted(label)} {defect}")
+    darts = face.darts
+    # expand corners of degree > 3 down to trivalent; the face keeps its darts
+    for i, d in enumerate(darts):
+        c = G.dart_head(d)
+        if len(G.rot[c]) > 3:
+            G = expand_vertex(G, c, (darts[(i + 1) % 4][0], d[0]))
 
-    # normalize: expand corners of degree > 3 down to trivalent
-    while True:
-        face, corners = _square_face_data(G, label)
-        big = [
-            (i, c) for i, c in enumerate(corners) if len(G.rot[c]) > 3
-        ]
-        if not big:
-            break
-        i, c = big[0]
-        e_in = face.darts[i][0]
-        e_out = face.darts[(i + 1) % 4][0]
-        G = expand_vertex(G, c, (e_out, e_in))
-
-    face, corners = _square_face_data(G, label)
-    cols = [G.colors[c] for c in corners]
-    if cols[0] == cols[1] or cols[1] == cols[2]:
-        raise NotSquareEligible("square face colors do not alternate")
-
-    colors = dict(G.colors)
-    edges = dict(G.edges)
-    rot = {w: list(r) for w, r in G.rot.items()}
+    corners = [G.dart_head(d) for d in darts]
+    face_edges = {d[0] for d in darts}
+    ed = _Edit(G)
     for c in corners:
-        colors[c] = WHITE if colors[c] == BLACK else BLACK
-    face_edges = {d[0] for d in face.darts}
-    next_v, next_e = _next_ids(G)
+        ed.colors[c] = _OTHER[ed.colors[c]]
     for c in corners:
         leg = next(e for e in G.rot[c] if e not in face_edges)
         z = G.other_end(leg, c)
-        if z > 0 and colors[z] == colors[c]:
-            m = next_v
-            next_v += 1
-            colors[m] = WHITE if colors[c] == BLACK else BLACK
-            e_new = next_e
-            next_e += 1
-            edges[leg] = (c, m)
-            edges[e_new] = (m, z)
-            rot[m] = [leg, e_new]
-            rot[z] = [e_new if e == leg else e for e in rot[z]]
-    H = PlabicGraph(G.boundary_order, dict(G.labels), colors, edges,
-                    {w: tuple(r) for w, r in rot.items()})
-    H.validate()
-    return full_contract(H)
+        if z > 0 and ed.colors[z] == ed.colors[c]:
+            ed.subdivide(leg, c, _OTHER[ed.colors[c]])
+    return full_contract(ed.build())
 
 
 def square_eligible_labels(G: PlabicGraph) -> tuple[frozenset[int], ...]:
     """Target labels of the faces where a square move currently applies."""
     H = full_contract(G)
     labeling = face_labeling(H, "target")
-    out = []
-    for idx, face in enumerate(labeling.faces.faces):
-        try:
-            _square_face_data(H, labeling.labels[idx])
-        except (NotSquareEligible, KeyError):
-            continue
-        corners = [H.dart_head(d) for d in face.darts]
-        if all(len(H.rot[c]) >= 3 for c in corners):
-            out.append(labeling.labels[idx])
-    return tuple(out)
+    by_index = labeling.faces.faces
+    return tuple(
+        lab for lab in labeling.labels
+        if _square_defect(H, by_index[labeling.index_of(lab)]) is None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -944,8 +884,9 @@ def _is_int(x) -> bool:
 
 
 def from_json(data) -> PlabicGraph:
-    """Inverse of :func:`to_json`.  Data of the wrong shape or type, or
-    rotations that do not match the edges, raise :class:`PlabicError`."""
+    """Inverse of :func:`to_json`.  Data of the wrong shape or type,
+    rotations that do not match the edges, or a graph that :func:`faces`
+    cannot embed in the disk raise :class:`PlabicError`."""
     if not isinstance(data, dict):
         raise PlabicError("graph JSON must be an object")
     missing = [key for key in ("n", "boundary_labels", "vertices", "edges", "rotations")
@@ -994,6 +935,7 @@ def from_json(data) -> PlabicGraph:
         rot[v] = tuple(order)
     G = PlabicGraph(boundary, labels, colors, edges, rot)
     G.validate()
+    faces(G)
     return G
 
 

@@ -137,6 +137,28 @@ def test_seed_verify_exchange_report():
     assert all(c["status"] == "ok" for c in report["checks"])
 
 
+def test_verify_exchange_fails_when_a_move_lands_elsewhere(monkeypatch, capsys):
+    argv = ["seed", "verify-exchange", "--k", "3", "--n", "7", "--v", "wK",
+            "--x", "3 5 7 1 2 4 6", "--samples", "5", "--steps", "4", "--rng-seed", "3"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 0
+    real_move = plabic.square_move
+    corrupted = []
+
+    def first_move_elsewhere(G, label):
+        # the first step moves another eligible face than the one mutated
+        if not corrupted:
+            corrupted.append(label)
+            label = next(l for l in plabic.square_eligible_labels(G) if l != label)
+        return real_move(G, label)
+
+    monkeypatch.setattr(plabic, "square_move", first_move_elsewhere)
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == 1
+    assert [c["status"] for c in report["checks"]] == ["fail", "ok", "ok", "ok"]
+
+
 def test_le_pipe():
     code, skew, _ = run_cli(
         ["le", "skew", "--k", "4", "--n", "8", "--x", "1 2 4 7 3 5 6 8", "--v", "4 3 8 2 7 6 1 5"]
@@ -270,6 +292,11 @@ GRAPH_COMMANDS = (
     ["plabic", "faces", "--mode", "target"],
     ["plabic", "trips"],
     ["seed", "from-graph"],
+    ["plabic", "mirror"],
+    ["plabic", "relabel", "--perm", "2 1 5 4 3"],
+    ["plabic", "dualquiver"],
+    ["plabic", "move", "square", "--face", "1 3"],
+    ["seed", "mutate", "--seq", "1 3"],
 )
 
 
@@ -295,6 +322,14 @@ def malformed_graphs():
     cases["edge of 3"] = dict(good, edges=[[-1, 1, 2]] + good["edges"][1:])
     cases["bad color"] = dict(good, vertices=[{"id": 1, "color": "red"}] + good["vertices"][1:])
     cases["short labels"] = dict(good, boundary_labels=[1, 2])
+    cases["n 0"] = {"n": 0, "boundary_labels": [], "vertices": [], "edges": [], "rotations": {}}
+    # a separate internal 4-cycle passes validate() but breaks Euler's formula
+    cycle = json.loads(json.dumps(good))
+    ids = [max(v["id"] for v in good["vertices"]) + i for i in range(1, 5)]
+    cycle["vertices"] += [{"id": v, "color": "bw"[i % 2]} for i, v in enumerate(ids)]
+    cycle["edges"] += [[ids[i], ids[(i + 1) % 4]] for i in range(4)]
+    cycle["rotations"].update({str(v): [ids[i - 1], ids[(i + 1) % 4]] for i, v in enumerate(ids)})
+    cases["disconnected 4-cycle"] = cycle
     return cases
 
 

@@ -265,6 +265,30 @@ def test_square_move_not_eligible(gr25_graph):
         plabic.square_move(gr25_graph, {2, 5})  # not a target label
 
 
+def test_square_defect_rejects_degree2_and_repeated_corners():
+    # neither case arises on a fully contracted reduced graph, so no
+    # bridge-graph walk reaches these branches
+    W, B = plabic.WHITE, plabic.BLACK
+    # a quadrilateral through a degree-2 vertex (full_contract would merge it)
+    G = plabic.PlabicGraph(
+        (-1, -2, -3), {-1: 1, -2: 2, -3: 3}, {1: W, 2: B, 3: W, 4: B},
+        {1: (-1, 1), 2: (-2, 2), 3: (-3, 3), 4: (1, 2), 5: (2, 3), 6: (3, 4), 7: (4, 1)},
+        {1: (1, 7, 4), 2: (2, 4, 5), 3: (3, 5, 6), 4: (6, 7)},
+    )
+    # a quadrilateral that meets one vertex twice, around doubled edges
+    H = plabic.PlabicGraph(
+        (-1, -2), {-1: 1, -2: 2}, {1: W, 2: B, 3: W},
+        {1: (-1, 1), 2: (-2, 2), 3: (1, 2), 4: (1, 2), 5: (2, 3), 6: (2, 3)},
+        {1: (1, 3, 4), 2: (2, 4, 5, 6, 3), 3: (5, 6)},
+    )
+    defects = []
+    for K in (G, H):
+        K.validate()
+        defects += [plabic._square_defect(K, f) for f in plabic.faces(K).faces
+                    if len(f.darts) == 4 and not f.boundary]
+    assert defects == ["has a degree-2 corner", "does not have four distinct internal corners"]
+
+
 def test_square_move_matches_quiver_mutation(gr25_graph, gr37_graph):
     for G in (gr25_graph, gr37_graph):
         for lab in plabic.square_eligible_labels(G):
@@ -290,6 +314,81 @@ def test_square_move_matches_quiver_mutation(gr25_graph, gr37_graph):
                 relabeled,
             )
             assert seeds.seeds_equal(Sren, SH)
+
+
+def reference_square_eligible_labels(G):
+    """The per-face loop ``square_eligible_labels`` used to run: relabel the
+    contracted graph once per face, test the face its label names, and check
+    the corner degrees of the face in hand."""
+    H = plabic.full_contract(G)
+    labeling = plabic.face_labeling(H, "target")
+    out = []
+    for idx, face in enumerate(labeling.faces.faces):
+        again = plabic.face_labeling(H, "target")
+        named = again.faces.faces[again.index_of(labeling.labels[idx])]
+        if named.boundary or len(named.darts) != 4:
+            continue
+        if any(isinstance(d[0], tuple) for d in named.darts):
+            continue
+        corners = [H.dart_head(d) for d in named.darts]
+        if len(set(corners)) != 4 or any(H.is_boundary(c) for c in corners):
+            continue
+        if all(len(H.rot[H.dart_head(d)]) >= 3 for d in face.darts):
+            out.append(labeling.labels[idx])
+    return tuple(out)
+
+
+def square_walk_graphs(seed, walks, steps):
+    """Relabelled bridge graphs with n <= 7 and the graphs of seeded
+    square-move walks from them, with (M3) insertions interleaved."""
+    rng = random.Random(seed)
+    for _ in range(walks):
+        n = rng.randint(4, 7)
+        k, v, x = random_skew_pair(n, rng, min_boxes=4)
+        G = plabic.relabel_boundary(plabic.bridge_graph(k, n, x), perm.inverse(v))
+        for _ in range(steps):
+            yield G
+            eligible = plabic.square_eligible_labels(G)
+            if not eligible:
+                break
+            if rng.random() < 0.3:
+                safe = [e for e, (a, b) in sorted(G.edges.items())
+                        if not any(w > 0 and len(G.rot[w]) == 1 for w in (a, b))]
+                G = plabic.insert_degree2_pair(G, rng.choice(safe))
+            G = plabic.square_move(G, eligible[rng.randrange(len(eligible))])
+
+
+def test_square_eligible_labels_match_reference():
+    moves = 0
+    for G in square_walk_graphs(seed=4, walks=60, steps=5):
+        eligible = plabic.square_eligible_labels(G)
+        assert eligible == reference_square_eligible_labels(G)
+        for lab in plabic.face_labeling(plabic.full_contract(G), "target").labels:
+            if lab in eligible:
+                plabic.square_move(G, lab)
+                moves += 1
+            else:
+                with pytest.raises(plabic.NotSquareEligible):
+                    plabic.square_move(G, lab)
+    assert moves >= 100
+
+
+def test_one_face_labeling_per_square_call(monkeypatch):
+    k, n, lam = 4, 8, (4, 4, 4, 4)
+    G = plabic.bridge_graph(k, n, perm.grassmannian_from_image(shapes.vert_ne(lam, k, n), k, n))
+    labelings, expansions = [], []
+    for name, log in (("face_labeling", labelings), ("expand_vertex", expansions)):
+        def counted(*args, _real=getattr(plabic, name), _log=log):
+            _log.append(args)
+            return _real(*args)
+        monkeypatch.setattr(plabic, name, counted)
+    eligible = plabic.square_eligible_labels(G)
+    assert len(labelings) == 1
+    for lab in eligible:
+        labelings.clear()
+        plabic.square_move(G, lab)
+        assert len(labelings) == 1, sorted(lab)
+    assert expansions  # some of these moves expand a corner of degree > 3
 
 
 # ---------------------------------------------------------------------------
