@@ -33,23 +33,22 @@ class UsageError(Exception):
 
 
 def parse_perm(text: str, k: int | None = None, n: int | None = None) -> perm.Permutation:
+    """A permutation in one-line notation, or a named one: ``e``/``identity``,
+    ``w0`` or ``wK``.  When n is given the permutation must have n letters."""
     text = text.strip()
-    if text in ("e", "identity"):
+    if text in ("e", "identity", "w0"):
         if n is None:
             raise UsageError("named permutation needs --n")
-        return perm.identity(n)
-    if text == "w0":
-        if n is None:
-            raise UsageError("named permutation needs --n")
-        return perm.longest_element(n)
-    if text == "wK":
+        w = perm.longest_element(n) if text == "w0" else perm.identity(n)
+    elif text == "wK":
         if n is None or k is None:
             raise UsageError("wK needs --k and --n")
-        return perm.parabolic_longest(k, n)
-    images = tuple(int(t) for t in text.replace(",", " ").split())
-    if not perm.is_permutation(images):
-        raise UsageError(f"not a permutation: {text!r}")
-    return images
+        w = perm.parabolic_longest(k, n)
+    else:
+        w = tuple(int(t) for t in text.replace(",", " ").split())
+    if not w or not perm.is_permutation(w) or n is not None and len(w) != n:
+        raise UsageError(f"not a permutation{'' if n is None else f' of [{n}]'}: {text!r}")
+    return w
 
 
 def parse_subset(text: str) -> frozenset[int]:
@@ -102,11 +101,11 @@ def cmd_perm(args) -> int:
         print(fmt_word(word))
         return EXIT_OK
     if args.sub == "pds":
-        n = args.n or (max(int(t) for t in args.v.split()) if args.v[0].isdigit() else None)
-        v = parse_perm(args.v, args.k, n)
-        if args.w:
-            w = parse_perm(args.w, args.k, len(v))
-            word = perm.any_reduced_word(w)
+        if (args.w is None) == (args.word is None):
+            raise UsageError("perm pds needs exactly one of --w and --word")
+        v = parse_perm(args.v, args.k, args.n)
+        if args.w is not None:
+            word = perm.any_reduced_word(parse_perm(args.w, args.k, len(v)))
         else:
             word = tuple(int(t) for t in args.word.replace(",", " ").split())
         used = perm.positive_distinguished_subexpression(v, word)
@@ -217,9 +216,12 @@ def _verify_exchange(args) -> int:
     relabelled by v^-1, at a random eligible face; the exchange expression of
     the seed mutated at that face must equal the Pluecker coordinate of the
     face's new label at every Schubert-cell sample."""
+    if args.samples < 1 or args.steps < 1:
+        raise UsageError("--samples and --steps must be at least 1")
     rng = random.Random(args.rng_seed)
     v = parse_perm(args.v, args.k, args.n)
     x = parse_perm(args.x, args.k, args.n)
+    perm.check_skew_pair(v, x, args.k)
     vi = perm.inverse(v)
     cell = frozenset(vi[:args.k])
     necklace = perm.grassmann_necklace(perm.positroid_decoration(v, perm.multiply(x, v), args.k))

@@ -167,12 +167,7 @@ def leify(O: OplusDiagram, rng: random.Random | None = None) -> OplusDiagram:
 def skew_oplus(k: int, n: int, x: Permutation, v: Permutation) -> OplusDiagram:
     """The diagram of shape ``lambda_v`` with + exactly on ``lambda_x``, for a
     length-additive pair (x in ^K W, v in W^K_max)."""
-    if not permmod.is_grassmannian(x, k):
-        raise ValueError(f"{x} not in ^K W")
-    if not permmod.is_max_rep(v, k):
-        raise ValueError(f"{v} not in W^K_max")
-    if not permmod.is_length_additive(x, v):
-        raise ValueError("x*v is not length-additive")
+    permmod.check_skew_pair(v, x, k)
     lam_x = shapes.from_vert_ne(x[:k], k, n)
     vi = permmod.inverse(v)
     lam_v = shapes.from_vert_sw(vi[:k], k, n)
@@ -202,11 +197,3 @@ def all_fillings(shape: Partition) -> Iterator[OplusDiagram]:
     for mask in range(1 << len(boxes)):
         plus = frozenset(b for i, b in enumerate(boxes) if mask >> i & 1)
         yield OplusDiagram(shape, plus)
-
-
-def to_json(O: OplusDiagram) -> dict:
-    return {"shape": list(O.shape), "plus": sorted(O.plus)}
-
-
-def from_json(data: dict) -> OplusDiagram:
-    return OplusDiagram(shapes.normalize(data["shape"]), frozenset(tuple(b) for b in data["plus"]))

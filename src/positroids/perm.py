@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
 ReducedWord = tuple[int, ...]
@@ -65,13 +65,13 @@ def simple_reflection(i: int, n: int) -> Permutation:
     return tuple(w)
 
 
-def apply_word(word: Iterable[int], n: int, start: Permutation | None = None) -> Permutation:
+def apply_word(word: Iterable[int], n: int) -> Permutation:
     """Product of a reduced word in application order (first letter acts first).
 
     >>> apply_word((2, 1, 3, 2, 4), 5)
     (3, 5, 1, 2, 4)
     """
-    w = list(start if start is not None else identity(n))
+    w = list(identity(n))
     for i in word:
         # left multiplication by s_i swaps the values i, i+1
         p, q = w.index(i), w.index(i + 1)
@@ -168,25 +168,25 @@ def is_max_rep(v: Permutation, k: int) -> bool:
     return all(vi[i - 1] > vi[i] for i in range(1, n) if i != k)
 
 
-@dataclass(frozen=True)
-class CosetReps:
-    """w_K together with the membership tests for the three coset families."""
+def check_skew_pair(v: Permutation, x: Permutation, k: int) -> None:
+    """Raise ValueError unless ``(v, w = x v)`` is a length-additive skew
+    pair: v and x in S_n with ``0 < k < n``, v in W^K_max, x in ^K W and
+    ``l(x v) = l(x) + l(v)``.
 
-    w_K: Permutation
-    is_max: Callable[[Permutation], bool]
-    is_min: Callable[[Permutation], bool]
-    is_grassmannian: Callable[[Permutation], bool]
-
-
-def coset_reps(k: int, n: int) -> CosetReps:
-    if not 1 < k < n:
-        raise ValueError(f"need 1 < k < n, got k={k}, n={n}")
-    return CosetReps(
-        parabolic_longest(k, n),
-        lambda v: is_max_rep(v, k),
-        lambda w: is_min_rep(w, k),
-        lambda x: is_grassmannian(x, k),
-    )
+    >>> check_skew_pair((2, 1), (2, 1), 1)
+    Traceback (most recent call last):
+    ...
+    ValueError: factorization x*v is not length-additive
+    """
+    n = len(v)
+    if len(x) != n or not 0 < k < n:
+        raise ValueError(f"need v, x in S_n and 0 < k < n; got v={v}, x={x}, k={k}")
+    if not is_max_rep(v, k):
+        raise ValueError(f"{v} is not in W^K_max")
+    if not is_grassmannian(x, k):
+        raise ValueError(f"{x} is not in ^K W")
+    if not is_length_additive(x, v):
+        raise ValueError("factorization x*v is not length-additive")
 
 
 def grassmannian_from_image(image: Iterable[int], k: int, n: int) -> Permutation:
@@ -230,13 +230,7 @@ def columnar_expression(x: Permutation, k: int) -> ReducedWord:
     from positroids import shapes
 
     lam = shapes.from_vert_ne(x[:k], k, n)
-    letters = []
-    ncols = lam[0] if lam else 0
-    for c in range(1, ncols + 1):
-        for r in range(1, len(lam) + 1):
-            if lam[r - 1] >= c:
-                letters.append(k + c - r)
-    return tuple(letters)
+    return tuple(k + c - r for r, c in shapes.boxes(lam))
 
 
 def min_rep_expression(y: Permutation, k: int) -> ReducedWord:
@@ -259,16 +253,11 @@ def standard_reduced_expression(x: Permutation, v: Permutation, k: int) -> Reduc
     """Reduced word ``x . w_K . v'`` for ``w = x v``, in application order
     (so the letters of v' come first).
 
-    Requires v in W^K_max with ``w = x v`` length-additive; ``v'`` is the
-    W^K_min part of ``v = w_K v'``.
+    Requires a skew pair (:func:`check_skew_pair`); ``v'`` is the W^K_min
+    part of ``v = w_K v'``.
     """
     n = len(x)
-    if not is_max_rep(v, k):
-        raise ValueError(f"{v} is not in W^K_max")
-    if not is_grassmannian(x, k):
-        raise ValueError(f"{x} is not in ^K W")
-    if not is_length_additive(x, v):
-        raise ValueError("factorization x*v is not length-additive")
+    check_skew_pair(v, x, k)
     w_K = parabolic_longest(k, n)
     v_prime = multiply(w_K, v)  # w_K^{-1} v, as w_K is an involution
     word = min_rep_expression(v_prime, k) + parabolic_longest_word(k, n) + columnar_expression(x, k)
@@ -285,10 +274,13 @@ def positive_distinguished_subexpression(v: Permutation, w_word: Sequence[int]) 
     subexpression for v inside the given reduced word.
 
     Greedy from the right: position j is used whenever ``s_{i_j}`` is a right
-    descent of what remains of v.  Raises if v is not below the word's product
-    in Bruhat order.
+    descent of what remains of v.  Raises if a letter is not a generator of
+    S_n or v is not below the word's product in Bruhat order.
     """
     n = len(v)
+    bad = [i for i in w_word if not 1 <= i < n]
+    if bad:
+        raise ValueError(f"letter {bad[0]} is not a generator of S_{n}")
     u = list(v)
     used = set()
     for j, i in enumerate(w_word, start=1):
@@ -425,15 +417,3 @@ def all_min_reps(k: int, n: int) -> Iterator[Permutation]:
     """All of W^K_min, as inverses of Grassmannian permutations."""
     for top in combinations(range(1, n + 1), k):
         yield inverse(grassmannian_from_image(top, k, n))
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding
-# ---------------------------------------------------------------------------
-
-def decorated_to_json(sigma: DecoratedPermutation) -> dict:
-    return {"perm": list(sigma.perm), "white_fixed": sorted(sigma.white_fixed)}
-
-
-def decorated_from_json(data: dict) -> DecoratedPermutation:
-    return DecoratedPermutation(tuple(data["perm"]), frozenset(data.get("white_fixed", ())))

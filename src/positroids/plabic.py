@@ -75,9 +75,6 @@ class PlabicGraph:
             return tuple(e for e, (a, b) in sorted(self.edges.items()) if v in (a, b))
         return self.rot[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.incident(v))
-
     def other_end(self, eid: int, v: int) -> int:
         a, b = self.edges[eid]
         if v == a:
@@ -96,6 +93,7 @@ class PlabicGraph:
         n = self.n
         if sorted(self.labels.values()) != list(range(1, n + 1)):
             raise PlabicError("boundary labels are not a permutation of [n]")
+        incident: dict[int, list[int]] = {}  # vertex -> its edges
         for eid, (a, b) in self.edges.items():
             if a == b:
                 raise PlabicError(f"loop edge {eid}")
@@ -103,12 +101,13 @@ class PlabicGraph:
                 raise PlabicError(f"monochromatic edge {eid}: {a}-{b}")
             if a < 0 and b < 0:
                 raise PlabicError(f"edge {eid} joins two boundary vertices")
+            incident.setdefault(a, []).append(eid)
+            incident.setdefault(b, []).append(eid)
         for v, order in self.rot.items():
-            incident = [e for e, ends in self.edges.items() if v in ends]
-            if sorted(order) != sorted(incident):
+            if sorted(order) != sorted(incident.get(v, ())):
                 raise PlabicError(f"rotation at {v} does not list its incident edges")
         for b in self.boundary_order:
-            if self.degree(b) != 1:
+            if len(incident.get(b, ())) != 1:
                 raise PlabicError(f"boundary vertex {b} must have degree exactly 1")
         for v in self.colors:
             if len(self.rot[v]) == 1:
@@ -214,6 +213,15 @@ def faces(G: PlabicGraph) -> Faces:
     which signals an inconsistent rotation system.
     """
     if G.n == 1:
+        # The one boundary arc is a loop, which dart tracing cannot follow.  A
+        # graph on one boundary vertex has one face exactly when it is a tree,
+        # and the only tree validate() accepts there is the lollipop: any
+        # other leaf would be an internal leaf away from the boundary.
+        if len(G.colors) != 1 or len(G.edges) != 1:
+            raise PlabicError(
+                f"Euler check failed: V={len(G.colors) + 1} E={len(G.edges)}, but on one "
+                "boundary vertex only the lollipop has one face"
+            )
         all_d = tuple(G.all_darts(include_arcs=False))
         f = Face(all_d, True)
         return Faces((f,), {d: 0 for d in all_d})
@@ -418,20 +426,6 @@ def dual_quiver_arrows(G: PlabicGraph, fc: Faces) -> list[tuple[int, int]]:
         if m > 0:
             arrows.extend([(s, t)] * m)
     return arrows
-
-
-def dual_quiver(G: PlabicGraph):
-    """Dual quiver of G: one vertex per interior face, frozen iff the face is
-    incident to the disk boundary; arrows between two frozen faces removed.
-    Returns ``(quiver, faces)`` with quiver vertices = face indices."""
-    from positroids.seeds import Quiver
-
-    fc = faces(G)
-    frozen = {i: f.boundary for i, f in enumerate(fc.faces)}
-    arrows = [
-        (s, t) for (s, t) in dual_quiver_arrows(G, fc) if not (frozen[s] and frozen[t])
-    ]
-    return Quiver(frozen=frozen, arrows=tuple(arrows)), fc
 
 
 # ---------------------------------------------------------------------------

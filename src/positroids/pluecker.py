@@ -15,6 +15,10 @@ from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
+# draws of sample_schubert_cell before it gives up on its nonvanishing
+# requirements
+SAMPLE_TRIES = 200
+
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -102,7 +106,6 @@ def sample_schubert_cell(
     I: Iterable[int],
     rng: random.Random | int,
     require_nonzero: Iterable[frozenset[int]] = (),
-    max_tries: int = 200,
 ) -> SamplePoint:
     """Random point of the Schubert cell with pivot set I: a reduced
     row-echelon matrix with pivot columns I and nonzero random integer free
@@ -118,7 +121,7 @@ def sample_schubert_cell(
     if len(pivots) != k:
         raise ValueError(f"need a {k}-subset of pivot columns")
     required = [frozenset(s) for s in require_nonzero]
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         rows = []
         for r, p in enumerate(pivots):
             row = [Fraction(0)] * n
@@ -133,7 +136,7 @@ def sample_schubert_cell(
         M = tuple(rows)
         if all(plucker(M, s) != 0 for s in required):
             return SamplePoint(M, frozenset(pivots))
-    raise RuntimeError(f"no sample with the required nonvanishing coordinates in {max_tries} tries")
+    raise RuntimeError(f"no sample with the required nonvanishing coordinates in {SAMPLE_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +239,3 @@ def rectangle_label_word(
     else:
         check = J - set(range(k + 1, ell + 1)) == target
     return w_b, check
-
-
-def matrix_to_json(M: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in M]
-
-
-def matrix_from_json(data: Sequence[Sequence[str]]) -> Matrix:
-    return matrix(data)

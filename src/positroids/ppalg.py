@@ -270,8 +270,7 @@ def endomorphism_quiver(k: int, n: int, v: Permutation, x: Permutation):
     Returns ``(quiver, labels)`` with labels the Pluecker column sets."""
     from positroids.seeds import Quiver
 
-    if not permmod.is_length_additive(x, v):
-        raise ValueError("x*v is not length-additive")
+    permmod.check_skew_pair(v, x, k)
     lam = shapes.from_vert_ne(tuple(x)[:k], k, n)
     vi = permmod.inverse(v)
     frozen = {b: shapes.is_lambda_frozen(lam, b) for b in shapes.boxes(lam)}
@@ -287,11 +286,3 @@ def endomorphism_quiver(k: int, n: int, v: Permutation, x: Permutation):
 
 def projective_injective_boxes(lam: shapes.Partition) -> frozenset[shapes.Box]:
     return frozenset(b for b in shapes.boxes(lam) if shapes.is_lambda_frozen(lam, b))
-
-
-def to_json(M: DiagramModule) -> dict:
-    return {"n": M.n, "cells": sorted(M.cells)}
-
-
-def from_json(data: dict) -> DiagramModule:
-    return DiagramModule(data["n"], frozenset(tuple(c) for c in data["cells"]))

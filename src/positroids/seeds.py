@@ -410,12 +410,7 @@ def rectangles_seed(k: int, n: int, v: Permutation, x: Permutation) -> LabeledSe
     """The rectangles seed for the pair (v, w = x v): one vertex per box b of
     ``lambda = shape of x([k])``, labeled by the Pluecker coordinate on the
     column set ``v^{-1}(vert_ne(Rect(b)))``."""
-    if not permmod.is_max_rep(v, k):
-        raise ValueError(f"{v} is not in W^K_max")
-    if not permmod.is_grassmannian(x, k):
-        raise ValueError(f"{x} is not in ^K W")
-    if not permmod.is_length_additive(x, v):
-        raise ValueError("x*v is not length-additive")
+    permmod.check_skew_pair(v, x, k)
     lam = shapes.from_vert_ne(x[:k], k, n)
     vi = permmod.inverse(v)
     quiver = rectangles_quiver(lam)
@@ -433,16 +428,17 @@ def seed_from_graph(G, mode: str, delete_label: Iterable[int] | None = None) -> 
     from positroids import plabic
 
     labeling = plabic.face_labeling(G, mode)
-    quiver_idx, fc = plabic.dual_quiver(G)
-    labels_by_idx = labeling.labels
-    if len(set(labels_by_idx)) != len(labels_by_idx):
+    labels = labeling.labels
+    if len(set(labels)) != len(labels):
         raise ValueError("face labels are not distinct; cannot key the seed by label")
-    frozen = {labels_by_idx[i]: f for i, f in quiver_idx.frozen.items()}
-    arrows = tuple((labels_by_idx[s], labels_by_idx[t]) for s, t in quiver_idx.arrows)
-    seed = LabeledSeed(
-        Quiver(frozen, arrows),
-        {lab: PluckerSymbol(lab) for lab in labels_by_idx},
+    # frozen iff the face touches the disk boundary; frozen-frozen arrows dropped
+    frozen = {lab: f.boundary for lab, f in zip(labels, labeling.faces.faces)}
+    arrows = tuple(
+        (labels[s], labels[t])
+        for s, t in plabic.dual_quiver_arrows(G, labeling.faces)
+        if not (frozen[labels[s]] and frozen[labels[t]])
     )
+    seed = LabeledSeed(Quiver(frozen, arrows), {lab: PluckerSymbol(lab) for lab in labels})
     if delete_label is not None:
         lab = frozenset(delete_label)
         if lab not in seed.labels:
@@ -536,17 +532,20 @@ class MutationClassReport:
         return "unknown"
 
 
+# mutation_class_explore stops, with bound_hit set, once it has seen more
+# isomorphism classes than this
+MAX_CLASS_SIZE = 20000
+
+
 def mutation_class_explore(
     Q: Quiver,
-    max_size: int = 20000,
-    max_depth: int | None = None,
     keep_representatives: bool = False,
     stop_on_multiple_arrow: bool = True,
 ) -> MutationClassReport:
     """Breadth-first search of the mutation class of the mutable part of Q, up
-    to quiver isomorphism.  The search runs on exchange matrices keyed by
-    :func:`_canonical_label`; representatives are Quivers on Q's mutable
-    vertices."""
+    to quiver isomorphism and to :data:`MAX_CLASS_SIZE` classes.  The search
+    runs on exchange matrices keyed by :func:`_canonical_label`;
+    representatives are Quivers on Q's mutable vertices."""
     Q0 = Q.restrict_mutable()
     # Individualization-refinement has exponential worst cases.  Up to 12
     # vertices the most symmetric quivers tried (no arrows, oriented cycles,
@@ -566,13 +565,8 @@ def mutation_class_explore(
     # (matrix, vertex it was reached by): mutating there again gives its parent
     frontier = [(B0, -1)]
     saw_multiple = _max_multiplicity(B0) >= 2
-    depth = 0
     bound_hit = False
     while frontier and not (saw_multiple and stop_on_multiple_arrow):
-        if max_depth is not None and depth >= max_depth:
-            bound_hit = True
-            break
-        depth += 1
         nxt = []
         for cur, via in frontier:
             for q in range(len(verts)):
@@ -588,9 +582,8 @@ def mutation_class_explore(
                 if keep_representatives:
                     reps.append(_quiver_from_b(verts, Q0.frozen, new))
                 nxt.append((new, q))
-                if len(seen) > max_size:
+                if len(seen) > MAX_CLASS_SIZE:
                     bound_hit = True
-                    nxt = []
                     break
             if bound_hit:
                 break

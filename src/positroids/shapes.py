@@ -19,14 +19,15 @@ Box = tuple[int, int]  # (row, col), 1-based
 
 
 def normalize(parts: Iterable[int]) -> Partition:
-    """
+    """Weakly decreasing nonnegative parts, trailing zeros dropped.
+
     >>> normalize([3, 2, 0, 0])
     (3, 2)
     """
-    out = tuple(p for p in parts if p > 0)
-    if any(out[i] < out[i + 1] for i in range(len(out) - 1)) or any(p < 0 for p in out):
-        raise ValueError(f"not weakly decreasing nonnegative parts: {parts}")
-    return out
+    parts = tuple(parts)
+    if any(p < 0 for p in parts) or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise ValueError(f"not weakly decreasing nonnegative parts: {list(parts)}")
+    return tuple(p for p in parts if p > 0)
 
 
 def size(lam: Partition) -> int:
@@ -288,11 +289,3 @@ def subpartitions(lam: Partition) -> Iterator[Partition]:
         yield ()
 
     yield from rec(0, lam[0] if lam else 0)
-
-
-def to_json(lam: Partition, k: int, n: int) -> dict:
-    return {"parts": list(lam), "k": k, "n": n}
-
-
-def from_json(data: dict) -> tuple[Partition, int, int]:
-    return normalize(data["parts"]), data["k"], data["n"]

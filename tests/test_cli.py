@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from positroids import cli, plabic
+from positroids import cli, perm, plabic, shapes
 from positroids.cli import main
 
 RUN = [sys.executable, "-m", "positroids.cli"]
@@ -323,13 +323,18 @@ def malformed_graphs():
     cases["bad color"] = dict(good, vertices=[{"id": 1, "color": "red"}] + good["vertices"][1:])
     cases["short labels"] = dict(good, boundary_labels=[1, 2])
     cases["n 0"] = {"n": 0, "boundary_labels": [], "vertices": [], "edges": [], "rotations": {}}
-    # a separate internal 4-cycle passes validate() but breaks Euler's formula
-    cycle = json.loads(json.dumps(good))
-    ids = [max(v["id"] for v in good["vertices"]) + i for i in range(1, 5)]
-    cycle["vertices"] += [{"id": v, "color": "bw"[i % 2]} for i, v in enumerate(ids)]
-    cycle["edges"] += [[ids[i], ids[(i + 1) % 4]] for i in range(4)]
-    cycle["rotations"].update({str(v): [ids[i - 1], ids[(i + 1) % 4]] for i, v in enumerate(ids)})
-    cases["disconnected 4-cycle"] = cycle
+
+    def with_4cycle(graph):
+        # a separate internal 4-cycle passes validate() but breaks Euler's formula
+        cycle = json.loads(json.dumps(graph))
+        ids = [max(v["id"] for v in graph["vertices"]) + i for i in range(1, 5)]
+        cycle["vertices"] += [{"id": v, "color": "bw"[i % 2]} for i, v in enumerate(ids)]
+        cycle["edges"] += [[ids[i], ids[(i + 1) % 4]] for i in range(4)]
+        cycle["rotations"].update({str(v): [ids[i - 1], ids[(i + 1) % 4]] for i, v in enumerate(ids)})
+        return cycle
+
+    cases["disconnected 4-cycle"] = with_4cycle(good)
+    cases["n 1 with a 4-cycle"] = with_4cycle(plabic.to_json(plabic.lollipop_graph(1, 1)))
     return cases
 
 
@@ -361,3 +366,160 @@ def test_plabic_faces_on_arbitrary_json_exits_0_or_2(data, monkeypatch, capsys):
     assert code in (0, 2)
     if code == 2:
         assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# usage errors of the non-graph commands: exit 2 with one error line
+# ---------------------------------------------------------------------------
+
+def assert_usage_error(argv, monkeypatch, capsys, stdin_text=""):
+    code, out, err = run_main_on(argv, stdin_text, monkeypatch, capsys)
+    assert code == 2, (argv, out, err)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# (k, n, v, x) that are not length-additive skew pairs
+BAD_SKEW_PAIRS = (
+    (2, 4, "1 2 3 4", "3 4 1 2"),  # v not in W^K_max
+    (2, 4, "wK", "2 1 3 4"),  # x not in ^K W
+    (2, 4, "2 4 1 3", "3 4 1 2"),  # v <= xv, but l(xv) = 5 < l(x) + l(v) = 7
+    (3, 6, "3 2 6 1 5 4", "4 5 6 1 2 3"),  # the same failure in Gr(3, 6)
+)
+SKEW_COMMANDS = (
+    ["seed", "rectangles"],
+    ["le", "skew"],
+    ["ppalg", "module", "--j", "1"],
+    ["ppalg", "quiver"],
+    ["seed", "verify-exchange", "--samples", "2", "--steps", "2"],
+)
+
+
+def test_bad_skew_pairs_below_xv():
+    # the last two pairs fail only length-additivity, with v below xv
+    for k, n, v_text, x_text in BAD_SKEW_PAIRS[2:]:
+        v, x = cli.parse_perm(v_text, k, n), cli.parse_perm(x_text, k, n)
+        assert perm.is_max_rep(v, k) and perm.is_grassmannian(x, k)
+        assert perm.bruhat_leq(v, perm.multiply(x, v))
+
+
+@pytest.mark.parametrize("command", SKEW_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("pair", BAD_SKEW_PAIRS, ids=lambda p: f"v={p[2]} x={p[3]}")
+def test_bad_skew_pair_exits_2(pair, command, monkeypatch, capsys):
+    k, n, v, x = pair
+    argv = command + ["--k", str(k), "--n", str(n), "--v", v, "--x", x]
+    assert_usage_error(argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("argv", (
+    ["perm", "pds", "--v", "2 1 3"],  # neither --w nor --word
+    ["perm", "pds", "--v", "2 1 3", "--w", "w0", "--word", "1"],  # both
+    ["perm", "pds", "--v", "", "--word", "1"],
+    ["perm", "pds", "--v", "2 1", "--word", "5"],
+    ["perm", "pds", "--v", "2 1 3", "--word", "0 1"],
+    ["perm", "pds", "--v", "2 1 3", "--w", "4 3 2 1"],
+), ids=" ".join)
+def test_perm_pds_bad_input_exits_2(argv, monkeypatch, capsys):
+    assert_usage_error(argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("flag", ("--samples", "--steps"))
+@pytest.mark.parametrize("value", ("0", "-1"))
+def test_verify_exchange_needs_something_to_check(flag, value, monkeypatch, capsys):
+    argv = ["seed", "verify-exchange", "--k", "2", "--n", "5", "--v", "wK",
+            "--x", "3 5 1 2 4", flag, value]
+    assert_usage_error(argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("lam", ("2 -1 2", "3 0 2", "-1", "1 2"))
+def test_seed_classify_malformed_lambda_exits_2(lam, monkeypatch, capsys):
+    assert_usage_error(["seed", "classify", "--lambda", lam], monkeypatch, capsys)
+
+
+def test_seed_classify_trailing_zeros_still_read():
+    assert main(["seed", "classify", "--lambda", "2 2 0"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# every non-graph command on small arbitrary arguments: exit 0, 1 or 2, and
+# exit 2 with one error line; never a traceback
+# ---------------------------------------------------------------------------
+
+def _fmt(values) -> str:
+    return " ".join(map(str, values))
+
+
+@st.composite
+def cli_argv(draw) -> tuple[list[str], str]:
+    """The argv of one non-graph command, mostly with k and n in range, and
+    its stdin."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        k = draw(st.integers(1, n - 1))
+    else:
+        n, k = draw(st.integers(-1, 6)), draw(st.integers(-1, 6))
+
+    def perm_text() -> str:
+        return draw(st.one_of(
+            st.sampled_from(["e", "w0", "wK", "", "1 x"]),
+            st.permutations(range(1, max(n, 1) + 1)).map(_fmt),
+            st.lists(st.integers(-1, 7), max_size=7).map(_fmt),
+        ))
+
+    def pair() -> list[str]:
+        """--v and --x: mostly a skew pair (v, x) when k and n allow one."""
+        if 1 <= k < n and draw(st.integers(0, 3)):
+            lam_v = shapes.from_vert_sw(draw(st.permutations(range(1, n + 1)))[:k], k, n)
+            lam_x = draw(st.sampled_from(sorted(shapes.subpartitions(lam_v))))
+            v = perm.max_rep_from_image(shapes.vert_sw(lam_v, k, n), k, n)
+            x = perm.grassmannian_from_image(shapes.vert_ne(lam_x, k, n), k, n)
+            return ["--v", _fmt(v), "--x", _fmt(x)]
+        return ["--v", perm_text(), "--x", perm_text()]
+
+    kn = ["--k", str(k), "--n", str(n)]
+    stdin = ""
+    command = draw(st.sampled_from((
+        "perm columnar", "perm pds", "perm necklace", "perm bounded-affine",
+        "seed classify", "seed rectangles", "seed verify-exchange",
+        "le skew", "le leify", "le read", "ppalg module", "ppalg quiver", "ppalg crosscheck",
+    )))
+    argv = command.split()
+    if command == "perm columnar":
+        x_text = pair()[3]
+        argv += ["--k", str(k), "--x", x_text] + draw(st.sampled_from([[], ["--n", str(n)]]))
+    elif command == "perm pds":
+        argv += ["--v", perm_text()] + draw(st.sampled_from([[], kn]))
+        argv += draw(st.sampled_from([[], ["--w", "w0"], ["--w", perm_text()], ["--word", draw(
+            st.lists(st.integers(-1, 6), max_size=6).map(_fmt))]]))
+    elif command in ("perm necklace", "perm bounded-affine"):
+        argv += ["--pi", perm_text()] + draw(st.sampled_from([[], kn]))
+        argv += draw(st.sampled_from([[], ["--white", draw(
+            st.lists(st.integers(-1, 7), max_size=3).map(_fmt))]]))
+    elif command == "seed classify":
+        argv += ["--lambda", draw(st.lists(st.integers(-1, 4), max_size=4).map(_fmt))]
+    elif command in ("seed rectangles", "le skew", "ppalg quiver"):
+        argv += kn + pair()
+    elif command == "seed verify-exchange":
+        small = st.integers(1, 3) | st.sampled_from((-1, 0))
+        argv += kn + pair() + ["--samples", str(draw(small)), "--steps", str(draw(small)),
+                               "--rng-seed", str(draw(st.integers(0, 9)))]
+    elif command == "ppalg module":
+        argv += kn + pair() + ["--j", str(draw(st.integers(-1, 12)))]
+    elif command == "ppalg crosscheck":
+        argv += ["--n", str(draw(st.integers(-1, 4))), "--jobs", "1"]
+    else:  # le leify / le read
+        argv += draw(st.sampled_from([[], kn]))
+        rows = st.lists(st.sampled_from(["0", "+", "x", "00"]), max_size=5).map(_fmt)
+        stdin = "\n".join(draw(st.lists(rows, max_size=4)))
+    return argv, stdin
+
+
+@seed(20261)
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_argv())
+def test_cli_commands_on_arbitrary_arguments(case, monkeypatch, capsys):
+    argv, stdin_text = case
+    code, _, err = run_main_on(argv, stdin_text, monkeypatch, capsys)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -131,8 +131,3 @@ def test_skew_roundtrip_exhaustive_small():
 def test_not_le_rejected():
     with pytest.raises(ValueError):
         lediag.le_to_positroid(lediag.parse("+ +\n+ 0"), 2, 4)
-
-
-def test_json_roundtrip():
-    O = lediag.parse("+ 0\n0")
-    assert lediag.from_json(lediag.to_json(O)) == O

@@ -40,9 +40,7 @@ def test_is_length_additive():
 
 
 def test_coset_reps():
-    reps = perm.coset_reps(2, 5)
-    assert reps.w_K == (2, 1, 5, 4, 3)
-    assert reps.is_grassmannian((2, 4, 7, 8, 1, 3, 5, 6)) or True  # wrong n; direct below
+    assert perm.parabolic_longest(2, 5) == (2, 1, 5, 4, 3)
     assert perm.is_grassmannian((2, 4, 7, 8, 1, 3, 5, 6), 4)
     assert perm.is_max_rep((8, 3, 2, 7, 6, 5, 4, 1), 3)
     assert perm.is_min_rep(perm.identity(5), 2)
@@ -222,11 +220,6 @@ def test_any_reduced_word_roundtrip(images):
     assert len(word) == perm.coxeter_length(w)
 
 
-def test_decorated_json_roundtrip():
-    sigma = perm.decorate((1, 3, 2, 4), {1})
-    assert perm.decorated_from_json(perm.decorated_to_json(sigma)) == sigma
-
-
 def test_pds_rightmost_property_s5_bounded():
     # same exhaustive-oracle check in S_5, bounded to keep the subword
     # enumeration tractable
@@ -263,3 +256,24 @@ def test_bounded_affine_and_necklace_all_decorations():
             neck = perm.grassmann_necklace(sigma)
             assert len({len(J) for J in neck}) == 1
             assert len(neck[0]) == len(sigma.antiexcedances())
+
+
+def test_pds_rejects_letters_outside_the_generators():
+    for word in ((5,), (0,), (1, 3)):
+        with pytest.raises(ValueError, match="not a generator of S_3"):
+            perm.positive_distinguished_subexpression((2, 1, 3), word)
+
+
+def test_check_skew_pair_raises_each_reason():
+    k = 2
+    wK = perm.parabolic_longest(k, 4)
+    with pytest.raises(ValueError, match="W\\^K_max"):
+        perm.check_skew_pair(perm.identity(4), (3, 4, 1, 2), k)
+    with pytest.raises(ValueError, match="\\^K W"):
+        perm.check_skew_pair(wK, (2, 1, 3, 4), k)
+    with pytest.raises(ValueError, match="length-additive"):
+        perm.check_skew_pair((2, 4, 1, 3), (3, 4, 1, 2), k)
+    for bad_k in (0, 4):
+        with pytest.raises(ValueError, match="0 < k < n"):
+            perm.check_skew_pair(perm.longest_element(4), perm.identity(4), bad_k)
+    perm.check_skew_pair(wK, (3, 4, 1, 2), k)

@@ -128,6 +128,30 @@ def test_single_white_lollipop_n1():
     assert lab.labels == (frozenset({1}),)
 
 
+def test_n1_graph_must_be_the_lollipop():
+    # the lollipop is the only tree validate() accepts on one boundary vertex
+    G = plabic.from_json(plabic.to_json(plabic.lollipop_graph(1, 1)))
+    assert len(plabic.faces(G)) == 1
+    # the lollipop plus a separate internal 4-cycle has two faces, and so
+    # does a 4-cycle hanging off the boundary vertex
+    lollipop = plabic.lollipop_graph(0, 1)
+    cycle = {2: "w", 3: "b", 4: "w", 5: "b"}
+    edges = {2: (2, 3), 3: (3, 4), 4: (4, 5), 5: (5, 2)}
+    rot = {2: (5, 2), 3: (2, 3), 4: (3, 4), 5: (4, 5)}
+    detached = plabic.PlabicGraph(lollipop.boundary_order, lollipop.labels,
+                                  {**lollipop.colors, **cycle}, {**lollipop.edges, **edges},
+                                  {**lollipop.rot, **rot})
+    detached.validate()
+    hanging = plabic.PlabicGraph(
+        lollipop.boundary_order, lollipop.labels, {1: "w", 3: "b", 4: "w", 5: "b"},
+        {1: (-1, 1), 2: (1, 3), 3: (3, 4), 4: (4, 5), 5: (5, 1)},
+        {1: (1, 2, 5), 3: (2, 3), 4: (3, 4), 5: (4, 5)})
+    hanging.validate()
+    for G in (detached, hanging):
+        with pytest.raises(plabic.PlabicError, match="only the lollipop"):
+            plabic.faces(G)
+
+
 def test_bridge_labels_match_necklace_by_position():
     # target labels of boundary faces = Grassmann necklace entries, J_i on the
     # face across the arc (i-1, i)
@@ -204,8 +228,7 @@ def test_dual_quiver_gr25(gr25_graph):
 
 
 def test_dual_quiver_single_face():
-    G = plabic.lollipop_graph(2, 5)
-    Q, fc = plabic.dual_quiver(G)
+    Q = seeds.seed_from_graph(plabic.lollipop_graph(2, 5), "target").quiver
     assert len(Q.frozen) == 1
     assert not Q.arrows
     assert all(Q.frozen.values())
@@ -458,6 +481,30 @@ def test_parallel_edge_reduction_detection():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+def test_validate_messages_in_check_order(gr25_graph):
+    G = gr25_graph
+    e = min(G.edges)
+    a = G.edges[e][0]
+
+    def broken(**changes):
+        H = plabic.PlabicGraph(**{"boundary_order": G.boundary_order, "labels": G.labels,
+                                  "colors": G.colors, "edges": G.edges, "rot": G.rot, **changes})
+        with pytest.raises(plabic.PlabicError) as info:
+            H.validate()
+        return str(info.value)
+
+    assert broken(labels={**G.labels, G.boundary_order[0]: 99}).startswith("boundary labels")
+    assert broken(edges={**G.edges, e: (a, a)}) == f"loop edge {e}"
+    # an extra edge to boundary vertex -1 fails its rotation check first
+    internal = next(v for v in G.colors if G.colors[v] == plabic.WHITE and len(G.rot[v]) > 1)
+    extra = max(G.edges) + 1
+    assert broken(edges={**G.edges, extra: (internal, G.boundary_order[0])}) == (
+        f"rotation at {internal} does not list its incident edges")
+    assert broken(edges={**G.edges, extra: (internal, G.boundary_order[0])},
+                  rot={**G.rot, internal: G.rot[internal] + (extra,)}) == (
+        f"boundary vertex {G.boundary_order[0]} must have degree exactly 1")
+
 
 def test_json_roundtrip(gr25_graph, gr37_graph):
     for G in (gr25_graph, gr37_graph, plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))):

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -170,8 +169,3 @@ def test_cyclically_ordered():
 def test_three_term_hypothesis(entries):
     M = pluecker.matrix([entries[:4], entries[4:]])
     assert pluecker.three_term_check(M, (), (1, 2, 3, 4))
-
-
-def test_matrix_json_roundtrip():
-    M = pluecker.matrix([[Fraction(1, 2), 3], [0, Fraction(-7, 5)]])
-    assert pluecker.matrix_from_json(pluecker.matrix_to_json(M)) == M

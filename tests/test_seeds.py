@@ -579,3 +579,18 @@ def test_seed_json_and_dot():
     assert all(isinstance(v["label"], list) for v in data["vertices"])
     text = seeds.seed_to_dot(S)
     assert "digraph" in text
+
+
+def test_seed_from_graph_traces_faces_once(monkeypatch):
+    calls = []
+    real_faces = plabic.faces
+
+    def counting(G):
+        calls.append(G)
+        return real_faces(G)
+
+    monkeypatch.setattr(plabic, "faces", counting)
+    G = plabic.bridge_graph(3, 7, (3, 5, 7, 1, 2, 4, 6))
+    S = seeds.seed_from_graph(G, "target")
+    assert len(calls) == 1
+    assert len(S.quiver.frozen) == 10

@@ -133,6 +133,9 @@ def test_mutable_part():
     assert shapes.mutable_part((3, 3, 3)) == (2, 2)
 
 
-def test_json_roundtrip():
-    lam, k, n = (3, 1), 2, 6
-    assert shapes.from_json(shapes.to_json(lam, k, n)) == (lam, k, n)
+def test_normalize_checks_parts_as_given():
+    assert shapes.normalize([3, 2, 2, 0, 0]) == (3, 2, 2)
+    assert shapes.normalize([0]) == ()
+    for bad in ([2, -1, 2], [3, 0, 2], [-1], [1, 2], [0, 1]):
+        with pytest.raises(ValueError, match="weakly decreasing nonnegative"):
+            shapes.normalize(bad)

@@ -53,4 +53,5 @@ def test_running_modules_golden_file():
     stored = load("modules_running_example.json")
     for j in perm.summand_index_set(v, word):
         M = ppalg.tilting_summand(k, n, v, word, j).normalized()
-        assert ppalg.from_json(stored[str(j)]) == M
+        assert sorted(map(list, M.cells)) == stored[str(j)]["cells"]
+        assert M.n == stored[str(j)]["n"]
