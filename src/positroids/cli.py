@@ -215,7 +215,8 @@ def _verify_exchange(args) -> int:
     """Criterion 6 as a seeded walk: square-move the bridge graph of x,
     relabelled by v^-1, at a random eligible face; the exchange expression of
     the seed mutated at that face must equal the Pluecker coordinate of the
-    face's new label at every Schubert-cell sample."""
+    face's new label at every Schubert-cell sample.  A bridge graph with no
+    eligible face is a usage error, since there is nothing to check."""
     if args.samples < 1 or args.steps < 1:
         raise UsageError("--samples and --steps must be at least 1")
     rng = random.Random(args.rng_seed)
@@ -234,6 +235,9 @@ def _verify_exchange(args) -> int:
     for step in range(args.steps):
         eligible = plabic.square_eligible_labels(G)
         if not eligible:
+            if step == 0:
+                raise UsageError("no face of the bridge graph of x is square-eligible, "
+                                 "so there is no exchange to check")
             break
         q = eligible[rng.randrange(len(eligible))]
         S = seeds.seed_from_graph(G, "target")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from positroids import perm as permmod
@@ -72,8 +73,19 @@ class PlabicGraph:
 
     def incident(self, v: int) -> tuple[int, ...]:
         if self.is_boundary(v):
-            return tuple(e for e, (a, b) in sorted(self.edges.items()) if v in (a, b))
+            return self._boundary_edges.get(v, ())
         return self.rot[v]
+
+    @cached_property
+    def _boundary_edges(self) -> dict[int, tuple[int, ...]]:
+        """Boundary vertex -> its edges in edge-id order, built on first use
+        (a graph's edges never change after construction)."""
+        found: dict[int, list[int]] = {}
+        for eid, ends in sorted(self.edges.items()):
+            for v in set(ends):
+                if self.is_boundary(v):
+                    found.setdefault(v, []).append(eid)
+        return {v: tuple(eids) for v, eids in found.items()}
 
     def other_end(self, eid: int, v: int) -> int:
         a, b = self.edges[eid]

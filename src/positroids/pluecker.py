@@ -2,12 +2,16 @@
 Schubert-cell sampling, three-term relations, weak separation, and the
 projection from generalized minors to Pluecker coordinates.
 
-All arithmetic is exact (``fractions.Fraction`` over arbitrary-precision
-integers); there is no floating point anywhere in this module.
+All arithmetic is exact; there is no floating point anywhere in this module.
+Matrix entries are ``fractions.Fraction`` (or ``int``) and every minor is
+returned as a ``Fraction``.  A minor whose entries are all integers, as every
+Schubert-cell sample's are, is eliminated on Python ints with exact division;
+any other minor is eliminated over ``Fraction``.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,15 +31,31 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Bareiss fraction-free elimination; exact for rational entries.
 
+    When every entry is an integer (``denominator == 1``) the elimination runs
+    on the numerators as Python ints, dividing exactly by the previous pivot
+    with ``//``; otherwise it runs over ``Fraction`` with ``/``.  Both paths
+    swap in the first nonzero pivot below and flip the sign per swap.
+
     >>> determinant(matrix([[1, 2], [3, 4]]))
     Fraction(-2, 1)
+    >>> determinant(matrix([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]))
+    Fraction(-5, 6)
     """
     m = [list(row) for row in rows]
     size = len(m)
     if any(len(row) != size for row in m):
         raise ValueError("determinant needs a square matrix")
+    if all(x.denominator == 1 for row in m for x in row):
+        m = [[x.numerator for x in row] for row in m]
+        return Fraction(_bareiss(m, 1, operator.floordiv))
+    return Fraction(_bareiss(m, Fraction(1), operator.truediv))
+
+
+def _bareiss(m: list[list], prev, div) -> Fraction | int:
+    """Determinant of the square matrix m, eliminated in place; ``div`` must
+    divide exactly, since each step's numerator is a multiple of ``prev``."""
+    size = len(m)
     sign = 1
-    prev = Fraction(1)
     for j in range(size - 1):
         if m[j][j] == 0:
             for i in range(j + 1, size):
@@ -44,12 +64,15 @@ def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
+        pivot_row = m[j]
+        pivot = pivot_row[j]
         for i in range(j + 1, size):
+            row = m[i]
+            lead = row[j]
             for c in range(j + 1, size):
-                m[i][c] = (m[i][c] * m[j][j] - m[i][j] * m[j][c]) / prev
-            m[i][j] = Fraction(0)
-        prev = m[j][j]
+                row[c] = div(row[c] * pivot - lead * pivot_row[c], prev)
+        prev = pivot
     return sign * m[size - 1][size - 1]
 
 

@@ -431,6 +431,18 @@ def test_verify_exchange_needs_something_to_check(flag, value, monkeypatch, caps
     assert_usage_error(argv, monkeypatch, capsys)
 
 
+@pytest.mark.parametrize("k, n, x", (
+    (2, 4, "1 3 2 4"), (2, 4, "1 2 3 4"), (3, 6, "1 2 4 3 5 6"),
+), ids=str)
+def test_verify_exchange_without_an_eligible_face_exits_2(k, n, x, monkeypatch, capsys):
+    # no interior 2x2 block in the shape of x: the walk could not take a step
+    G = plabic.bridge_graph(k, n, cli.parse_perm(x, k, n))
+    assert plabic.square_eligible_labels(G) == ()
+    argv = ["seed", "verify-exchange", "--k", str(k), "--n", str(n), "--v", "wK", "--x", x,
+            "--samples", "2", "--steps", "3"]
+    assert_usage_error(argv, monkeypatch, capsys)
+
+
 @pytest.mark.parametrize("lam", ("2 -1 2", "3 0 2", "-1", "1 2"))
 def test_seed_classify_malformed_lambda_exits_2(lam, monkeypatch, capsys):
     assert_usage_error(["seed", "classify", "--lambda", lam], monkeypatch, capsys)

@@ -506,6 +506,27 @@ def test_validate_messages_in_check_order(gr25_graph):
         f"boundary vertex {G.boundary_order[0]} must have degree exactly 1")
 
 
+def test_boundary_incident_matches_edge_scan():
+    # the boundary map, built once per graph, lists what a scan of every edge
+    # finds, in edge-id order
+    for G in square_walk_graphs(seed=8, walks=20, steps=4):
+        for bd in G.boundary_order:
+            scan = tuple(e for e, (a, b) in sorted(G.edges.items()) if bd in (a, b))
+            assert G.incident(bd) == scan
+            assert G.pendant_edge(bd) == scan[0]
+
+
+def test_pendant_edge_needs_degree_one():
+    G = plabic.lollipop_graph(1, 2)
+    # edge 2 moved from boundary vertex -2 to -1: degrees 2 and 0
+    bad = plabic.PlabicGraph(G.boundary_order, G.labels, G.colors,
+                             {2: (2, -1), 1: (-1, 1)}, G.rot)
+    assert bad.incident(-1) == (1, 2) and bad.incident(-2) == ()
+    for bd, degree in ((-1, 2), (-2, 0)):
+        with pytest.raises(plabic.PlabicError, match=f"boundary vertex {bd} has degree {degree}"):
+            bad.pendant_edge(bd)
+
+
 def test_json_roundtrip(gr25_graph, gr37_graph):
     for G in (gr25_graph, gr37_graph, plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))):
         H = plabic.from_json(plabic.to_json(G))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,82 @@ def test_plucker_size_mismatch():
     M = pluecker.matrix([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         pluecker.plucker(M, {1})
+
+
+def test_determinant_rejects_non_square_input():
+    for rows in ([[1, 2]], [[1, 2], [3]], [[Fraction(1, 2)], [1]]):
+        with pytest.raises(ValueError):
+            pluecker.determinant(rows)
+
+
+def test_determinant_rational_path_divides_exactly():
+    # every entry below has a non-unit denominator, so neither matrix is
+    # integral; a floor division anywhere in the elimination loses the value
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert pluecker.determinant([[half, third], [third, half]]) == Fraction(5, 36)
+    M = [[half, third, 1], [third, half, third], [1, third, half]]
+    assert pluecker.determinant(M) == Fraction(-19, 72)
+
+
+@pytest.mark.parametrize("rows, det", (
+    # integral path: one swap at the first pivot, then one found mid-way
+    ([[0, 1], [1, 0]], -1),
+    ([[0, 2, 3], [1, 5, 7], [2, 1, 1]], -1),
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+    # rational path: the same swaps with non-unit denominators
+    ([[0, Fraction(1, 2)], [Fraction(1, 3), 0]], Fraction(-1, 6)),
+    ([[1, 1, 0], [1, 1, Fraction(1, 2)], [0, 1, Fraction(1, 3)]], Fraction(-1, 2)),
+    ([[0, 0, Fraction(1, 2)], [0, 1, 0], [Fraction(1, 3), 0, 0]], Fraction(-1, 6)),
+), ids=str)
+def test_determinant_row_swaps_flip_the_sign(rows, det):
+    result = pluecker.determinant(rows)
+    assert isinstance(result, Fraction)
+    assert result == det
+
+
+def _random_matrices(rng: random.Random, size: int):
+    """(kind, rows) pairs: integer matrices (small and big entries, singular,
+    with a zero leading pivot), rational ones and mixed int/Fraction rows."""
+    def ints(lo, hi):
+        return [[rng.randint(lo, hi) for _ in range(size)] for _ in range(size)]
+
+    for _ in range(8):
+        yield "small int", ints(-3, 3)
+        yield "big int", ints(-10**12, 10**12)
+        singular = ints(-9, 9)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        if size == 1:
+            singular = [[0]]
+        else:  # the last row is a combination of two others (one when size 2)
+            singular[-1] = [a * x + b * y for x, y in zip(singular[0], singular[size - 2])]
+        yield "singular int", singular
+        swapped = ints(-9, 9)
+        swapped[0][0] = 0
+        yield "zero leading pivot", swapped
+        yield "rational", [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
+                           for _ in range(size)]
+        yield "mixed", [[Fraction(rng.randint(-9, 9), rng.randint(2, 5)) for _ in range(size)]
+                        if r % 2 else [rng.randint(-9, 9) for _ in range(size)]
+                        for r in range(size)]
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_determinant_matches_sympy(size):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1968 + size)
+    kinds = set()
+    for kind, rows in _random_matrices(rng, size):
+        expected = sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                                  for x in row] for row in rows]).det()
+        result = pluecker.determinant(rows)
+        assert isinstance(result, Fraction), (kind, rows)
+        assert result == Fraction(int(expected.p), int(expected.q)), (kind, rows)
+        kinds.add((kind, result == 0))
+    # the singular ones are singular, and random ones mostly are not
+    assert ("singular int", True) in kinds and ("big int", False) in kinds
+    if size > 1:
+        assert ("singular int", False) not in kinds
 
 
 def test_three_term_random_samples():
