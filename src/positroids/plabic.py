@@ -18,6 +18,12 @@ Conventions (pinned by the golden-graph tests):
 Vertex ids are positive integers for internal vertices and negative integers
 for boundary vertices.  Edge ids are positive integers; a dart is ``(eid,
 end)`` with tail ``edges[eid][end]`` and head ``edges[eid][1 - end]``.
+
+A graph is immutable after construction: local moves, relabeling and the
+mirror build new graphs.  So its faces, trips, face labelings and full
+contraction are computed once, on first use, kept on the graph and shared by
+every caller; callers must not mutate what they get back (in particular a
+``Faces.face_of`` dict).  A call that raises keeps nothing and raises again.
 """
 
 from __future__ import annotations
@@ -86,6 +92,27 @@ class PlabicGraph:
                 if self.is_boundary(v):
                     found.setdefault(v, []).append(eid)
         return {v: tuple(eids) for v, eids in found.items()}
+
+    # -- derived data, computed on first use (see the module docstring) ----
+
+    @cached_property
+    def _faces(self) -> Faces:
+        return _find_faces(self)
+
+    @cached_property
+    def _trips(self) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
+        return _find_trips(self)
+
+    @cached_property
+    def _labelings(self) -> dict[str, FaceLabeling]:
+        return _label_faces(self)
+
+    @cached_property
+    def _contracted(self) -> PlabicGraph | None:
+        """The full contraction, or None when it is the graph itself (so a
+        graph never refers to itself)."""
+        H = _contract(self)
+        return None if H is self else H
 
     def other_end(self, eid: int, v: int) -> int:
         a, b = self.edges[eid]
@@ -224,6 +251,10 @@ def faces(G: PlabicGraph) -> Faces:
     Raises :class:`PlabicError` when the orbit count violates Euler's formula,
     which signals an inconsistent rotation system.
     """
+    return G._faces
+
+
+def _find_faces(G: PlabicGraph) -> Faces:
     if G.n == 1:
         # The one boundary arc is a loop, which dart tracing cannot follow.  A
         # graph on one boundary vertex has one face exactly when it is a tree,
@@ -307,6 +338,10 @@ def _leaf_color(G: PlabicGraph, walk: Sequence[Dart]) -> str:
 def trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
     """One trip per boundary vertex, plus the decorated trip permutation on
     boundary labels (fixed points colored by their lollipop)."""
+    return G._trips
+
+
+def _find_trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
     out = []
     images = {}
     white = set()
@@ -395,21 +430,28 @@ def face_labeling(G: PlabicGraph, mode: str) -> FaceLabeling:
     faces, a black one labels none."""
     if mode not in ("source", "target"):
         raise ValueError(f"mode must be 'source' or 'target', got {mode!r}")
+    return G._labelings[mode]
+
+
+def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
+    """Both labelings at once: they differ only in which end of a trip marks
+    the faces on its left."""
     fc = faces(G)
     all_trips, _ = trips(G)
-    labels: list[set[int]] = [set() for _ in fc.faces]
+    source: list[set[int]] = [set() for _ in fc.faces]
+    target: list[set[int]] = [set() for _ in fc.faces]
     for trip in all_trips:
         if trip.start == trip.end:
             if _leaf_color(G, trip.darts) == WHITE:
-                for lab in labels:
+                for lab in source + target:
                     lab.add(trip.start)
             continue
-        side = _trip_sides(G, fc, trip)
-        mark = trip.end if mode == "target" else trip.start
-        for f, s in side.items():
+        for f, s in _trip_sides(G, fc, trip).items():
             if s == "L":
-                labels[f].add(mark)
-    return FaceLabeling(mode, fc, tuple(frozenset(l) for l in labels))
+                source[f].add(trip.start)
+                target[f].add(trip.end)
+    return {mode: FaceLabeling(mode, fc, tuple(frozenset(l) for l in labels))
+            for mode, labels in (("source", source), ("target", target))}
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +743,11 @@ def remove_degree2_pair(G: PlabicGraph, y: int) -> PlabicGraph:
 
 def full_contract(G: PlabicGraph) -> PlabicGraph:
     """Contract every eligible degree-2 vertex, smallest id first."""
+    H = G._contracted
+    return G if H is None else H
+
+
+def _contract(G: PlabicGraph) -> PlabicGraph:
     while True:
         candidates = sorted(
             x for x, r in G.rot.items()

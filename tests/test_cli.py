@@ -443,6 +443,24 @@ def test_verify_exchange_without_an_eligible_face_exits_2(k, n, x, monkeypatch, 
     assert_usage_error(argv, monkeypatch, capsys)
 
 
+@pytest.mark.parametrize("n", ("1", "0", "-3", "10", "100"))
+def test_ppalg_crosscheck_n_out_of_range_exits_2(n, monkeypatch, capsys):
+    # below 2 there is no skew pair to check; at n = 10 the pair list alone
+    # holds 82,478 entries before any check.  Listing pairs fails the test at
+    # once, so a missing bound cannot make it run for hours.
+    def no_listing(*args):
+        raise AssertionError("skew pairs listed for an out-of-range --n")
+
+    monkeypatch.setattr(shapes, "partitions_in_box", no_listing)
+    assert_usage_error(["ppalg", "crosscheck", "--n", n], monkeypatch, capsys)
+
+
+def test_ppalg_crosscheck_smallest_n_checks_something(monkeypatch, capsys):
+    code, out, _ = run_main_on(["ppalg", "crosscheck", "--n", "2"], "", monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out) == {"checks": 3, "failures": 0}
+
+
 @pytest.mark.parametrize("lam", ("2 -1 2", "3 0 2", "-1", "1 2"))
 def test_seed_classify_malformed_lambda_exits_2(lam, monkeypatch, capsys):
     assert_usage_error(["seed", "classify", "--lambda", lam], monkeypatch, capsys)

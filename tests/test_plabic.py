@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from positroids import perm, plabic, seeds, shapes
+from positroids import perm, plabic, pluecker, seeds, shapes
 from conftest import golden_gr25_graph, random_skew_pair
 
 
@@ -34,8 +35,9 @@ def test_faces_euler_violation_detected():
     rot = dict(G.rot)
     rot[3] = (8, 7, 12, 3)
     bad = plabic.PlabicGraph(G.boundary_order, G.labels, G.colors, G.edges, rot)
-    with pytest.raises(plabic.PlabicError):
-        plabic.faces(bad)
+    for _ in range(2):  # a failed call keeps nothing, so the next one fails too
+        with pytest.raises(plabic.PlabicError):
+            plabic.faces(bad)
 
 
 def test_bridge_graph_face_count():
@@ -185,24 +187,24 @@ def test_bridge_labels_are_rectangles():
 
 def test_relabel_boundary():
     G = plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))
+    labG = plabic.face_labeling(G, "target")  # kept on G, not passed on
     assert plabic.relabel_boundary(G, perm.identity(5)) == G
     u = perm.parabolic_longest(2, 5)
-    H = plabic.relabel_boundary(G, u)
-    labG = plabic.face_labeling(G, "target")
-    labH = plabic.face_labeling(H, "target")
-    assert set(labH.labels) == {frozenset(u[i - 1] for i in l) for l in labG.labels}
+    labH = plabic.face_labeling(plabic.relabel_boundary(G, u), "target")
+    # the same faces in the same order, each label mapped by u
+    assert labH.labels == tuple(frozenset(u[i - 1] for i in l) for l in labG.labels)
 
 
 def test_mirror_involution_and_labels():
     G = plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))
+    # trips and labels kept on G, not passed on
+    _, sG = plabic.trips(G)
+    labG = plabic.face_labeling(G, "target")
     assert plabic.mirror(plabic.mirror(G)) == G
     M = plabic.mirror(G)
-    _, sG = plabic.trips(G)
     _, sM = plabic.trips(M)
     assert sM.perm == perm.inverse(sG.perm)
-    assert set(plabic.face_labeling(M, "source").labels) == set(
-        plabic.face_labeling(G, "target").labels
-    )
+    assert set(plabic.face_labeling(M, "source").labels) == set(labG.labels)
 
 
 def test_mirror_reverses_dual_quiver(gr25_graph):
@@ -412,6 +414,100 @@ def test_one_face_labeling_per_square_call(monkeypatch):
         plabic.square_move(G, lab)
         assert len(labelings) == 1, sorted(lab)
     assert expansions  # some of these moves expand a corner of degree > 3
+
+
+def relabelled_bridge_graph(k, n, lam):
+    """The bridge graph of the skew pair of shape lam, boundary relabelled by
+    v^-1 (as in criterion 6)."""
+    v = perm.max_rep_from_image(shapes.vert_sw(lam, k, n), k, n)
+    x = perm.grassmannian_from_image(shapes.vert_ne(lam, k, n), k, n)
+    return plabic.relabel_boundary(plabic.bridge_graph(k, n, x), perm.inverse(v))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k, n, lam", ((3, 7, (4, 3, 2)), (4, 8, (4, 4, 4, 4))))
+def test_square_move_walk_matches_fresh_graphs(k, n, lam, seed):
+    # every graph of a seeded walk: its kept labels and eligible faces equal
+    # those computed from scratch on a copy, its labels stay as many and
+    # pairwise weakly separated, and moving the new face back undoes the move
+    rng = random.Random(seed)
+    G = relabelled_bridge_graph(k, n, lam)
+    size = len(plabic.face_labeling(G, "target").labels)
+    for step in range(12):
+        where = f"seed={seed} step={step}"
+        fresh = plabic.from_json(plabic.to_json(G))
+        for mode in ("source", "target"):
+            assert (plabic.face_labeling(G, mode).labels
+                    == plabic.face_labeling(fresh, mode).labels), where
+        eligible = plabic.square_eligible_labels(G)
+        assert eligible == plabic.square_eligible_labels(fresh), where
+        labels = plabic.face_labeling(G, "target").labels
+        assert len(labels) == size, where
+        assert all(pluecker.weakly_separated(a, b)
+                   for a, b in itertools.combinations(labels, 2)), where
+        H = plabic.square_move(G, eligible[rng.randrange(len(eligible))])
+        new = set(plabic.face_labeling(H, "target").labels) - set(labels)
+        assert len(new) == 1, where
+        back = plabic.square_move(H, new.pop())
+        assert set(plabic.face_labeling(back, "target").labels) == set(labels), where
+        G = H
+
+
+# ---------------------------------------------------------------------------
+# derived data, computed once per graph
+# ---------------------------------------------------------------------------
+
+def test_derived_data_is_kept_on_the_graph():
+    G = plabic.bridge_graph(3, 7, (3, 5, 7, 1, 2, 4, 6))
+    for derive in (plabic.faces, plabic.trips, plabic.full_contract,
+                   lambda H: plabic.face_labeling(H, "source"),
+                   lambda H: plabic.face_labeling(H, "target")):
+        assert derive(G) is derive(G)
+
+
+def test_walk_step_finds_faces_once(monkeypatch):
+    # one exchange-walk step on an already labelled graph traces the faces
+    # of the moved graph only
+    G = plabic.full_contract(relabelled_bridge_graph(3, 7, (4, 3, 2)))
+    plabic.face_labeling(G, "target")
+    traced = []
+    real = plabic._find_faces
+    monkeypatch.setattr(plabic, "_find_faces", lambda H: traced.append(H) or real(H))
+    lab = plabic.square_eligible_labels(G)[0]
+    seeds.seed_from_graph(G, "target")
+    H = plabic.square_move(G, lab)
+    plabic.face_labeling(H, "target")
+    assert traced == [H]
+
+
+def doubled_edge(G, e):
+    """G with a second copy of internal edge e beside it (a bigon face)."""
+    u, v = G.edges[e]
+    e2 = max(G.edges) + 1
+    ru, rv = list(G.rot[u]), list(G.rot[v])
+    ru.insert(ru.index(e) + 1, e2)
+    rv.insert(rv.index(e), e2)
+    H = plabic.PlabicGraph(G.boundary_order, G.labels, G.colors, {**G.edges, e2: (u, v)},
+                           {**G.rot, u: tuple(ru), v: tuple(rv)})
+    H.validate()
+    return H
+
+
+def test_ambiguous_side_is_raised_on_every_call():
+    # a bigon on edge 5 of this bridge graph lies on both sides of trip 1->2
+    ambiguous = doubled_edge(plabic.bridge_graph(2, 4, (3, 4, 1, 2)), 5)
+    for mode in ("source", "target", "target"):
+        with pytest.raises(plabic.AmbiguousSide, match="both sides of the trip 1->2"):
+            plabic.face_labeling(ambiguous, mode)
+
+
+def test_contracted_graph_is_its_own_contraction():
+    G = plabic.bridge_graph(3, 7, (3, 5, 7, 1, 2, 4, 6))
+    H = plabic.full_contract(G)
+    assert H is not G and plabic.full_contract(G) is H
+    assert plabic.full_contract(H) is H
+    plabic.face_labeling(H, "target")
+    assert all(value is not H for value in vars(H).values())
 
 
 # ---------------------------------------------------------------------------
