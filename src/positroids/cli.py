@@ -161,11 +161,7 @@ def cmd_plabic(args) -> int:
     if args.sub == "move":
         if args.kind != "square":
             raise UsageError("only 'square' moves are addressable by face")
-        try:
-            H = plabic.square_move(G, parse_subset(args.face))
-        except plabic.NotSquareEligible as exc:
-            print(f"NotSquareEligible: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        H = plabic.square_move(G, parse_subset(args.face))
         write_json(plabic.to_json(H), args)
         return EXIT_OK
     if args.sub == "dualquiver":
@@ -492,7 +488,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, plabic.PlabicError) as exc:
+    except (ValueError, KeyError, OSError, plabic.PlabicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

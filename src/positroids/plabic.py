@@ -14,6 +14,12 @@ Conventions (pinned by the golden-graph tests):
   the outer face is the orbit of clockwise arc darts.
 - A trip turns at a black vertex onto the successor of its entry edge in ccw
   order, and at a white vertex onto the predecessor.
+- A trip ``i -> j`` puts ``j`` (target) or ``i`` (source) in the label of
+  every face on its left.  Both labelings come from one sweep over the dual
+  graph: crossing an edge changes sides only for the trips through it.  A
+  face reached twice with different sides, or a trip dart without its trip
+  on the left, makes a trip ambiguous, and :class:`AmbiguousSide` names the
+  first such trip.
 
 Vertex ids are positive integers for internal vertices and negative integers
 for boundary vertices.  Edge ids are positive integers; a dart is ``(eid,
@@ -374,56 +380,6 @@ class FaceLabeling:
         raise KeyError(f"no face labeled {sorted(lab)}")
 
 
-def _edge_adjacency(G: PlabicGraph, fc: Faces, skip_edges: set) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {i: set() for i in range(len(fc.faces))}
-    for eid in G.edges:
-        if eid in skip_edges:
-            continue
-        f0 = fc.face_of.get((eid, 0))
-        f1 = fc.face_of.get((eid, 1))
-        if f0 is None or f1 is None or f0 == f1:
-            continue
-        adj[f0].add(f1)
-        adj[f1].add(f0)
-    return adj
-
-
-def _trip_sides(G: PlabicGraph, fc: Faces, trip: Trip) -> dict[int, str]:
-    """Assign LEFT/RIGHT of the trip to every interior face by flood fill."""
-    side: dict[int, str] = {}
-
-    def put(f: int | None, s: str) -> None:
-        if f is None:
-            return
-        if side.get(f, s) != s:
-            raise AmbiguousSide(
-                f"face {f} lies on both sides of the trip {trip.start}->{trip.end}"
-            )
-        side[f] = s
-
-    for d in trip.darts:
-        eid, end = d
-        put(fc.face_of.get(d), "L")
-        put(fc.face_of.get((eid, 1 - end)), "R")
-
-    trip_edges = {d[0] for d in trip.darts}
-    adj = _edge_adjacency(G, fc, trip_edges)
-    queue = list(side)
-    while queue:
-        f = queue.pop()
-        for g in adj[f]:
-            if g not in side:
-                side[g] = side[f]
-                queue.append(g)
-            elif side[g] != side[f]:
-                raise AmbiguousSide(
-                    f"contradictory side assignment near trip {trip.start}->{trip.end}"
-                )
-    if len(side) != len(fc.faces):
-        raise PlabicError("flood fill left faces unassigned")
-    return side
-
-
 def face_labeling(G: PlabicGraph, mode: str) -> FaceLabeling:
     """Source or target labeling: trip ``T(i -> j)`` deposits ``j`` (target)
     or ``i`` (source) in every face to its left; a white lollipop labels all
@@ -434,24 +390,66 @@ def face_labeling(G: PlabicGraph, mode: str) -> FaceLabeling:
 
 
 def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
-    """Both labelings at once: they differ only in which end of a trip marks
-    the faces on its left."""
+    """Both labelings from one sweep over the dual graph; they differ only in
+    which end of a trip marks the faces on its left.
+
+    Crossing an edge puts a face on the other side of the trips through the
+    edge's two darts and of no other trip (Postnikov, arXiv:math/0609764).
+    So a breadth-first sweep over the interior faces gives each face, as a
+    bitmask over the trips that are not round trips, the trips whose side
+    differs from face 0's; the first dart of each trip, which has the trip
+    on its left, fixes face 0's own side.  A trip is ambiguous when a face is
+    reached twice with masks that differ in its bit, or when one of its
+    darts does not have the trip on its left (as when the trip runs along an
+    edge with one face on both sides); :class:`AmbiguousSide` names the
+    first ambiguous trip in trip order.  A round trip marks every face when
+    its lollipop is white and none when it is black.
+    """
     fc = faces(G)
     all_trips, _ = trips(G)
-    source: list[set[int]] = [set() for _ in fc.faces]
-    target: list[set[int]] = [set() for _ in fc.faces]
-    for trip in all_trips:
-        if trip.start == trip.end:
-            if _leaf_color(G, trip.darts) == WHITE:
-                for lab in source + target:
-                    lab.add(trip.start)
+    paths = [t for t in all_trips if t.start != t.end]
+    bit = {d: 1 << i for i, t in enumerate(paths) for d in t.darts}
+    mask: dict[int, int] = {}
+    ambiguous = 0
+    roots = 0
+    for root in range(len(fc.faces)):
+        if root in mask:
             continue
-        for f, s in _trip_sides(G, fc, trip).items():
-            if s == "L":
-                source[f].add(trip.start)
-                target[f].add(trip.end)
-    return {mode: FaceLabeling(mode, fc, tuple(frozenset(l) for l in labels))
-            for mode, labels in (("source", source), ("target", target))}
+        roots += 1
+        mask[root] = 0
+        queue = [root]
+        for f in queue:
+            for d in fc.faces[f].darts:
+                if isinstance(d[0], tuple):  # a boundary arc: the outer face
+                    continue
+                r = (d[0], 1 - d[1])
+                g = fc.face_of[r]
+                if g == f:
+                    continue
+                m = mask[f] ^ bit.get(d, 0) ^ bit.get(r, 0)
+                if g in mask:
+                    ambiguous |= mask[g] ^ m
+                else:
+                    mask[g] = m
+                    queue.append(g)
+    left0 = sum(1 << i for i, t in enumerate(paths) if not mask[fc.face_of[t.darts[0]]] >> i & 1)
+    left = [mask[f] ^ left0 for f in range(len(fc.faces))]
+    for i, t in enumerate(paths):
+        for e, end in t.darts:
+            if not left[fc.face_of[(e, end)]] >> i & 1 or left[fc.face_of[(e, 1 - end)]] >> i & 1:
+                ambiguous |= 1 << i
+    if paths and roots > 1 and not ambiguous & 1:
+        # faces of a part of the graph that no trip reaches have no side
+        raise PlabicError("flood fill left faces unassigned")
+    if ambiguous:
+        t = paths[(ambiguous & -ambiguous).bit_length() - 1]
+        raise AmbiguousSide(f"faces lie on both sides of the trip {t.start}->{t.end}")
+    white = {t.start for t in all_trips if t.start == t.end and _leaf_color(G, t.darts) == WHITE}
+    labelings = {}
+    for mode, ends in (("source", [t.start for t in paths]), ("target", [t.end for t in paths])):
+        labels = tuple(frozenset(white | {j for i, j in enumerate(ends) if l >> i & 1}) for l in left)
+        labelings[mode] = FaceLabeling(mode, fc, labels)
+    return labelings
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +506,9 @@ _OTHER = {BLACK: WHITE, WHITE: BLACK}
 
 class _Edit:
     """A mutable copy of a graph's colors, edges and rotations, for one local
-    move.  New vertex and edge ids count up from the largest ids in use, in
-    the order they are asked for, so a move always numbers its output the
-    same way."""
+    move or a run of them.  New vertex and edge ids count up from the largest
+    ids in use, in the order they are asked for, so a move always numbers its
+    output the same way."""
 
     def __init__(self, G: PlabicGraph):
         self.G = G
@@ -655,31 +653,6 @@ def mirror(G: PlabicGraph) -> PlabicGraph:
 # Local moves
 # ---------------------------------------------------------------------------
 
-def contract_degree2(G: PlabicGraph, x: int) -> PlabicGraph:
-    """(M2) delete a degree-2 internal vertex not adjacent to the boundary and
-    merge its two (same-colored) neighbors."""
-    if G.is_boundary(x) or len(G.rot[x]) != 2:
-        raise PlabicError(f"{x} is not an internal degree-2 vertex")
-    e1, e2 = G.rot[x]
-    u, v = G.other_end(e1, x), G.other_end(e2, x)
-    if G.is_boundary(u) or G.is_boundary(v):
-        raise PlabicError(f"{x} is adjacent to the boundary")
-    if u == v:
-        raise PlabicError(f"contracting {x} would create a loop")
-    ed = _Edit(G)
-    del ed.colors[x], ed.rot[x], ed.edges[e1], ed.edges[e2], ed.colors[v]
-    # splice v's other edges into u's rotation at the slot of e1
-    rv = ed.rot.pop(v)
-    i = rv.index(e2)
-    spliced = rv[i + 1:] + rv[:i]
-    for e in spliced:
-        ed.reattach(e, v, u)
-    ru = ed.rot[u]
-    j = ru.index(e1)
-    ed.rot[u] = ru[:j] + spliced + ru[j + 1:]
-    return ed.build()
-
-
 def expand_vertex(G: PlabicGraph, v: int, e_pair: tuple[int, int]) -> PlabicGraph:
     """(M2, reversed) split off a ccw-adjacent pair of edges of v onto a new
     same-colored vertex, joined to v through a new degree-2 vertex.  Every
@@ -748,16 +721,35 @@ def full_contract(G: PlabicGraph) -> PlabicGraph:
 
 
 def _contract(G: PlabicGraph) -> PlabicGraph:
+    """(M2) over and over on one edit, smallest eligible id first: delete a
+    degree-2 internal vertex x whose two neighbors are distinct internal
+    vertices (of one color), and merge its far neighbor v into its near one
+    u, v's other edges taking the slot of x's edge in u's rotation.  Each
+    step keeps the graph valid, so only the result is built and validated;
+    G itself comes back when no vertex is eligible."""
+    ed = _Edit(G)
+
+    def far(e: int, x: int) -> int:
+        a, b = ed.edges[e]
+        return b if a == x else a
+
     while True:
-        candidates = sorted(
-            x for x, r in G.rot.items()
-            if len(r) == 2
-            and not any(G.is_boundary(G.other_end(e, x)) for e in r)
-            and G.other_end(r[0], x) != G.other_end(r[1], x)
-        )
-        if not candidates:
-            return G
-        G = contract_degree2(G, candidates[0])
+        x = min((x for x, r in ed.rot.items()
+                 if len(r) == 2 and far(r[0], x) > 0 and far(r[1], x) > 0
+                 and far(r[0], x) != far(r[1], x)), default=None)
+        if x is None:
+            return ed.build() if len(ed.colors) < len(G.colors) else G
+        e1, e2 = ed.rot[x]
+        u, v = far(e1, x), far(e2, x)
+        del ed.colors[x], ed.rot[x], ed.edges[e1], ed.edges[e2], ed.colors[v]
+        rv = ed.rot.pop(v)
+        i = rv.index(e2)
+        spliced = rv[i + 1:] + rv[:i]
+        for e in spliced:
+            ed.reattach(e, v, u)
+        ru = ed.rot[u]
+        j = ru.index(e1)
+        ed.rot[u] = ru[:j] + spliced + ru[j + 1:]
 
 
 def _square_defect(G: PlabicGraph, face: Face) -> str | None:

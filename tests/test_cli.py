@@ -379,6 +379,26 @@ def assert_usage_error(argv, monkeypatch, capsys, stdin_text=""):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", (
+    ["plabic", "faces", "--mode", "target", "--in", "MISSING"],
+    ["le", "leify", "--in", "MISSING"],
+    ["plabic", "bridge", "--k", "2", "--n", "4", "--x", "3 4 1 2", "--out", "MISSING/x.json"],
+), ids=" ".join)
+def test_bad_file_path_exits_2(argv, tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "missing")
+    assert_usage_error([a.replace("MISSING", missing) for a in argv], monkeypatch, capsys)
+
+
+def test_plabic_move_square_ineligible_face_exits_2(monkeypatch, capsys):
+    G = plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))
+    eligible = plabic.square_eligible_labels(G)
+    face = next(lab for lab in plabic.face_labeling(G, "target").labels if lab not in eligible)
+    with pytest.raises(plabic.NotSquareEligible):
+        plabic.square_move(G, face)
+    argv = ["plabic", "move", "square", "--face", _fmt(sorted(face))]
+    assert_usage_error(argv, monkeypatch, capsys, json.dumps(plabic.to_json(G)))
+
+
 # (k, n, v, x) that are not length-additive skew pairs
 BAD_SKEW_PAIRS = (
     (2, 4, "1 2 3 4", "3 4 1 2"),  # v not in W^K_max

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -499,6 +501,185 @@ def test_ambiguous_side_is_raised_on_every_call():
     for mode in ("source", "target", "target"):
         with pytest.raises(plabic.AmbiguousSide, match="both sides of the trip 1->2"):
             plabic.face_labeling(ambiguous, mode)
+
+
+# ---------------------------------------------------------------------------
+# references: one flood fill per trip, one build per contracted vertex
+# ---------------------------------------------------------------------------
+
+def reference_trip_sides(G, fc, trip):
+    """Left ("L") or right ("R") of the trip for every interior face: the
+    faces along its darts first, then a flood fill across the edges it does
+    not use."""
+    side = {}
+
+    def put(f, s):
+        if side.get(f, s) != s:
+            raise plabic.AmbiguousSide(
+                f"face {f} lies on both sides of the trip {trip.start}->{trip.end}")
+        side[f] = s
+
+    for eid, end in trip.darts:
+        put(fc.face_of[(eid, end)], "L")
+        put(fc.face_of[(eid, 1 - end)], "R")
+    trip_edges = {d[0] for d in trip.darts}
+    adj = {f: set() for f in range(len(fc.faces))}
+    for eid in G.edges:
+        f0, f1 = fc.face_of[(eid, 0)], fc.face_of[(eid, 1)]
+        if eid not in trip_edges and f0 != f1:
+            adj[f0].add(f1)
+            adj[f1].add(f0)
+    queue = list(side)
+    while queue:
+        f = queue.pop()
+        for g in adj[f]:
+            if g not in side:
+                side[g] = side[f]
+                queue.append(g)
+            elif side[g] != side[f]:
+                raise plabic.AmbiguousSide(
+                    f"contradictory side assignment near trip {trip.start}->{trip.end}")
+    if len(side) != len(fc.faces):
+        raise plabic.PlabicError("flood fill left faces unassigned")
+    return side
+
+
+def reference_face_labeling(G, mode):
+    """Labels from one flood fill per trip: a trip marks the faces on its
+    left, a white lollipop every face."""
+    fc = plabic.faces(G)
+    labels = [set() for _ in fc.faces]
+    for trip in plabic.trips(G)[0]:
+        if trip.start == trip.end:
+            if plabic._leaf_color(G, trip.darts) == plabic.WHITE:
+                for lab in labels:
+                    lab.add(trip.start)
+            continue
+        for f, s in reference_trip_sides(G, fc, trip).items():
+            if s == "L":
+                labels[f].add(trip.start if mode == "source" else trip.end)
+    return tuple(frozenset(lab) for lab in labels)
+
+
+def reference_contract_vertex(G, x):
+    """(M2) on a copy: delete x and merge its far neighbor into its near one."""
+    e1, e2 = G.rot[x]
+    u, v = G.other_end(e1, x), G.other_end(e2, x)
+    ed = plabic._Edit(G)
+    del ed.colors[x], ed.rot[x], ed.edges[e1], ed.edges[e2], ed.colors[v]
+    rv = ed.rot.pop(v)
+    i = rv.index(e2)
+    spliced = rv[i + 1:] + rv[:i]
+    for e in spliced:
+        ed.reattach(e, v, u)
+    ru = ed.rot[u]
+    j = ru.index(e1)
+    ed.rot[u] = ru[:j] + spliced + ru[j + 1:]
+    return ed.build()
+
+
+def reference_full_contract(G):
+    """Contract the smallest eligible degree-2 vertex, build, and repeat."""
+    while True:
+        candidates = sorted(
+            x for x, r in G.rot.items()
+            if len(r) == 2
+            and not any(G.is_boundary(G.other_end(e, x)) for e in r)
+            and G.other_end(r[0], x) != G.other_end(r[1], x)
+        )
+        if not candidates:
+            return G
+        G = reference_contract_vertex(G, candidates[0])
+
+
+def reference_corpus():
+    """Graphs of seeded square-move walks with (M3) insertions, their
+    mirrors, and each of those with one internal edge doubled (most of those
+    are not reduced, and many have an ambiguous trip)."""
+    for G in square_walk_graphs(seed=11, walks=30, steps=5):
+        for H in (G, plabic.mirror(G)):
+            yield H
+            for e, (a, b) in sorted(H.edges.items()):
+                if a > 0 and b > 0:
+                    yield doubled_edge(H, e)
+
+
+def with_separate_digon(G, flipped):
+    """G with the rotations at the vertices in ``flipped`` reversed, plus a
+    digon joined to nothing.  Euler's check passes when the flips give G's
+    part genus one, and then the digon's faces lie on no side of any trip."""
+    v, e = max(G.colors) + 1, max(G.edges) + 1
+    H = plabic.PlabicGraph(
+        G.boundary_order, G.labels, {**G.colors, v: plabic.WHITE, v + 1: plabic.BLACK},
+        {**G.edges, e: (v, v + 1), e + 1: (v, v + 1)},
+        {**{w: tuple(reversed(r)) if w in flipped else r for w, r in G.rot.items()},
+         v: (e, e + 1), v + 1: (e + 1, e)})
+    H.validate()
+    return H
+
+
+def labeling_outcome(label, G, mode):
+    """The labels, or the error with the trip it names."""
+    try:
+        return label(G, mode)
+    except plabic.AmbiguousSide as exc:
+        return ("AmbiguousSide", re.search(r"trip (\d+->\d+)", str(exc)).group(1))
+    except plabic.PlabicError as exc:
+        return ("PlabicError", str(exc))
+
+
+def sweep_labels(G, mode):
+    return plabic.face_labeling(G, mode).labels
+
+
+def test_face_labeling_matches_per_trip_flood_fill():
+    outcomes = Counter()
+    for G in reference_corpus():
+        for mode in ("source", "target"):
+            got = labeling_outcome(sweep_labels, G, mode)
+            assert got == labeling_outcome(reference_face_labeling, G, mode), plabic.to_json(G)
+            outcomes[got[0] if isinstance(got[0], str) else "labels"] += 1
+    assert outcomes["labels"] >= 2000 and outcomes["AmbiguousSide"] >= 400, outcomes
+
+
+def test_face_labeling_matches_reference_on_detached_parts():
+    outcomes = Counter()
+    for k, n, x in ((2, 4, (3, 4, 1, 2)), (2, 5, (3, 5, 1, 2, 4)), (3, 6, (2, 4, 6, 1, 3, 5))):
+        G = plabic.bridge_graph(k, n, x)
+        trivalent = [v for v, r in G.rot.items() if len(r) >= 3]
+        for flipped in itertools.chain.from_iterable(
+                itertools.combinations(trivalent, r) for r in (1, 2)):
+            H = with_separate_digon(G, flipped)
+            try:
+                plabic.faces(H)
+            except plabic.PlabicError:
+                continue  # not genus one: Euler's check fails first
+            got = labeling_outcome(sweep_labels, H, "target")
+            assert got == labeling_outcome(reference_face_labeling, H, "target"), (x, flipped)
+            outcomes[got[0] if isinstance(got[0], str) else "labels"] += 1
+    assert outcomes["PlabicError"] == 5 and outcomes["AmbiguousSide"] >= 10, outcomes
+
+
+def test_full_contract_matches_one_build_per_vertex():
+    contracted = 0
+    for G in reference_corpus():
+        H, R = plabic.full_contract(G), reference_full_contract(G)
+        assert (H is G) == (R is G)
+        assert (H.colors, H.edges, H.rot) == (R.colors, R.edges, R.rot)
+        contracted += H is not G
+    assert contracted >= 400
+
+
+def test_full_contract_builds_one_graph(monkeypatch):
+    G = plabic.bridge_graph(3, 7, (3, 5, 7, 1, 2, 4, 6))
+    for e in (1, 5, 9):
+        G = plabic.insert_degree2_pair(G, e)
+    builds = []
+    real = plabic._Edit.build
+    monkeypatch.setattr(plabic._Edit, "build", lambda ed: builds.append(ed) or real(ed))
+    H = plabic.full_contract(G)
+    assert len(G.colors) - len(H.colors) >= 8  # at least four vertices contracted
+    assert len(builds) == 1
 
 
 def test_contracted_graph_is_its_own_contraction():
