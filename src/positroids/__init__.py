@@ -16,8 +16,10 @@ Subpackages are organized by object:
 - :mod:`positroids.lediag` -- oplus-diagrams, Le-moves and Le-ification.
 - :mod:`positroids.ppalg` -- composition-factor diagram modules, socle chains,
   and the endomorphism quiver of the canonical cluster-tilting module.
-"""
 
-from positroids import lediag, perm, plabic, pluecker, ppalg, seeds, shapes
+``import positroids`` loads none of them; each is loaded by its own import
+(``from positroids import seeds``, or ``from positroids import *`` for all
+seven).
+"""
 
 __all__ = ["perm", "shapes", "plabic", "seeds", "pluecker", "lediag", "ppalg"]

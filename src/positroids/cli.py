@@ -10,7 +10,12 @@ Subcommand groups mirror the library modules::
 
 Graph-consuming commands read graph JSON from ``--in`` or stdin; producers
 write JSON to ``--out`` or stdout, so commands compose under pipes.  Exit
-codes: 0 success, 1 verification failure, 2 usage or precondition error.
+codes: 0 success, 1 verification failure, 2 usage or precondition error.  A
+reader that closes the output pipe early (``| head``) is none of these: the
+command stops writing and exits 0, with nothing on stderr.
+
+Each handler imports the library modules its subcommand calls, so a command
+loads only its own group's modules (``perm`` is shared by all of them).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import os
 import random
 import sys
 
-from positroids import lediag, perm, plabic, pluecker, ppalg, seeds, shapes
+from positroids import perm
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -55,11 +60,18 @@ def parse_subset(text: str) -> frozenset[int]:
     return frozenset(int(t) for t in text.replace(",", " ").split())
 
 
-def read_graph(args) -> plabic.PlabicGraph:
+def read_input(args) -> str:
+    """The text of the ``--in`` file, or of stdin without ``--in``."""
     if getattr(args, "infile", None):
         with open(args.infile) as fh:
-            return plabic.from_json(json.load(fh))
-    return plabic.from_json(json.load(sys.stdin))
+            return fh.read()
+    return sys.stdin.read()
+
+
+def read_graph(args):
+    from positroids import plabic
+
+    return plabic.from_json(json.loads(read_input(args)))
 
 
 def write_json(data, args) -> None:
@@ -133,6 +145,8 @@ def cmd_perm(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_plabic(args) -> int:
+    from positroids import plabic
+
     if args.sub == "bridge":
         x = parse_perm(args.x, args.k, args.n)
         G = plabic.bridge_graph(args.k, args.n, x)
@@ -165,6 +179,8 @@ def cmd_plabic(args) -> int:
         write_json(plabic.to_json(H), args)
         return EXIT_OK
     if args.sub == "dualquiver":
+        from positroids import seeds
+
         seed = seeds.seed_from_graph(G, "target")
         if args.dot:
             print(seeds.seed_to_dot(seed))
@@ -179,6 +195,8 @@ def cmd_plabic(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_seed(args) -> int:
+    from positroids import seeds
+
     if args.sub == "rectangles":
         v = parse_perm(args.v, args.k, args.n)
         x = parse_perm(args.x, args.k, args.n)
@@ -186,6 +204,8 @@ def cmd_seed(args) -> int:
         write_json(seeds.seed_to_json(S), args)
         return EXIT_OK
     if args.sub == "classify":
+        from positroids import shapes
+
         lam = shapes.normalize(int(t) for t in args.lam.replace(",", " ").split())
         print(seeds.classify_mutable_shape(lam))
         return EXIT_OK
@@ -207,14 +227,25 @@ def cmd_seed(args) -> int:
     raise UsageError(f"unknown seed subcommand {args.sub!r}")
 
 
+# the walk evaluates every exchange at every sample, so its time grows with
+# --samples x --steps: on Gr(4,8), 1,000 samples x 100 steps take 17 s (one
+# CPU of a 2-CPU Xeon, Python 3.11), so a walk at both caps takes about 3 min
+_MAX_SAMPLES = 1000
+_MAX_STEPS = 1000
+
+
 def _verify_exchange(args) -> int:
     """Criterion 6 as a seeded walk: square-move the bridge graph of x,
     relabelled by v^-1, at a random eligible face; the exchange expression of
     the seed mutated at that face must equal the Pluecker coordinate of the
     face's new label at every Schubert-cell sample.  A bridge graph with no
     eligible face is a usage error, since there is nothing to check."""
-    if args.samples < 1 or args.steps < 1:
-        raise UsageError("--samples and --steps must be at least 1")
+    from positroids import plabic, pluecker, seeds
+
+    if not 1 <= args.samples <= _MAX_SAMPLES:
+        raise UsageError(f"--samples must be between 1 and {_MAX_SAMPLES}")
+    if not 1 <= args.steps <= _MAX_STEPS:
+        raise UsageError(f"--steps must be between 1 and {_MAX_STEPS}")
     rng = random.Random(args.rng_seed)
     v = parse_perm(args.v, args.k, args.n)
     x = parse_perm(args.x, args.k, args.n)
@@ -257,13 +288,14 @@ def _verify_exchange(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_le(args) -> int:
+    from positroids import lediag
+
     if args.sub == "skew":
         x = parse_perm(args.x, args.k, args.n)
         v = parse_perm(args.v, args.k, args.n)
         print(lediag.skew_oplus(args.k, args.n, x, v).render())
         return EXIT_OK
-    text = open(args.infile).read() if getattr(args, "infile", None) else sys.stdin.read()
-    O = lediag.parse(text)
+    O = lediag.parse(read_input(args))
     if args.sub == "leify":
         print(lediag.leify(O).render())
         return EXIT_OK
@@ -281,6 +313,8 @@ def cmd_le(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ppalg(args) -> int:
+    from positroids import ppalg
+
     if args.sub == "module":
         v = parse_perm(args.v, args.k, args.n)
         x = parse_perm(args.x, args.k, args.n)
@@ -289,6 +323,8 @@ def cmd_ppalg(args) -> int:
         print(M.render())
         return EXIT_OK
     if args.sub == "quiver":
+        from positroids import seeds
+
         v = parse_perm(args.v, args.k, args.n)
         x = parse_perm(args.x, args.k, args.n)
         quiver, labels = ppalg.endomorphism_quiver(args.k, args.n, v, x)
@@ -301,6 +337,10 @@ def cmd_ppalg(args) -> int:
 
 
 def _crosscheck_instance(task) -> dict:
+    # imported here too: a pool worker that does not fork starts from this
+    # module alone
+    from positroids import ppalg, shapes
+
     n, k, lam_v, lam_x = task
     v = perm.max_rep_from_image(shapes.vert_sw(lam_v, k, n), k, n)
     x = perm.grassmannian_from_image(shapes.vert_ne(lam_x, k, n), k, n)
@@ -327,8 +367,12 @@ _CROSSCHECK_MAX_N = 9
 def _ppalg_crosscheck(args) -> int:
     """Every skew pair with 2 <= n <= --n: tilting summands against region
     modules.  An --n below 2 has no pair to check, so it is a usage error."""
+    from positroids import shapes
+
     if not 2 <= args.n <= _CROSSCHECK_MAX_N:
         raise UsageError(f"--n must be between 2 and {_CROSSCHECK_MAX_N}")
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     tasks = [
         (n, k, lam_v, lam_x)
         for n in range(2, args.n + 1)
@@ -435,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--v", required=True)
     p.add_argument("--x", required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--steps", type=int, default=8)
+    p.add_argument("--samples", type=int, default=20, help=f"1 to {_MAX_SAMPLES}")
+    p.add_argument("--steps", type=int, default=8, help=f"1 to {_MAX_STEPS}")
     p.add_argument("--rng-seed", type=int, default=0)
     io(p)
     g.set_defaults(func=cmd_seed)
@@ -474,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"check every skew pair with n at most this, 2 to {_CROSSCHECK_MAX_N} "
                         "(n = 9 is 23,694 pairs, about 100 s a CPU)")
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at least 1; capped at the CPU count")
     io(p)
     g.set_defaults(func=cmd_ppalg)
 
@@ -484,11 +529,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError, plabic.PlabicError) as exc:
+        code = args.func(args)
+        # flushed here, not at interpreter exit, so a closed pipe is seen below
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has closed stdout: send what is still buffered to
+        # devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

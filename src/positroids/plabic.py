@@ -48,7 +48,7 @@ WHITE = "w"
 Dart = tuple[object, int]  # (edge id, tail end); arcs use ("arc", p) ids
 
 
-class PlabicError(Exception):
+class PlabicError(ValueError):
     pass
 
 

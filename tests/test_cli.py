@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from positroids import cli, perm, plabic, shapes
+from positroids import cli, perm, plabic, pluecker, shapes
 from positroids.cli import main
 
 RUN = [sys.executable, "-m", "positroids.cli"]
@@ -389,6 +390,18 @@ def test_bad_file_path_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert_usage_error([a.replace("MISSING", missing) for a in argv], monkeypatch, capsys)
 
 
+def test_le_leify_closes_its_input_file(tmp_path):
+    path = tmp_path / "oplus.txt"
+    path.write_text("0 +\n+ +\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", *RUN[1:], "le", "leify", "--in", str(path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    # a warning raised while the file object is collected is printed, not raised
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.strip()
+
+
 def test_plabic_move_square_ineligible_face_exits_2(monkeypatch, capsys):
     G = plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))
     eligible = plabic.square_eligible_labels(G)
@@ -443,12 +456,37 @@ def test_perm_pds_bad_input_exits_2(argv, monkeypatch, capsys):
     assert_usage_error(argv, monkeypatch, capsys)
 
 
+VERIFY_EXCHANGE = ["seed", "verify-exchange", "--k", "2", "--n", "5", "--v", "wK",
+                   "--x", "3 5 1 2 4"]
+
+
 @pytest.mark.parametrize("flag", ("--samples", "--steps"))
 @pytest.mark.parametrize("value", ("0", "-1"))
 def test_verify_exchange_needs_something_to_check(flag, value, monkeypatch, capsys):
-    argv = ["seed", "verify-exchange", "--k", "2", "--n", "5", "--v", "wK",
-            "--x", "3 5 1 2 4", flag, value]
-    assert_usage_error(argv, monkeypatch, capsys)
+    assert_usage_error(VERIFY_EXCHANGE + [flag, value], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("flags", (
+    ["--samples", str(cli._MAX_SAMPLES + 1), "--steps", "1"],
+    ["--samples", "1", "--steps", str(cli._MAX_STEPS + 1)],
+), ids=" ".join)
+def test_verify_exchange_beyond_its_caps_exits_2(flags, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("samples drawn for an out-of-range walk")
+
+    monkeypatch.setattr(pluecker, "sample_schubert_cell", no_sampling)
+    assert_usage_error(VERIFY_EXCHANGE + flags, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("flags", (
+    ["--samples", str(cli._MAX_SAMPLES), "--steps", "1"],
+    ["--samples", "1", "--steps", str(cli._MAX_STEPS)],
+), ids=" ".join)
+def test_verify_exchange_at_its_caps_runs(flags, monkeypatch, capsys):
+    code, out, _ = run_main_on(VERIFY_EXCHANGE + flags, "", monkeypatch, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["failures"] == 0 and report["checks"]
 
 
 @pytest.mark.parametrize("k, n, x", (
@@ -473,6 +511,15 @@ def test_ppalg_crosscheck_n_out_of_range_exits_2(n, monkeypatch, capsys):
 
     monkeypatch.setattr(shapes, "partitions_in_box", no_listing)
     assert_usage_error(["ppalg", "crosscheck", "--n", n], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("jobs", ("0", "-1"))
+def test_ppalg_crosscheck_jobs_below_1_exits_2(jobs, monkeypatch, capsys):
+    def no_listing(*args):
+        raise AssertionError("skew pairs listed for --jobs below 1")
+
+    monkeypatch.setattr(shapes, "partitions_in_box", no_listing)
+    assert_usage_error(["ppalg", "crosscheck", "--n", "3", "--jobs", jobs], monkeypatch, capsys)
 
 
 def test_ppalg_crosscheck_smallest_n_checks_something(monkeypatch, capsys):
@@ -573,3 +620,80 @@ def test_cli_commands_on_arbitrary_arguments(case, monkeypatch, capsys):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes the output pipe early: exit 0, nothing on stderr
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("buffered", (True, False), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("argv", (
+    # "D4\n" stays in the buffer until main flushes it
+    ["seed", "classify", "--lambda", "2 2"],
+    # about 21 kB, more than the buffer holds, so the command's own write fails
+    VERIFY_EXCHANGE + ["--samples", "1", "--steps", "400"],
+), ids=("small", "large"))
+def test_closed_output_pipe_exits_0(argv, buffered):
+    env = dict(os.environ)
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(RUN + argv, stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# ---------------------------------------------------------------------------
+# import footprint: `import positroids` loads no module, and each command
+# loads only its group's modules (checked in a fresh interpreter)
+# ---------------------------------------------------------------------------
+
+def fresh_modules(code: str, *argv: str) -> list[str]:
+    """The ``positroids.*`` modules loaded after running ``code`` in a fresh
+    interpreter, which must print nothing of its own."""
+    report = "\nprint(*sorted(m for m in sys.modules if m.startswith('positroids.')))"
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code + report, *argv],
+                          capture_output=True, text=True, timeout=300, check=True)
+    return proc.stdout.split()
+
+
+def test_import_positroids_loads_no_submodule():
+    assert fresh_modules("import positroids") == []
+
+
+def test_star_import_binds_every_module():
+    code = (
+        "from positroids import *\n"
+        "import positroids, types\n"
+        "assert all(isinstance(globals()[name], types.ModuleType) for name in positroids.__all__)"
+    )
+    names = {"perm", "shapes", "plabic", "seeds", "pluecker", "lediag", "ppalg"}
+    assert set(fresh_modules(code)) == {f"positroids.{name}" for name in names}
+
+
+RUN_QUIETLY = (
+    "import contextlib, io\n"
+    "from positroids.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert main(sys.argv[1:]) == 0"
+)
+
+
+@pytest.mark.parametrize("argv, modules", (
+    (["perm", "necklace", "--pi", "3 5 1 2 4"], "perm"),
+    (["plabic", "bridge", "--k", "2", "--n", "5", "--x", "3 5 1 2 4"], "perm plabic shapes"),
+    (["seed", "classify", "--lambda", "2 2"], "perm pluecker seeds shapes"),
+    (["le", "skew", "--k", "4", "--n", "8", "--x", "1 2 4 7 3 5 6 8",
+      "--v", "4 3 8 2 7 6 1 5"], "lediag perm shapes"),
+    (["ppalg", "module", "--k", "3", "--n", "7", "--v", "3 2 7 1 6 5 4",
+      "--x", "3 6 7 1 2 4 5", "--j", "14"], "perm ppalg shapes"),
+), ids=("perm", "plabic", "seed", "le", "ppalg"))
+def test_each_command_loads_only_its_modules(argv, modules):
+    want = ["positroids.cli"] + [f"positroids.{m}" for m in modules.split()]
+    assert fresh_modules(RUN_QUIETLY, *argv) == sorted(want)
