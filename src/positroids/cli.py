@@ -144,10 +144,23 @@ def cmd_perm(args) -> int:
 # plabic subcommands
 # ---------------------------------------------------------------------------
 
+# a bridge graph on [n] has up to n^2/4 + 1 faces (k = n/2, full shape);
+# building one takes 0.05 s at n = 16, 0.11 s at n = 20 and 0.25 s at n = 24,
+# growing about as n^5 (one CPU of a 2-CPU Xeon, Python 3.11), and `seed
+# verify-exchange` with its default samples and steps takes 0.6 s at n = 24
+_MAX_BRIDGE_N = 24
+
+
+def check_bridge_n(n: int) -> None:
+    if n > _MAX_BRIDGE_N:
+        raise UsageError(f"--n must be at most {_MAX_BRIDGE_N} for a bridge graph")
+
+
 def cmd_plabic(args) -> int:
     from positroids import plabic
 
     if args.sub == "bridge":
+        check_bridge_n(args.n)
         x = parse_perm(args.x, args.k, args.n)
         G = plabic.bridge_graph(args.k, args.n, x)
         write_json(plabic.to_json(G), args)
@@ -227,9 +240,11 @@ def cmd_seed(args) -> int:
     raise UsageError(f"unknown seed subcommand {args.sub!r}")
 
 
-# the walk evaluates every exchange at every sample, so its time grows with
-# --samples x --steps: on Gr(4,8), 1,000 samples x 100 steps take 17 s (one
-# CPU of a 2-CPU Xeon, Python 3.11), so a walk at both caps takes about 3 min
+# the walk evaluates every exchange at every sample, and each sample keeps the
+# minors it was asked, so time and memory grow with --samples x --steps (one
+# CPU of a 2-CPU Xeon, Python 3.11): on Gr(4,8), 1,000 samples x 1,000 steps
+# take 25 s and peak at 28 MB; on Gr(8,16) 53 s and 64 MB; on Gr(12,24),
+# 1,000 samples x 100 steps take 29 s and peak at 52 MB
 _MAX_SAMPLES = 1000
 _MAX_STEPS = 1000
 
@@ -246,6 +261,7 @@ def _verify_exchange(args) -> int:
         raise UsageError(f"--samples must be between 1 and {_MAX_SAMPLES}")
     if not 1 <= args.steps <= _MAX_STEPS:
         raise UsageError(f"--steps must be between 1 and {_MAX_STEPS}")
+    check_bridge_n(args.n)
     rng = random.Random(args.rng_seed)
     v = parse_perm(args.v, args.k, args.n)
     x = parse_perm(args.x, args.k, args.n)
@@ -435,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = g.add_subparsers(dest="sub", required=True)
     p = sub.add_parser("bridge")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"at most {_MAX_BRIDGE_N}")
     p.add_argument("--x", required=True)
     io(p)
     for name in ("trips", "mirror"):
@@ -476,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     io(p)
     p = sub.add_parser("verify-exchange")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"at most {_MAX_BRIDGE_N}")
     p.add_argument("--v", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--samples", type=int, default=20, help=f"1 to {_MAX_SAMPLES}")

@@ -7,6 +7,11 @@ Matrix entries are ``fractions.Fraction`` (or ``int``) and every minor is
 returned as a ``Fraction``.  A minor whose entries are all integers, as every
 Schubert-cell sample's are, is eliminated on Python ints with exact division;
 any other minor is eliminated over ``Fraction``.
+
+A :class:`Matrix` keeps its maximal minors: :func:`plucker` computes each
+column set's minor once per matrix and answers later calls from the matrix's
+table, so a sample evaluated at many steps pays once per column set.  The
+table lives and dies with its matrix; there is no module-level memo.
 """
 
 from __future__ import annotations
@@ -17,15 +22,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
 # draws of sample_schubert_cell before it gives up on its nonvanishing
 # requirements
 SAMPLE_TRIES = 200
 
 
+class Matrix(tuple):
+    """A ``k x n`` matrix: a tuple of row tuples that keeps its maximal minors.
+
+    ``minors`` maps each column set (a frozenset of 1-based columns) already
+    asked of :func:`plucker` to its minor, so it holds at most C(n, k)
+    entries.  Rows are stored as tuples, so the matrix cannot change under its
+    table.  Equality and hashing are those of the plain tuple of rows.
+
+    >>> M = Matrix([[1, 0, 2], [0, 1, 3]])
+    >>> M == ((1, 0, 2), (0, 1, 3)), plucker(M, {2, 3}), M.minors
+    (True, Fraction(-2, 1), {frozenset({2, 3}): Fraction(-2, 1)})
+    """
+
+    minors: dict[frozenset[int], Fraction]
+
+    def __new__(cls, rows: Iterable[Iterable]) -> Matrix:
+        self = super().__new__(cls, map(tuple, rows))
+        self.minors = {}
+        return self
+
+
 def matrix(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return Matrix((Fraction(x) for x in row) for row in rows)
 
 
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -76,16 +100,26 @@ def _bareiss(m: list[list], prev, div) -> Fraction | int:
     return sign * m[size - 1][size - 1]
 
 
-def plucker(M: Matrix, I: Iterable[int]) -> Fraction:
+def plucker(M: Sequence[Sequence[Fraction]], I: Iterable[int]) -> Fraction:
     """Maximal minor in the column set I (1-based columns).
+
+    A :class:`Matrix` answers from its table of minors and computes only a
+    column set it has not been asked before; any other row sequence computes
+    the minor every time.
 
     >>> plucker(matrix([[1, 0, -1, -2], [0, 1, 3, 1]]), {3, 4})
     Fraction(5, 1)
     """
-    cols = sorted(I)
-    if len(cols) != len(M):
-        raise ValueError(f"need {len(M)} columns, got {cols}")
-    return determinant([[row[c - 1] for c in cols] for row in M])
+    key = frozenset(I)
+    table = M.minors if isinstance(M, Matrix) else {}
+    value = table.get(key)
+    if value is None:
+        cols = sorted(key)
+        n = len(M[0]) if M else 0
+        if len(cols) != len(M) or cols and not 1 <= cols[0] <= cols[-1] <= n:
+            raise ValueError(f"need {len(M)} distinct columns in 1..{n}, got {cols}")
+        value = table[key] = determinant([[row[c - 1] for c in cols] for row in M])
+    return value
 
 
 def three_term_check(M: Matrix, R: Iterable[int], quad: Sequence[int]) -> bool:
@@ -155,8 +189,8 @@ def sample_schubert_cell(
                     while val == 0:
                         val = rng.randint(-10**6, 10**6)
                     row[c - 1] = Fraction(val)
-            rows.append(tuple(row))
-        M = tuple(rows)
+            rows.append(row)
+        M = Matrix(rows)
         if all(plucker(M, s) != 0 for s in required):
             return SamplePoint(M, frozenset(pivots))
     raise RuntimeError(f"no sample with the required nonvanishing coordinates in {SAMPLE_TRIES} tries")

@@ -264,9 +264,12 @@ class ClusterExpression:
     """Base class; subclasses are Pluecker symbols and exchange quotients.
 
     ``evaluate(M, memo)`` computes the value at the sample point M exactly.
-    ``memo`` belongs to that one sample: Pluecker values are kept under their
-    column set and exchange quotients under ``id()``, so shared subexpressions
-    are evaluated once.  A memo must not outlive the expressions it holds."""
+    Pluecker values are read through :func:`pluecker.plucker`, so a
+    :class:`pluecker.Matrix` computes each minor once over its whole life.
+    ``memo`` belongs to one sample and one call and holds only exchange
+    quotients, under ``id()``, so shared subexpressions are evaluated once.  A
+    memo must not outlive the expressions it holds, which is why quotients are
+    never kept on the matrix."""
 
     def evaluate(self, M: Matrix, memo: dict) -> Fraction:
         raise NotImplementedError
@@ -277,9 +280,7 @@ class PluckerSymbol(ClusterExpression):
     columns: frozenset[int]
 
     def evaluate(self, M: Matrix, memo: dict) -> Fraction:
-        if self.columns not in memo:
-            memo[self.columns] = pluecker.plucker(M, self.columns)
-        return memo[self.columns]
+        return pluecker.plucker(M, self.columns)
 
     def __repr__(self) -> str:
         return "D" + "".join(str(c) for c in sorted(self.columns))
@@ -319,7 +320,9 @@ def expressions_agree(
     """Exact agreement at every sample point (probabilistic identity testing:
     for honest Laurent expressions a false positive needs every sample to hit
     a hypersurface, which has vanishing probability over the integer box).
-    Each sample gets its own memo, shared by a and b."""
+    Each sample gets its own memo of exchange quotients, shared by a and b and
+    dropped when the call returns; Pluecker values are kept by the sample
+    matrix itself (:class:`pluecker.Matrix`)."""
     for M in samples:
         memo: dict = {}
         if a.evaluate(M, memo) != b.evaluate(M, memo):

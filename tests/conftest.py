@@ -1,5 +1,6 @@
 """Shared fixtures: hand-built golden graphs with known trips, labels and
-quivers, plus samplers for length-additive pairs."""
+quivers, samplers for length-additive pairs, and a counter of the minors
+computed."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import random
 
 import pytest
 
-from positroids import perm, plabic, shapes
+from positroids import perm, plabic, pluecker, shapes
 
 
 def golden_gr25_graph() -> plabic.PlabicGraph:
@@ -60,6 +61,20 @@ def golden_gr37_graph() -> plabic.PlabicGraph:
     G = plabic.PlabicGraph(boundary, labels, colors, edges, rot)
     G.validate()
     return G
+
+
+@pytest.fixture
+def count_determinants(monkeypatch):
+    """Count the calls of ``pluecker.determinant`` from here on."""
+    calls = []
+    determinant = pluecker.determinant
+
+    def counted(rows):
+        calls.append(rows)
+        return determinant(rows)
+
+    monkeypatch.setattr(pluecker, "determinant", counted)
+    return calls
 
 
 @pytest.fixture

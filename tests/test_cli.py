@@ -501,6 +501,47 @@ def test_verify_exchange_without_an_eligible_face_exits_2(k, n, x, monkeypatch, 
     assert_usage_error(argv, monkeypatch, capsys)
 
 
+def bridge_argv(command, n):
+    """argv of ``command`` on the bridge graph of the full k x (n - k) shape,
+    k = n // 2: the largest bridge graph on [n]."""
+    k = n // 2
+    x = perm.grassmannian_from_image(shapes.vert_ne((n - k,) * k, k, n), k, n)
+    argv = command + ["--k", str(k), "--n", str(n), "--x", _fmt(x)]
+    if command[0] == "seed":
+        argv += ["--v", "wK", "--samples", "1", "--steps", "1"]
+    return argv
+
+
+BRIDGE_COMMANDS = (["plabic", "bridge"], ["seed", "verify-exchange"])
+
+
+@pytest.mark.parametrize("command", BRIDGE_COMMANDS, ids=" ".join)
+def test_bridge_beyond_its_cap_exits_2(command, monkeypatch, capsys):
+    def no_building(*args, **kwargs):
+        raise AssertionError("bridge graph built beyond the cap")
+
+    monkeypatch.setattr(plabic, "bridge_graph", no_building)
+    monkeypatch.setattr(pluecker, "sample_schubert_cell", no_building)
+    assert_usage_error(bridge_argv(command, cli._MAX_BRIDGE_N + 1), monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", BRIDGE_COMMANDS, ids=" ".join)
+def test_bridge_at_its_cap_runs(command, monkeypatch, capsys):
+    code, out, _ = run_main_on(bridge_argv(command, cli._MAX_BRIDGE_N), "", monkeypatch, capsys)
+    assert code == 0
+    data = json.loads(out)
+    if command[0] == "plabic":
+        assert data["n"] == cli._MAX_BRIDGE_N
+    else:
+        assert data["failures"] == 0 and data["checks"]
+
+
+def test_bridge_cap_is_in_the_help():
+    for command in BRIDGE_COMMANDS:
+        code, out, _ = run_cli(command + ["--help"])
+        assert code == 0 and f"at most {cli._MAX_BRIDGE_N}" in out
+
+
 @pytest.mark.parametrize("n", ("1", "0", "-3", "10", "100"))
 def test_ppalg_crosscheck_n_out_of_range_exits_2(n, monkeypatch, capsys):
     # below 2 there is no skew pair to check; at n = 10 the pair list alone

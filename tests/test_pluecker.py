@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -33,6 +35,66 @@ def test_plucker_size_mismatch():
     M = pluecker.matrix([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         pluecker.plucker(M, {1})
+
+
+@pytest.mark.parametrize("cols", ({0, 1}, {2, 3}, [1, 1]))
+def test_plucker_rejects_columns_outside_the_matrix(cols):
+    # column 0 would index the last column, column 3 is past the end, and a
+    # repeated column is not a 2-subset; none of them may enter the table
+    for M in (pluecker.matrix([[1, 0], [0, 1]]), ((1, 0), (0, 1))):
+        with pytest.raises(ValueError):
+            pluecker.plucker(M, cols)
+        assert getattr(M, "minors", {}) == {}
+
+
+@pytest.mark.parametrize("k, n, seed", ((3, 7, 2), (4, 8, 3)))
+def test_matrix_table_matches_fresh_determinants(k, n, seed, count_determinants):
+    rng = random.Random(seed)
+    pt = pluecker.sample_schubert_cell(k, n, sorted(rng.sample(range(1, n + 1), k)), rng)
+    M = pt.matrix
+    assert isinstance(M, pluecker.Matrix)
+    subsets = [frozenset(c) for c in itertools.combinations(range(1, n + 1), k)]
+    rng.shuffle(subsets)
+    fresh = {
+        I: pluecker.determinant([[row[c - 1] for c in sorted(I)] for row in M])
+        for I in subsets
+    }
+    count_determinants.clear()
+    for I in subsets + subsets[::-1]:
+        assert pluecker.plucker(M, I) == fresh[I]
+        assert pluecker.plucker(M, sorted(I)) == fresh[I]
+    # one determinant per column set, however often and in whatever form asked
+    assert len(count_determinants) == len(subsets)
+    assert M.minors == fresh
+    assert len(M.minors) == math.comb(n, k)
+
+
+def test_matrix_stores_tuple_rows_and_compares_as_a_tuple():
+    rows = [[1, 2, 3], [4, 5, 6]]
+    M = pluecker.Matrix(rows)
+    assert all(type(row) is tuple for row in M)
+    rows[0][0] = 7  # the matrix keeps its own rows
+    plain = ((1, 2, 3), (4, 5, 6))
+    assert M == plain and plain == M
+    assert hash(M) == hash(plain)
+    assert {plain: "x"}[M] == "x"
+    assert repr(M) == repr(plain)
+    assert M.minors == {}
+    assert pluecker.matrix(rows) == ((7, 2, 3), (4, 5, 6))
+    assert type(pluecker.matrix(rows)) is pluecker.Matrix
+
+
+def test_plain_tuple_matrix_keeps_nothing(count_determinants):
+    M = pluecker.matrix([[1, 0, -1, -2], [0, 1, 3, 1]])
+    plain = tuple(M)
+    assert type(plain) is tuple
+    subsets = [frozenset(c) for c in itertools.combinations(range(1, 5), 2)]
+    for _ in range(2):
+        for I in subsets:
+            assert pluecker.plucker(plain, I) == pluecker.plucker(M, I)
+    # the plain tuple computes every time, the Matrix once per column set
+    assert len(count_determinants) == 2 * len(subsets) + len(subsets)
+    assert not hasattr(plain, "minors")
 
 
 def test_determinant_rejects_non_square_input():

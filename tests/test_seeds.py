@@ -61,7 +61,7 @@ def test_mutate_seed_involution_numeric():
 
 
 def test_expressions_agree_checks_every_sample():
-    # D12 and D13 agree at the first sample only; each sample has its own memo
+    # D12 and D13 agree at the first sample only; each sample keeps its own minors
     d12, d13 = seeds.PluckerSymbol(frozenset({1, 2})), seeds.PluckerSymbol(frozenset({1, 3}))
     ratio = seeds.ExchangeExpr((d12,), (d13,), d12)
     first = pluecker.matrix([[1, 0, 0], [0, 1, 1]])
@@ -70,6 +70,106 @@ def test_expressions_agree_checks_every_sample():
     assert not seeds.expressions_agree(d12, d13, [first, second])
     assert seeds.expressions_agree(ratio, seeds.ExchangeExpr((d13,), (d12,), d12), [first, second])
     assert not seeds.expressions_agree(ratio, seeds.ExchangeExpr((d12,), (d12,), d12), [first, second])
+
+
+def walk_instance(k, n, lam, rng, count=5):
+    """Samples of the Schubert cell and the relabelled bridge graph of the
+    skew pair of shape lam, as the exchange walk builds them."""
+    v = perm.max_rep_from_image(shapes.vert_sw(lam, k, n), k, n)
+    x = perm.grassmannian_from_image(shapes.vert_ne(lam, k, n), k, n)
+    vi = perm.inverse(v)
+    necklace = perm.grassmann_necklace(perm.positroid_decoration(v, perm.multiply(x, v), k))
+    samples = [
+        pluecker.sample_schubert_cell(k, n, frozenset(vi[:k]), rng, require_nonzero=necklace).matrix
+        for _ in range(count)
+    ]
+    return samples, plabic.relabel_boundary(plabic.bridge_graph(k, n, x), vi)
+
+
+def plucker_columns(expr, seen=None) -> set:
+    """Column sets of the Pluecker symbols in an expression DAG."""
+    seen = set() if seen is None else seen
+    if isinstance(expr, seeds.PluckerSymbol):
+        return {expr.columns}
+    if id(expr) in seen:
+        return set()
+    seen.add(id(expr))
+    out = set()
+    for f in (*expr.out_factors, *expr.in_factors, expr.divisor):
+        out |= plucker_columns(f, seen)
+    return out
+
+
+def test_expressions_agree_again_computes_no_determinant(count_determinants):
+    rng = random.Random(21)
+    samples, G = walk_instance(3, 7, (4, 3, 2), rng)
+    S = seeds.seed_from_graph(G, "target")
+    q = plabic.square_eligible_labels(G)[0]
+    (new,) = set(plabic.face_labeling(plabic.square_move(G, q), "target").labels) - set(S.labels)
+    expr, target = seeds.mutate_seed(S, q).labels[q], seeds.PluckerSymbol(new)
+    count_determinants.clear()
+    assert seeds.expressions_agree(expr, target, samples)
+    first = len(count_determinants)
+    assert 0 < first <= len(samples) * len(plucker_columns(expr) | {new})
+    assert seeds.expressions_agree(expr, target, samples)
+    assert len(count_determinants) == first
+
+
+@pytest.mark.parametrize("k, n, lam", ((3, 7, (4, 3, 2)), (4, 8, (4, 4, 4, 4))))
+def test_walk_step_computes_each_new_minor_once(k, n, lam, count_determinants):
+    rng = random.Random(8)
+    samples, G = walk_instance(k, n, lam, rng)
+    asked = set()  # (sample, column set) pairs evaluated by earlier steps
+    evaluated = computed = 0
+    for _ in range(25):
+        eligible = plabic.square_eligible_labels(G)
+        q = eligible[rng.randrange(len(eligible))]
+        S = seeds.seed_from_graph(G, "target")
+        expr = seeds.mutate_seed(S, q).labels[q]
+        G = plabic.square_move(G, q)
+        (new,) = set(plabic.face_labeling(G, "target").labels) - set(S.labels)
+        pairs = {(i, c) for i in range(len(samples)) for c in plucker_columns(expr) | {new}}
+        before = len(count_determinants)
+        assert seeds.expressions_agree(expr, seeds.PluckerSymbol(new), samples)
+        step = len(count_determinants) - before
+        assert step <= len(pairs - asked)
+        asked |= pairs
+        evaluated += len(pairs)
+        computed += step
+    # the samples were asked far more minors than they computed
+    assert 0 < computed <= len(asked) < evaluated
+
+
+class CountedExpr(seeds.ClusterExpression):
+    """Evaluates ``inner`` and counts the evaluations."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def evaluate(self, M, memo):
+        self.calls += 1
+        return self.inner.evaluate(M, memo)
+
+
+def test_exchange_quotients_never_carry_over_between_calls():
+    d12, d13, d23 = (seeds.PluckerSymbol(frozenset(c)) for c in ({1, 2}, {1, 3}, {2, 3}))
+    rng = random.Random(5)
+    samples = [pluecker.sample_schubert_cell(2, 4, {1, 2}, rng).matrix for _ in range(6)]
+    spy = CountedExpr(d13)
+    quotient = seeds.ExchangeExpr((spy,), (d12,), d23)
+    # within a call the quotient is evaluated once per sample and shared by
+    # both sides; a second call evaluates it afresh
+    assert seeds.expressions_agree(quotient, quotient, samples)
+    assert spy.calls == len(samples)
+    assert seeds.expressions_agree(quotient, quotient, samples)
+    assert spy.calls == 2 * len(samples)
+    # quotients built and dropped one after another reuse id()s; a value kept
+    # under a stale id would answer for the next quotient
+    # (D12 = 1 at these samples, so the powers are taken of D13)
+    for j in range(1, 30):
+        a = seeds.ExchangeExpr((d13,) * j, (d12,), d23)
+        assert seeds.expressions_agree(a, seeds.ExchangeExpr((d12,), (d13,) * j, d23), samples)
+        assert not seeds.expressions_agree(a, seeds.ExchangeExpr((d13,) * (j + 1), (d12,), d23), samples)
 
 
 def test_square_move_label_is_plucker():
