@@ -71,11 +71,16 @@ def apply_word(word: Iterable[int], n: int) -> Permutation:
     >>> apply_word((2, 1, 3, 2, 4), 5)
     (3, 5, 1, 2, 4)
     """
-    w = list(identity(n))
+    # left multiplication by s_i swaps the values i, i+1, that is, their
+    # positions: pos[m - 1] is the 0-based position of the value m
+    pos = list(range(n))
     for i in word:
-        # left multiplication by s_i swaps the values i, i+1
-        p, q = w.index(i), w.index(i + 1)
-        w[p], w[q] = w[q], w[p]
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"letter {i} is not a generator of S_{n}")
+        pos[i - 1], pos[i] = pos[i], pos[i - 1]
+    w = [0] * n
+    for m, p in enumerate(pos, start=1):
+        w[p] = m
     return tuple(w)
 
 

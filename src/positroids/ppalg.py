@@ -28,9 +28,6 @@ class DiagramModule:
             if not 1 <= i <= self.n - 1:
                 raise ValueError(f"vertex {i} outside [1, {self.n - 1}]")
 
-    def dimension(self) -> int:
-        return len(self.cells)
-
     def dimension_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.n - 1)
         for i, _ in self.cells:
@@ -41,15 +38,12 @@ class DiagramModule:
         i, t = cell
         return tuple(c for c in ((i - 1, t - 1), (i + 1, t - 1)) if c in self.cells)
 
-    def above(self, cell: Cell) -> tuple[Cell, ...]:
-        i, t = cell
-        return tuple(c for c in ((i - 1, t + 1), (i + 1, t + 1)) if c in self.cells)
-
-    def top(self) -> frozenset[Cell]:
-        return frozenset(c for c in self.cells if not self.above(c))
-
     def socle(self) -> frozenset[Cell]:
-        return frozenset(c for c in self.cells if not self.below(c))
+        cells = self.cells
+        return frozenset(
+            (i, t) for i, t in cells
+            if (i - 1, t - 1) not in cells and (i + 1, t - 1) not in cells
+        )
 
     def normalized(self) -> "DiagramModule":
         """Shift levels so the minimum is 0 (modules agree up to translation)."""
@@ -57,19 +51,6 @@ class DiagramModule:
             return self
         lo = min(t for _, t in self.cells)
         return DiagramModule(self.n, frozenset((i, t - lo) for i, t in self.cells))
-
-    def is_connected(self) -> bool:
-        if not self.cells:
-            return True
-        seen = {next(iter(self.cells))}
-        queue = list(seen)
-        while queue:
-            c = queue.pop()
-            for d in self.below(c) + self.above(c):
-                if d not in seen:
-                    seen.add(d)
-                    queue.append(d)
-        return len(seen) == len(self.cells)
 
     def render(self) -> str:
         """Staggered text diagram in the style of composition-factor pictures."""
@@ -89,10 +70,6 @@ class DiagramModule:
 
 def module(n: int, cells: Iterable[Cell]) -> DiagramModule:
     return DiagramModule(n, frozenset(cells))
-
-
-def zero_module(n: int) -> DiagramModule:
-    return DiagramModule(n, frozenset())
 
 
 def injective(n: int, i: int) -> DiagramModule:
@@ -116,45 +93,62 @@ def injective(n: int, i: int) -> DiagramModule:
 # Functors
 # ---------------------------------------------------------------------------
 
-def functor_E(M: DiagramModule, i: int) -> DiagramModule:
-    """Remove every top cell at vertex i (kernel of the surjection onto the
-    S_i-isotypical top)."""
-    doomed = {c for c in M.top() if c[0] == i}
-    return DiagramModule(M.n, M.cells - doomed)
-
-
-def functor_E_dagger(M: DiagramModule, i: int) -> DiagramModule:
-    """Remove every socle cell at vertex i."""
-    doomed = {c for c in M.socle() if c[0] == i}
-    return DiagramModule(M.n, M.cells - doomed)
-
-
-def functor_E_word(M: DiagramModule, word: Sequence[int]) -> DiagramModule:
-    for i in word:
-        M = functor_E(M, i)
-    return M
-
-
 def functor_E_dagger_word(M: DiagramModule, word: Sequence[int]) -> DiagramModule:
+    """Apply E-dagger letter by letter: letter i removes every socle cell at
+    vertex i.
+
+    The socle is computed once.  Removing cells changes only what lies below
+    the cells directly above them, so after letter i removes the socle cells
+    ``(i, t)`` the only new socle cells are those among ``(i +- 1, t + 1)``
+    with nothing left below them.  This holds for any cell set.
+    """
+    n = M.n
+    cells = set(M.cells)
+    socle_at: list[list[int]] = [[] for _ in range(n)]  # vertex -> socle levels
+    for i, t in M.socle():
+        socle_at[i].append(t)
     for i in word:
-        M = functor_E_dagger(M, i)
-    return M
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"letter {i} outside [1, {n - 1}]")
+        doomed, socle_at[i] = socle_at[i], []
+        cells.difference_update((i, t) for t in doomed)
+        for t in doomed:
+            for a in (i - 1, i + 1):
+                if (
+                    (a, t + 1) in cells
+                    and (a - 1, t) not in cells
+                    and (a + 1, t) not in cells
+                ):
+                    socle_at[a].append(t + 1)
+    return DiagramModule(n, frozenset(cells))
 
 
 def soc_chain(ambient: DiagramModule, word: Sequence[int]) -> DiagramModule:
     """Iterated socle construction inside ``ambient``: reading the word in
     application order, each letter p adjoins every ambient cell at vertex p
-    whose lower neighbors are already present."""
+    whose lower neighbors are already present.
+
+    The ambient cells are grouped by vertex once, and each letter looks only
+    at the cells of its vertex not adjoined yet."""
+    n = ambient.n
+    cells = ambient.cells
+    pending: list[list[int]] = [[] for _ in range(n)]  # vertex -> levels left
+    for i, t in cells:
+        pending[i].append(t)
     included: set[Cell] = set()
     for p in word:
-        if not 1 <= p <= ambient.n - 1:
-            raise ValueError(f"letter {p} outside [1, {ambient.n - 1}]")
-        added = {
-            c for c in ambient.cells
-            if c[0] == p and c not in included and set(ambient.below(c)) <= included
-        }
-        included |= added
-    return DiagramModule(ambient.n, frozenset(included))
+        if not 1 <= p <= n - 1:
+            raise ValueError(f"letter {p} outside [1, {n - 1}]")
+        left = []
+        for t in pending[p]:
+            # a cell's lower neighbors are the ambient cells among these two
+            a, b = (p - 1, t - 1), (p + 1, t - 1)
+            if (a in included or a not in cells) and (b in included or b not in cells):
+                included.add((p, t))
+            else:
+                left.append(t)
+        pending[p] = left
+    return DiagramModule(n, frozenset(included))
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +173,21 @@ def tilting_summand(
     k: int, n: int, v: Permutation, w_word: Sequence[int], j: int
 ) -> DiagramModule:
     """The summand U_j built from the injective Q_{i_j}: first the socle chain
-    along ``w_(j)^{-1}``, then socle removal along ``v_(j)^{-1}``."""
+    along ``w_(j)^{-1}``, then socle removal along ``v_(j)^{-1}``.
+
+    ``k`` does not enter the construction; it stays so that every summand
+    function takes the same ``(k, n, v, w_word, j)`` arguments, which the CLI,
+    the demos, the acceptance criteria and the benchmark workloads pass
+    positionally."""
     pds = permmod.positive_distinguished_subexpression(v, w_word)
     if j in pds:
         raise ValueError(f"position {j} belongs to the subexpression for v")
-    i_j, _, _, v_letters = word_prefix_data(v, w_word, j)
-    V_j = soc_chain(injective(n, i_j), tuple(reversed(w_word[:j])))
-    return functor_E_dagger_word(V_j, tuple(reversed(v_letters)))
-
-
-def tilting_presummand(
-    k: int, n: int, v: Permutation, w_word: Sequence[int], j: int
-) -> DiagramModule:
-    """V_j, the socle-chain stage before socle removal."""
-    i_j, _, _, _ = word_prefix_data(v, w_word, j)
-    return soc_chain(injective(n, i_j), tuple(reversed(w_word[:j])))
+    if not 1 <= j <= len(w_word):
+        raise ValueError(f"position {j} outside the word")
+    V_j = soc_chain(injective(n, w_word[j - 1]), tuple(reversed(w_word[:j])))
+    # v_(j)^{-1}: the PDS letters before position j, last first
+    v_letters = tuple(w_word[p - 1] for p in range(j - 1, 0, -1) if p in pds)
+    return functor_E_dagger_word(V_j, v_letters)
 
 
 def region_module(k: int, n: int, v: Permutation, P: Iterable[int]) -> DiagramModule:

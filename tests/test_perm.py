@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,24 @@ def test_multiply_columnar_product_s5():
     word = perm.columnar_expression((3, 5, 1, 2, 4), 2)
     assert tuple(reversed(word)) == (4, 2, 3, 1, 2)  # product order s4 s2 s3 s1 s2
     assert perm.apply_word(word, 5) == (3, 5, 1, 2, 4)
+
+
+def test_apply_word_matches_product_of_simple_reflections():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        word = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 30))]
+        w = perm.identity(n)
+        for i in word:
+            w = perm.multiply(perm.simple_reflection(i, n), w)
+        assert perm.apply_word(word, n) == w
+        assert perm.apply_word(iter(word), n) == w
+
+
+@pytest.mark.parametrize("bad", [0, -1, 5, 6])
+def test_apply_word_rejects_non_generators(bad):
+    with pytest.raises(ValueError, match=f"letter {bad} is not a generator of S_5"):
+        perm.apply_word((1, bad), 5)
 
 
 def test_multiply_size_mismatch():

@@ -1,7 +1,10 @@
 import random
 from itertools import permutations as iter_perms
 
+import pytest
+
 from positroids import perm, ppalg, seeds, shapes
+from conftest import skew_pairs
 
 
 RUNNING_WORD = (3, 4, 5, 6, 4, 5, 4, 1, 2, 1, 3, 2, 1, 4, 3, 2, 5, 4, 6, 5)
@@ -11,6 +14,29 @@ def running_pair():
     k, n = 3, 7
     v = perm.multiply(perm.parabolic_longest(k, n), perm.simple_reflection(3, n))
     return k, n, v
+
+
+def top_vertices(M):
+    """Vertices of the cells with no cell of M above them."""
+    return {
+        i for i, t in M.cells
+        if (i - 1, t + 1) not in M.cells and (i + 1, t + 1) not in M.cells
+    }
+
+
+def is_connected(M):
+    """Whether the cells of M form one piece under the cover relation."""
+    if not M.cells:
+        return True
+    seen = {next(iter(M.cells))}
+    queue = list(seen)
+    while queue:
+        i, t = queue.pop()
+        for d in ((i - 1, t - 1), (i + 1, t - 1), (i - 1, t + 1), (i + 1, t + 1)):
+            if d in M.cells and d not in seen:
+                seen.add(d)
+                queue.append(d)
+    return len(seen) == len(M.cells)
 
 
 def cells(*rows):
@@ -25,16 +51,16 @@ def cells(*rows):
 def test_injective_q1():
     Q1 = ppalg.injective(6, 1)
     assert Q1.dimension_vector() == (1, 1, 1, 1, 1)
-    assert {i for i, _ in Q1.top()} == {5}
+    assert top_vertices(Q1) == {5}
     assert {i for i, _ in Q1.socle()} == {1}
 
 
 def test_injective_q2():
     Q2 = ppalg.injective(6, 2)
-    assert Q2.dimension() == 8
+    assert len(Q2.cells) == 8
     assert Q2.dimension_vector() == (1, 2, 2, 2, 1)
     assert {i for i, _ in Q2.socle()} == {2}
-    assert {i for i, _ in Q2.top()} == {4}
+    assert top_vertices(Q2) == {4}
 
 
 def test_injective_corners():
@@ -42,25 +68,25 @@ def test_injective_corners():
         for i in range(1, n):
             Qi = ppalg.injective(n, i)
             assert {v for v, _ in Qi.socle()} == {i}
-            assert {v for v, _ in Qi.top()} == {n - i}
+            assert top_vertices(Qi) == {n - i}
 
 
 def test_functor_E_on_zero():
-    z = ppalg.zero_module(6)
-    assert ppalg.functor_E(z, 3) == z
-    assert ppalg.functor_E_dagger(z, 3) == z
+    z = ppalg.module(6, ())
+    assert ppalg.functor_E_dagger_word(z, (3,)) == z
+    assert ppalg.functor_E_dagger_word(z, (1, 2, 3, 4, 5)) == z
 
 
 def test_functor_E_dimension_bookkeeping():
     M = ppalg.injective(6, 3)
-    top_vertex = next(iter(M.top()))[0]
-    removed = ppalg.functor_E(M, top_vertex)
-    mult = sum(1 for c in M.top() if c[0] == top_vertex)
-    assert removed.dimension() == M.dimension() - mult
+    socle_vertex = next(iter(M.socle()))[0]
+    removed = ppalg.functor_E_dagger_word(M, (socle_vertex,))
+    mult = sum(1 for c in M.socle() if c[0] == socle_vertex)
+    assert len(removed.cells) == len(M.cells) - mult
 
 
 def test_functor_E_word_independent():
-    # E_w independent of the reduced word, all reduced words, l(w) <= 5
+    # E-dagger_w independent of the reduced word, all reduced words, l(w) <= 5
     n = 5
     for images in iter_perms(range(1, n + 1)):
         w = tuple(images)
@@ -69,8 +95,6 @@ def test_functor_E_word_independent():
         words = _all_reduced_words(w)
         for i in range(1, n):
             M = ppalg.injective(n, i)
-            results = {ppalg.functor_E_word(M, word).cells for word in words}
-            assert len(results) == 1
             results = {ppalg.functor_E_dagger_word(M, word).cells for word in words}
             assert len(results) == 1
 
@@ -103,7 +127,9 @@ def test_soc_chain_saturates():
 
 def test_v14_build_up():
     k, n, v = running_pair()
-    V14 = ppalg.tilting_presummand(k, n, v, RUNNING_WORD, 14).normalized()
+    V14 = ppalg.soc_chain(
+        ppalg.injective(n, RUNNING_WORD[13]), tuple(reversed(RUNNING_WORD[:14]))
+    ).normalized()
     assert V14.cells == cells({5, 3, 1}, {6, 4, 2}, {5, 3}, {4})
 
 
@@ -140,7 +166,7 @@ def test_running_modules_connected():
     k, n, v = running_pair()
     for j in GOLDEN_MODULES:
         M = ppalg.tilting_summand(k, n, v, RUNNING_WORD, j)
-        assert M.is_connected()
+        assert is_connected(M)
 
 
 def test_index_set_size_is_dimension():
@@ -179,7 +205,7 @@ def test_frozen_labels_detect_frozen_boxes():
 def test_region_module_zero():
     k, n, v = running_pair()
     vi = perm.inverse(v)
-    assert ppalg.region_module(k, n, v, frozenset(vi[:k])).dimension() == 0
+    assert ppalg.region_module(k, n, v, frozenset(vi[:k])).cells == frozenset()
 
 
 def test_region_module_golden_position_12():
@@ -265,4 +291,96 @@ def test_plucker_of_module_rejects_nonskew():
 def test_render():
     text = ppalg.injective(5, 2).render()
     assert "2" in text and "\n" in text
-    assert ppalg.zero_module(5).render() == "0"
+    assert ppalg.module(5, ()).render() == "0"
+
+
+# ---------------------------------------------------------------------------
+# The library's socle removal and socle chain against their first versions
+# ---------------------------------------------------------------------------
+
+def ref_functor_E_dagger_word(M, word):
+    """E-dagger along a word as first written: the socle is recomputed for
+    every letter."""
+    for i in word:
+        doomed = {c for c in M.socle() if c[0] == i}
+        M = ppalg.DiagramModule(M.n, M.cells - doomed)
+    return M
+
+
+def ref_soc_chain(ambient, word):
+    """The socle chain as first written: every letter scans every ambient
+    cell."""
+    included = set()
+    for p in word:
+        included |= {
+            c for c in ambient.cells
+            if c[0] == p and c not in included and set(ambient.below(c)) <= included
+        }
+    return ppalg.DiagramModule(ambient.n, frozenset(included))
+
+
+def random_cells(n, rng):
+    """An arbitrary cell set, not necessarily a module's diagram."""
+    height = rng.randint(1, 7)
+    density = rng.random()
+    return ppalg.module(n, {
+        (i, t) for i in range(1, n) for t in range(height) if rng.random() < density
+    })
+
+
+def test_socle_removal_and_chain_match_references_on_arbitrary_cells():
+    rng = random.Random(11)
+    for _ in range(600):
+        n = rng.randint(2, 8)
+        M = random_cells(n, rng)
+        word = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 16))]
+        assert ppalg.functor_E_dagger_word(M, word) == ref_functor_E_dagger_word(M, word)
+        assert ppalg.soc_chain(M, word) == ref_soc_chain(M, word)
+
+
+def test_socle_removal_and_chain_match_references_on_every_summand():
+    checked = 0
+    for n in range(2, 7):
+        for k, v, x in skew_pairs(n):
+            word = perm.standard_reduced_expression(x, v, k)
+            pds = perm.positive_distinguished_subexpression(v, word)
+            for j in perm.summand_index_set(v, word):
+                Q = ppalg.injective(n, word[j - 1])
+                chain = tuple(reversed(word[:j]))
+                V_j = ppalg.soc_chain(Q, chain)
+                assert V_j == ref_soc_chain(Q, chain)
+                v_letters = tuple(word[p - 1] for p in range(j, 0, -1) if p in pds)
+                U_j = ref_functor_E_dagger_word(V_j, v_letters)
+                assert ppalg.functor_E_dagger_word(V_j, v_letters) == U_j
+                assert ppalg.tilting_summand(k, n, v, word, j) == U_j
+                checked += 1
+    assert checked > 1000
+
+
+def test_functor_E_dagger_word_rejects_bad_letters():
+    n = 6
+    M = ppalg.injective(n, 2)
+    for bad in (0, n, -1):
+        with pytest.raises(ValueError, match=f"letter {bad} outside"):
+            ppalg.functor_E_dagger_word(M, (2, bad))
+    # also when there is nothing to remove
+    with pytest.raises(ValueError):
+        ppalg.functor_E_dagger_word(ppalg.module(n, ()), (0,))
+
+
+def test_soc_chain_rejects_bad_letters():
+    n = 6
+    for bad in (0, n, -1):
+        with pytest.raises(ValueError, match=f"letter {bad} outside"):
+            ppalg.soc_chain(ppalg.injective(n, 2), (2, bad))
+
+
+def test_tilting_summand_position_errors():
+    k, n, v = running_pair()
+    pds = perm.positive_distinguished_subexpression(v, RUNNING_WORD)
+    for j in pds:
+        with pytest.raises(ValueError, match="belongs to the subexpression"):
+            ppalg.tilting_summand(k, n, v, RUNNING_WORD, j)
+    for j in (0, -1, len(RUNNING_WORD) + 1):
+        with pytest.raises(ValueError, match="outside the word"):
+            ppalg.tilting_summand(k, n, v, RUNNING_WORD, j)

@@ -4,7 +4,7 @@ accepts them directly."""
 import json
 import pathlib
 
-from positroids import lediag, perm, plabic, ppalg, seeds
+from positroids import cli, lediag, perm, plabic, ppalg, seeds
 from conftest import golden_gr25_graph, golden_gr37_graph
 from test_cli import run_cli
 
@@ -55,3 +55,14 @@ def test_running_modules_golden_file():
         M = ppalg.tilting_summand(k, n, v, word, j).normalized()
         assert sorted(map(list, M.cells)) == stored[str(j)]["cells"]
         assert M.n == stored[str(j)]["n"]
+
+
+def test_ppalg_module_stdout_golden(capsys):
+    # stdout and exit code of `ppalg module` for every position of the
+    # running example's word, the ones in the subexpression for v and two
+    # outside the word included
+    stored = load("ppalg_module_running.json")
+    assert [r["j"] for r in stored["runs"]] == list(range(22))
+    for run in stored["runs"]:
+        code = cli.main(stored["argv"] + [str(run["j"])])
+        assert (code, capsys.readouterr().out) == (run["exit"], run["stdout"]), run["j"]
