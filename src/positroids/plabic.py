@@ -7,37 +7,50 @@ tracing the boundary arcs between consecutive boundary vertices are treated as
 virtual edges, and a boundary vertex's implicit rotation is
 ``(arc to next position, arc to previous position, pendant edge)``.
 
-Conventions (pinned by the golden-graph tests):
-
-- Faces are orbits of ``d -> dart leaving head(d) along the predecessor of d's
-  edge in the ccw rotation``; every face lies to the left of its darts, and
-  the outer face is the orbit of clockwise arc darts.
-- A trip turns at a black vertex onto the successor of its entry edge in ccw
-  order, and at a white vertex onto the predecessor.
-- A trip ``i -> j`` puts ``j`` (target) or ``i`` (source) in the label of
-  every face on its left.  Both labelings come from one sweep over the dual
-  graph: crossing an edge changes sides only for the trips through it.  A
-  face reached twice with different sides, or a trip dart without its trip
-  on the left, makes a trip ambiguous, and :class:`AmbiguousSide` names the
-  first such trip.
-
 Vertex ids are positive integers for internal vertices and negative integers
-for boundary vertices.  Edge ids are positive integers; a dart is ``(eid,
-end)`` with tail ``edges[eid][end]`` and head ``edges[eid][1 - end]``.
+for boundary vertices.  Edge ids are positive integers; a dart is named ``(eid,
+end)``, with tail ``edges[eid][end]`` and head ``edges[eid][1 - end]``, and
+the darts of the arc from boundary position p to p + 1 are ``(("arc", p), 0)``
+(clockwise) and ``(("arc", p), 1)``.
+
+The graph is a combinatorial map (Lando-Zvonkin, *Graphs on Surfaces and
+Their Applications*, 2004).  Its 2(E + n) darts are numbered once: the i-th
+edge in id order has darts 2i and 2i + 1 (ends 0 and 1), and arc p has darts
+2(E + p) and 2(E + p) + 1.  Dart d reverses to ``d ^ 1``.  Two integer
+permutations on these numbers carry the embedding:
+
+- ``face_next`` takes d to the dart leaving head(d) along the predecessor of
+  d's edge in the ccw rotation.  Faces are its cycles; every face lies to the
+  left of its darts, and the outer face is the cycle of clockwise arc darts,
+  so it holds no edge dart.
+- ``trip_next`` follows the rules of the road (Postnikov,
+  arXiv:math/0609764): at a black vertex it turns onto the successor of the
+  entry edge in ccw order, at a white vertex onto the predecessor.  Trips are
+  its paths from boundary to boundary; it is -1 on darts that enter the
+  boundary.
+
+A trip ``i -> j`` puts ``j`` (target) or ``i`` (source) in the label of every
+face on its left.  Both labelings come from one sweep over the dual graph:
+crossing an edge changes sides only for the trips through it.  A face reached
+twice with different sides, or a trip dart without its trip on the left,
+makes a trip ambiguous, and :class:`AmbiguousSide` names the first such trip.
+Faces and trips are computed on dart numbers; their ``darts`` and
+``Faces.face_of`` give the ``(eid, end)`` names.
 
 A graph is immutable after construction: local moves, relabeling and the
-mirror build new graphs.  So its faces, trips, face labelings and full
-contraction are computed once, on first use, kept on the graph and shared by
-every caller; callers must not mutate what they get back (in particular a
-``Faces.face_of`` dict).  A call that raises keeps nothing and raises again.
+mirror build new graphs.  So its dart permutations, faces, trips, face
+labelings and full contraction are computed once, on first use, kept on the
+graph and shared by every caller; callers must not mutate what they get back
+(in particular a ``Faces.face_of`` dict).  A call that raises keeps nothing
+and raises again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple
 
 from positroids import perm as permmod
 from positroids.perm import DecoratedPermutation, Permutation
@@ -102,6 +115,10 @@ class PlabicGraph:
     # -- derived data, computed on first use (see the module docstring) ----
 
     @cached_property
+    def _darts(self) -> _Darts:
+        return _number_darts(self)
+
+    @cached_property
     def _faces(self) -> Faces:
         return _find_faces(self)
 
@@ -160,73 +177,65 @@ class PlabicGraph:
                 if not self.is_boundary(nbr):
                     raise PlabicError(f"internal leaf {v} not adjacent to the boundary")
 
-    # -- dart navigation ----------------------------------------------------
 
-    def dart_tail(self, d: Dart) -> int:
-        eid, end = d
-        if isinstance(eid, tuple):  # boundary arc ("arc", p)
-            p = eid[1]
-            return self.boundary_order[p] if end == 0 else self.boundary_order[(p + 1) % self.n]
-        return self.edges[eid][end]
+# ---------------------------------------------------------------------------
+# Darts as numbers
+# ---------------------------------------------------------------------------
 
-    def dart_head(self, d: Dart) -> int:
-        eid, end = d
-        return self.dart_tail((eid, 1 - end))
+class _Darts(NamedTuple):
+    """A graph's darts by number (see the module docstring): dart 2i + end
+    is ``(eid, end)`` of the i-th edge in id order, and arc darts follow."""
 
-    def _arc(self, p: int) -> tuple[str, int]:
-        return ("arc", p % self.n)
+    names: tuple[Dart, ...]  # dart -> (eid, end) or (("arc", p), end)
+    head: list[int]  # dart -> the vertex it enters
+    face_next: list[int]  # dart -> next dart of the face on its left
+    trip_next: list[int]  # dart -> next dart of its trip; -1 into the boundary
 
-    def _boundary_rotation(self, bd: int) -> tuple:
-        p = self.boundary_order.index(bd)
-        return (self._arc(p), self._arc(p - 1), self.pendant_edge(bd))
 
-    def _rotation_at(self, v: int) -> tuple:
-        return self._boundary_rotation(v) if self.is_boundary(v) else self.rot[v]
+def _number_darts(G: PlabicGraph) -> _Darts:
+    """Number the darts and read both permutations off the rotations: at a
+    vertex with darts o_0 .. o_{m-1} leaving it in ccw order, the dart
+    entering along o_i's edge is ``o_i ^ 1``, its face goes on along
+    o_{i-1} and its trip along o_{i+1} (black) or o_{i-1} (white)."""
+    n = G.n
+    names: list[Dart] = []
+    head: list[int] = []
+    number: dict[int, int] = {}
+    for eid in sorted(G.edges):
+        a, b = G.edges[eid]
+        number[eid] = len(head)
+        names += ((eid, 0), (eid, 1))
+        head += (b, a)
+    arcs = len(head)
+    for p in range(n):
+        names += ((("arc", p), 0), (("arc", p), 1))
+        head += (G.boundary_order[(p + 1) % n], G.boundary_order[p])
 
-    def _dart_from(self, v: int, eid) -> Dart:
-        if isinstance(eid, tuple):
-            p = eid[1]
-            end = 0 if self.boundary_order[p] == v else 1
-            return (eid, end)
-        a, b = self.edges[eid]
-        if v == a:
-            return (eid, 0)
-        if v == b:
-            return (eid, 1)
+    def leaving(v: int, eid: int) -> int:
+        d = number[eid]
+        if head[d + 1] == v:
+            return d
+        if head[d] == v:
+            return d + 1
         raise PlabicError(f"vertex {v} not on edge {eid}")
 
-    def face_next(self, d: Dart) -> Dart:
-        """Next dart of the face on the left of d."""
-        v = self.dart_head(d)
-        order = self._rotation_at(v)
-        i = order.index(d[0])
-        return self._dart_from(v, order[(i - 1) % len(order)])
-
-    def trip_next(self, d: Dart) -> Dart:
-        """Rules of the road: successor at black, predecessor at white."""
-        v = self.dart_head(d)
-        if self.is_boundary(v):
-            raise PlabicError("trip step at a boundary vertex")
-        order = self.rot[v]
-        i = order.index(d[0])
-        step = 1 if self.colors[v] == BLACK else -1
-        return self._dart_from(v, order[(i + step) % len(order)])
-
-    def all_darts(self, include_arcs: bool = True) -> Iterator[Dart]:
-        for eid in sorted(self.edges):
-            yield (eid, 0)
-            yield (eid, 1)
-        if include_arcs:
-            for p in range(self.n):
-                yield (self._arc(p), 0)
-                yield (self._arc(p), 1)
-
-
-def _dart_key(d: Dart) -> tuple:
-    eid, end = d
-    if isinstance(eid, tuple):
-        return (1, eid[1], end)
-    return (0, eid, end)
+    face_next = [-1] * len(head)
+    trip_next = [-1] * len(head)
+    for v, order in G.rot.items():
+        out = [leaving(v, eid) for eid in order]
+        before = out[-1:] + out[:-1]
+        after = out[1:] + out[:1] if G.colors[v] == BLACK else before
+        # backwards, so that an edge listed twice turns at its first place
+        for d, f, t in zip(out[::-1], before[::-1], after[::-1]):
+            face_next[d ^ 1] = f
+            trip_next[d ^ 1] = t
+    for p, bd in enumerate(G.boundary_order):
+        # bd's rotation: clockwise arc p, counterclockwise arc p - 1, pendant
+        cw, ccw, d = arcs + 2 * p, arcs + 2 * ((p - 1) % n) + 1, leaving(bd, G.pendant_edge(bd))
+        face_next[cw ^ 1], face_next[ccw ^ 1], face_next[d ^ 1] = d, cw, ccw
+    if -1 in face_next:
+        raise PlabicError("the rotations do not list every dart")
+    return _Darts(tuple(names), head, face_next, trip_next)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +250,21 @@ class Face:
 
 @dataclass(frozen=True)
 class Faces:
+    """The interior faces.  ``_cycles`` holds each face's darts by number,
+    in the same order as its ``darts``, and ``_face`` each dart number's face
+    (-1 on the outer face)."""
+
     faces: tuple[Face, ...]
-    face_of: dict[Dart, int]
+    _cycles: tuple[list[int], ...] = field(repr=False, compare=False)
+    _face: list[int] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.faces)
 
-    def boundary_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.faces) if f.boundary)
+    @cached_property
+    def face_of(self) -> dict[Dart, int]:
+        """Dart name -> index of its face (outer-face darts are absent)."""
+        return {d: i for i, f in enumerate(self.faces) for d in f.darts}
 
 
 def faces(G: PlabicGraph) -> Faces:
@@ -261,6 +277,8 @@ def faces(G: PlabicGraph) -> Faces:
 
 
 def _find_faces(G: PlabicGraph) -> Faces:
+    darts = G._darts
+    arcs = 2 * len(G.edges)
     if G.n == 1:
         # The one boundary arc is a loop, which dart tracing cannot follow.  A
         # graph on one boundary vertex has one face exactly when it is a tree,
@@ -271,25 +289,24 @@ def _find_faces(G: PlabicGraph) -> Faces:
                 f"Euler check failed: V={len(G.colors) + 1} E={len(G.edges)}, but on one "
                 "boundary vertex only the lollipop has one face"
             )
-        all_d = tuple(G.all_darts(include_arcs=False))
-        f = Face(all_d, True)
-        return Faces((f,), {d: 0 for d in all_d})
+        return Faces((Face(darts.names[:arcs], True),), (list(range(arcs)),), [0, 0, -1, -1])
 
-    seen: set[Dart] = set()
-    orbits: list[tuple[Dart, ...]] = []
-    for d0 in sorted(G.all_darts(), key=_dart_key):
-        if d0 in seen:
+    nxt = darts.face_next
+    seen = [False] * len(nxt)
+    orbits: list[list[int]] = []
+    for d0 in range(len(nxt)):
+        if seen[d0]:
             continue
         orbit = [d0]
-        seen.add(d0)
-        d = G.face_next(d0)
+        seen[d0] = True
+        d = nxt[d0]
         while d != d0:
-            if d in seen:
+            if seen[d]:
                 raise PlabicError("face tracing revisited a dart; rotation system inconsistent")
             orbit.append(d)
-            seen.add(d)
-            d = G.face_next(d)
-        orbits.append(tuple(orbit))
+            seen[d] = True
+            d = nxt[d]
+        orbits.append(orbit)
 
     V = len(G.colors) + G.n
     E = len(G.edges) + G.n
@@ -297,16 +314,25 @@ def _find_faces(G: PlabicGraph) -> Faces:
         raise PlabicError(
             f"Euler check failed: V={V} E={E} F={len(orbits)} (disconnected embedding data?)"
         )
+    if not G.n:
+        raise PlabicError("a graph without boundary vertices has no outer face")
 
-    outer_dart = (G._arc(0), 0)
-    interior = []
-    for orbit in orbits:
-        if outer_dart in orbit:
-            continue
-        has_arc = any(isinstance(d[0], tuple) for d in orbit)
-        interior.append(Face(orbit, has_arc))
-    face_of = {d: i for i, f in enumerate(interior) for d in f.darts}
-    return Faces(tuple(interior), face_of)
+    # an orbit starts at its smallest dart, and the outer face at the
+    # clockwise dart of arc 0
+    interior = tuple([orbit for orbit in orbits if orbit[0] != arcs])
+    face = [-1] * len(nxt)
+    for i, orbit in enumerate(interior):
+        for d in orbit:
+            face[d] = i
+    # tuples are built from lists, at their final size: CPython shrinks a
+    # tuple built from a generator from a guessed size, and freeing it then
+    # fills the free list of the smaller size (up to 2,000 tuples a size)
+    names = darts.names
+    return Faces(
+        tuple([Face(tuple([names[d] for d in orbit]), max(orbit) >= arcs) for orbit in interior]),
+        interior,
+        face,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,27 +344,7 @@ class Trip:
     start: int  # boundary label
     end: int
     darts: tuple[Dart, ...]
-
-
-def _trip_from(G: PlabicGraph, bd: int) -> tuple[int, tuple[Dart, ...]]:
-    d = G._dart_from(bd, G.pendant_edge(bd))
-    walk = [d]
-    limit = 2 * len(G.edges) + 2
-    while not G.is_boundary(G.dart_head(d)):
-        d = G.trip_next(d)
-        walk.append(d)
-        if len(walk) > limit:
-            raise PlabicError("trip failed to terminate; malformed rotation system")
-    return G.dart_head(d), tuple(walk)
-
-
-def _leaf_color(G: PlabicGraph, walk: Sequence[Dart]) -> str:
-    """Color of the (possibly subdivided) lollipop leaf on a round trip."""
-    for d in walk:
-        v = G.dart_head(d)
-        if not G.is_boundary(v) and len(G.rot[v]) == 1:
-            return G.colors[v]
-    return BLACK
+    _walk: list[int] = field(repr=False, compare=False)  # the darts by number
 
 
 def trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
@@ -348,16 +354,29 @@ def trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
 
 
 def _find_trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
+    darts = G._darts
+    names, head, nxt = darts.names, darts.head, darts.trip_next
+    arcs = 2 * len(G.edges)
+    limit = arcs + 2
     out = []
     images = {}
     white = set()
-    for bd in G.boundary_order:
-        end_bd, walk = _trip_from(G, bd)
-        i, j = G.labels[bd], G.labels[end_bd]
-        out.append(Trip(i, j, walk))
+    for p, bd in enumerate(G.boundary_order):
+        d = darts.face_next[arcs + 2 * p + 1]  # after the arc dart into bd: bd's pendant dart
+        walk = [d]
+        while head[d] >= 0:
+            d = nxt[d]
+            walk.append(d)
+            if len(walk) > limit:
+                raise PlabicError("trip failed to terminate; malformed rotation system")
+        i, j = G.labels[bd], G.labels[head[d]]
+        out.append(Trip(i, j, tuple([names[d] for d in walk]), walk))
         images[i] = j
-        if i == j and _leaf_color(G, walk) == WHITE:
-            white.add(i)
+        if i == j:
+            # a round trip, colored by its (possibly subdivided) lollipop leaf
+            leaves = [v for v in (head[d] for d in walk) if v >= 0 and len(G.rot[v]) == 1]
+            if leaves and G.colors[leaves[0]] == WHITE:
+                white.add(i)
     pi = tuple(images[i] for i in range(1, G.n + 1))
     return tuple(out), DecoratedPermutation(pi, frozenset(white))
 
@@ -406,37 +425,41 @@ def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
     its lollipop is white and none when it is black.
     """
     fc = faces(G)
-    all_trips, _ = trips(G)
+    all_trips, sigma = trips(G)
+    cycles, face = fc._cycles, fc._face
+    arcs = 2 * len(G.edges)
     paths = [t for t in all_trips if t.start != t.end]
-    bit = {d: 1 << i for i, t in enumerate(paths) for d in t.darts}
-    mask: dict[int, int] = {}
+    bit = [0] * len(face)
+    for i, t in enumerate(paths):
+        for d in t._walk:
+            bit[d] = 1 << i
+    mask: list[int | None] = [None] * len(cycles)
     ambiguous = 0
     roots = 0
-    for root in range(len(fc.faces)):
-        if root in mask:
+    for root in range(len(cycles)):
+        if mask[root] is not None:
             continue
         roots += 1
         mask[root] = 0
         queue = [root]
         for f in queue:
-            for d in fc.faces[f].darts:
-                if isinstance(d[0], tuple):  # a boundary arc: the outer face
+            for d in cycles[f]:
+                if d >= arcs:  # a boundary arc: the outer face
                     continue
-                r = (d[0], 1 - d[1])
-                g = fc.face_of[r]
+                g = face[d ^ 1]
                 if g == f:
                     continue
-                m = mask[f] ^ bit.get(d, 0) ^ bit.get(r, 0)
-                if g in mask:
+                m = mask[f] ^ bit[d] ^ bit[d ^ 1]
+                if mask[g] is not None:
                     ambiguous |= mask[g] ^ m
                 else:
                     mask[g] = m
                     queue.append(g)
-    left0 = sum(1 << i for i, t in enumerate(paths) if not mask[fc.face_of[t.darts[0]]] >> i & 1)
-    left = [mask[f] ^ left0 for f in range(len(fc.faces))]
+    left0 = sum(1 << i for i, t in enumerate(paths) if not mask[face[t._walk[0]]] >> i & 1)
+    left = [m ^ left0 for m in mask]
     for i, t in enumerate(paths):
-        for e, end in t.darts:
-            if not left[fc.face_of[(e, end)]] >> i & 1 or left[fc.face_of[(e, 1 - end)]] >> i & 1:
+        for d in t._walk:
+            if not left[face[d]] >> i & 1 or left[face[d ^ 1]] >> i & 1:
                 ambiguous |= 1 << i
     if paths and roots > 1 and not ambiguous & 1:
         # faces of a part of the graph that no trip reaches have no side
@@ -444,10 +467,10 @@ def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
     if ambiguous:
         t = paths[(ambiguous & -ambiguous).bit_length() - 1]
         raise AmbiguousSide(f"faces lie on both sides of the trip {t.start}->{t.end}")
-    white = {t.start for t in all_trips if t.start == t.end and _leaf_color(G, t.darts) == WHITE}
     labelings = {}
     for mode, ends in (("source", [t.start for t in paths]), ("target", [t.end for t in paths])):
-        labels = tuple(frozenset(white | {j for i, j in enumerate(ends) if l >> i & 1}) for l in left)
+        labels = tuple(frozenset(sigma.white_fixed | {j for i, j in enumerate(ends) if l >> i & 1})
+                       for l in left)
         labelings[mode] = FaceLabeling(mode, fc, labels)
     return labelings
 
@@ -459,19 +482,18 @@ def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
 def dual_quiver_arrows(G: PlabicGraph, fc: Faces) -> list[tuple[int, int]]:
     """One arrow per internal edge, oriented to see the white endpoint on the
     left and the black endpoint on the right while crossing; oriented 2-cycles
-    cancelled pairwise.  Faces are referenced by index into ``fc``."""
+    cancelled pairwise.  Faces are referenced by index into ``fc``, which
+    must be ``faces(G)``."""
+    head, face = G._darts.head, fc._face
     raw: Counter[tuple[int, int]] = Counter()
-    for eid, (a, b) in sorted(G.edges.items()):
+    for d in range(0, 2 * len(G.edges), 2):  # edge by edge, in id order
+        b, a = head[d], head[d + 1]
         if a < 0 or b < 0:
             continue
-        end_w = 0 if G.colors[a] == WHITE else 1
-        w_dart = (eid, end_w)
-        b_dart = (eid, 1 - end_w)
-        f_left = fc.face_of.get(w_dart)
-        f_right = fc.face_of.get(b_dart)
-        if f_left is None or f_right is None or f_left == f_right:
-            continue
-        raw[(f_right, f_left)] += 1
+        w_dart = d if G.colors[a] == WHITE else d + 1
+        f_left, f_right = face[w_dart], face[w_dart ^ 1]
+        if f_left != f_right:
+            raw[(f_right, f_left)] += 1
     arrows = []
     for (s, t), m in sorted(raw.items()):
         m -= raw.get((t, s), 0)
@@ -691,29 +713,6 @@ def insert_degree2_pair(G: PlabicGraph, eid: int) -> PlabicGraph:
     return ed.build()
 
 
-def remove_degree2_pair(G: PlabicGraph, y: int) -> PlabicGraph:
-    """(M3, reversed) remove two adjacent degree-2 internal vertices and glue
-    the hanging edges back together."""
-    if G.is_boundary(y) or len(G.rot[y]) != 2:
-        raise PlabicError(f"{y} is not an internal degree-2 vertex")
-    z = next((G.other_end(e, y) for e in G.rot[y]
-              if not G.is_boundary(G.other_end(e, y)) and len(G.rot[G.other_end(e, y)]) == 2),
-             None)
-    if z is None:
-        raise PlabicError(f"{y} has no degree-2 neighbor")
-    e_mid = next(e for e in G.rot[y] if G.other_end(e, y) == z)
-    e_u = next(e for e in G.rot[y] if e != e_mid)
-    e_v = next(e for e in G.rot[z] if e != e_mid)
-    u, v = G.other_end(e_u, y), G.other_end(e_v, z)
-    if u < 0 and v < 0:
-        raise PlabicError("removal would join two boundary vertices")
-    ed = _Edit(G)
-    del ed.colors[y], ed.colors[z], ed.rot[y], ed.rot[z], ed.edges[e_mid], ed.edges[e_v]
-    ed.edges[e_u] = (u, v)
-    ed.swap(v, e_v, e_u)
-    return ed.build()
-
-
 def full_contract(G: PlabicGraph) -> PlabicGraph:
     """Contract every eligible degree-2 vertex, smallest id first."""
     H = G._contracted
@@ -752,14 +751,16 @@ def _contract(G: PlabicGraph) -> PlabicGraph:
         ed.rot[u] = ru[:j] + spliced + ru[j + 1:]
 
 
-def _square_defect(G: PlabicGraph, face: Face) -> str | None:
-    """Why no square move applies at ``face`` of the fully contracted graph
-    G, or None when one does: the face must be an interior quadrilateral
-    whose four corners are distinct internal vertices of degree at least 3.
-    (Its corner colors alternate because G is bipartite.)"""
-    if face.boundary or len(face.darts) != 4:
+def _square_defect(G: PlabicGraph, i: int) -> str | None:
+    """Why no square move applies at face i of the fully contracted graph G,
+    or None when one does: the face must be an interior quadrilateral whose
+    four corners are distinct internal vertices of degree at least 3.  (Its
+    corner colors alternate because G is bipartite.)"""
+    fc = faces(G)
+    if fc.faces[i].boundary or len(fc._cycles[i]) != 4:
         return "is not an interior quadrilateral"
-    corners = {G.dart_head(d) for d in face.darts}
+    head = G._darts.head
+    corners = {head[d] for d in fc._cycles[i]}
     if len(corners) != 4 or any(G.is_boundary(c) for c in corners):
         return "does not have four distinct internal corners"
     if any(len(G.rot[c]) < 3 for c in corners):
@@ -777,20 +778,19 @@ def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
     """
     label = frozenset(label)
     G = full_contract(G)
-    labeling = face_labeling(G, "target")
-    face = labeling.faces.faces[labeling.index_of(label)]
-    defect = _square_defect(G, face)
+    i = face_labeling(G, "target").index_of(label)
+    defect = _square_defect(G, i)
     if defect is not None:
         raise NotSquareEligible(f"face {sorted(label)} {defect}")
-    darts = face.darts
+    darts = faces(G).faces[i].darts  # edge darts, named by (eid, end)
     # expand corners of degree > 3 down to trivalent; the face keeps its darts
-    for i, d in enumerate(darts):
-        c = G.dart_head(d)
+    for j, (eid, end) in enumerate(darts):
+        c = G.edges[eid][1 - end]
         if len(G.rot[c]) > 3:
-            G = expand_vertex(G, c, (darts[(i + 1) % 4][0], d[0]))
+            G = expand_vertex(G, c, (darts[(j + 1) % 4][0], eid))
 
-    corners = [G.dart_head(d) for d in darts]
-    face_edges = {d[0] for d in darts}
+    corners = [G.edges[eid][1 - end] for eid, end in darts]
+    face_edges = {eid for eid, _ in darts}
     ed = _Edit(G)
     for c in corners:
         ed.colors[c] = _OTHER[ed.colors[c]]
@@ -805,12 +805,8 @@ def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
 def square_eligible_labels(G: PlabicGraph) -> tuple[frozenset[int], ...]:
     """Target labels of the faces where a square move currently applies."""
     H = full_contract(G)
-    labeling = face_labeling(H, "target")
-    by_index = labeling.faces.faces
-    return tuple(
-        lab for lab in labeling.labels
-        if _square_defect(H, by_index[labeling.index_of(lab)]) is None
-    )
+    labels = face_labeling(H, "target").labels
+    return tuple(lab for i, lab in enumerate(labels) if _square_defect(H, i) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -852,32 +848,35 @@ def reducedness_witness_checks(G: PlabicGraph) -> ReducednessReport:
     using an edge in both directions, no two trips sharing two edges in the
     same relative order, and (R1) not directly applicable."""
     all_trips, _ = trips(G)
-    used = {d for t in all_trips for d in t.darts}
+    nxt = G._darts.trip_next
+    seen = {d for t in all_trips for d in t._walk}
     round_trips = 0
-    seen = set(used)
-    for d0 in G.all_darts(include_arcs=False):
+    for d0 in range(2 * len(G.edges)):
         if d0 in seen:
             continue
         d = d0
         while True:
             seen.add(d)
-            d = G.trip_next(d)
+            d = nxt[d]
+            if d < 0:
+                raise PlabicError("trip step at a boundary vertex")
             if d == d0:
                 break
         round_trips += 1
 
+    # a dart's edge is d >> 1 (its edge's place in id order)
     selfint = tuple(
         t.start for t in all_trips
-        if t.start != t.end and len({d[0] for d in t.darts}) < len(t.darts)
+        if t.start != t.end and len({d >> 1 for d in t._walk}) < len(t._walk)
     )
 
     parallel = []
     for i, t1 in enumerate(all_trips):
-        order1 = {d[0]: p for p, d in enumerate(t1.darts)}
+        order1 = {d >> 1: p for p, d in enumerate(t1._walk)}
         for t2 in all_trips[i + 1:]:
             # shared edges in t2's traversal order; flag a pair t1 also
             # traverses in that order
-            shared = [d[0] for d in t2.darts if d[0] in order1]
+            shared = [d >> 1 for d in t2._walk if d >> 1 in order1]
             if any(
                 order1[shared[ei]] < order1[shared[ej]]
                 for ei in range(len(shared))
@@ -983,18 +982,3 @@ def from_json(data) -> PlabicGraph:
     faces(G)
     return G
 
-
-def to_dot(G: PlabicGraph, labeling: FaceLabeling | None = None) -> str:
-    lines = ["graph plabic {"]
-    if labeling is not None:
-        for i, lab in enumerate(labeling.labels):
-            lines.append(f'  // face {i}: {"".join(str(x) for x in sorted(lab))}')
-    for bd in G.boundary_order:
-        lines.append(f'  v{bd} [shape=plaintext, label="{G.labels[bd]}"];')
-    for v in sorted(G.colors):
-        fill = "black" if G.colors[v] == BLACK else "white"
-        lines.append(f'  v{v} [shape=circle, style=filled, fillcolor={fill}, label=""];')
-    for _, (a, b) in sorted(G.edges.items()):
-        lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines)

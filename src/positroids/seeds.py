@@ -288,7 +288,12 @@ class PluckerSymbol(ClusterExpression):
 
 @dataclass(frozen=True)
 class ExchangeExpr(ClusterExpression):
-    """One exchange step: (prod(out_factors) + prod(in_factors)) / divisor."""
+    """One exchange step: (prod(out_factors) + prod(in_factors)) / divisor.
+
+    Each product is kept as an integer numerator and denominator, so at an
+    integer sample point (where every factor but a nested quotient is an
+    integral minor) it multiplies Python ints; the value is one reduced
+    ``Fraction`` per quotient."""
 
     out_factors: tuple[ClusterExpression, ...]
     in_factors: tuple[ClusterExpression, ...]
@@ -298,18 +303,24 @@ class ExchangeExpr(ClusterExpression):
         key = id(self)
         if key in memo:
             return memo[key]
-        num = Fraction(1)
-        for f in self.out_factors:
-            num *= f.evaluate(M, memo)
-        num2 = Fraction(1)
-        for f in self.in_factors:
-            num2 *= f.evaluate(M, memo)
+        p1, q1 = _product(self.out_factors, M, memo)
+        p2, q2 = _product(self.in_factors, M, memo)
         den = self.divisor.evaluate(M, memo)
         if den == 0:
             raise ZeroDivisionError("exchange denominator vanishes at this sample point")
-        val = (num + num2) / den
+        val = Fraction((p1 * q2 + p2 * q1) * den.denominator, q1 * q2 * den.numerator)
         memo[key] = val
         return val
+
+
+def _product(factors: Sequence[ClusterExpression], M: Matrix, memo: dict) -> tuple[int, int]:
+    """The product of the factors' values as a numerator and a denominator."""
+    num, den = 1, 1
+    for f in factors:
+        value = f.evaluate(M, memo)
+        num *= value.numerator
+        den *= value.denominator
+    return num, den
 
 
 def expressions_agree(

@@ -324,6 +324,8 @@ def malformed_graphs():
     cases["bad color"] = dict(good, vertices=[{"id": 1, "color": "red"}] + good["vertices"][1:])
     cases["short labels"] = dict(good, boundary_labels=[1, 2])
     cases["n 0"] = {"n": 0, "boundary_labels": [], "vertices": [], "edges": [], "rotations": {}}
+    cases["n 0 with a digon"] = dict(cases["n 0"], vertices=[{"id": 1, "color": "w"}, {"id": 2, "color": "b"}],
+                                     edges=[[1, 2], [1, 2]], rotations={"1": [2, 2], "2": [1, 1]})
 
     def with_4cycle(graph):
         # a separate internal 4-cycle passes validate() but breaks Euler's formula

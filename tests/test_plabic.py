@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
@@ -27,7 +28,7 @@ def test_faces_lollipop():
 def test_faces_goldens(gr25_graph, gr37_graph):
     fc25 = plabic.faces(gr25_graph)
     assert len(fc25) == 7
-    assert len(fc25.boundary_indices()) == 5
+    assert sum(f.boundary for f in fc25.faces) == 5
     assert len(plabic.faces(gr37_graph)) == 10
 
 
@@ -178,7 +179,7 @@ def test_bridge_labels_are_rectangles():
     expected.add(frozenset(range(1, k + 1)))
     assert set(lab.labels) == expected
     # boundary faces carry the lambda-frozen rectangles and [k]
-    boundary_labels = {lab.labels[i] for i in lab.faces.boundary_indices()}
+    boundary_labels = {l for l, f in zip(lab.labels, lab.faces.faces) if f.boundary}
     frozen_rects = {
         shapes.rect_vert_ne(r, c, k, n)
         for (r, c) in shapes.boxes(lam)
@@ -242,17 +243,24 @@ def test_dual_quiver_single_face():
 # moves
 # ---------------------------------------------------------------------------
 
-def test_insert_remove_degree2_inverse_pair():
+def test_insert_degree2_pair_contracts_back():
+    # (M3) on any edge keeps the trips and, after full contraction, the face
+    # labels; on an internal edge the contraction gives back the graph JSON,
+    # up to the order of the edge list (the rejoined edge has a new id)
     G = golden_gr25_graph()
-    H = plabic.insert_degree2_pair(G, 6)
-    assert len(H.colors) == len(G.colors) + 2
-    _, s = plabic.trips(H)
-    assert s.perm == (3, 4, 5, 1, 2)
-    new_vertex = max(H.colors)
-    back = plabic.remove_degree2_pair(H, new_vertex - 1)
-    _, s2 = plabic.trips(back)
-    assert s2.perm == (3, 4, 5, 1, 2)
-    assert len(back.colors) == len(G.colors)
+    assert plabic.full_contract(G) is G
+    want = plabic.to_json(G)
+    for eid, (a, b) in sorted(G.edges.items()):
+        H = plabic.insert_degree2_pair(G, eid)
+        assert len(H.colors) == len(G.colors) + 2
+        assert plabic.trips(H)[1] == plabic.trips(G)[1]
+        back = plabic.full_contract(H)
+        assert len(back.colors) == len(G.colors)
+        assert plabic.face_labeling(back, "target").labels == plabic.face_labeling(G, "target").labels
+        if a > 0 and b > 0:
+            got = plabic.to_json(back)
+            assert sorted(got.pop("edges")) == sorted(want["edges"]), eid
+            assert got == {key: value for key, value in want.items() if key != "edges"}, eid
 
 
 def test_m2_m3_preserve_trip_permutation():
@@ -311,7 +319,7 @@ def test_square_defect_rejects_degree2_and_repeated_corners():
     defects = []
     for K in (G, H):
         K.validate()
-        defects += [plabic._square_defect(K, f) for f in plabic.faces(K).faces
+        defects += [plabic._square_defect(K, i) for i, f in enumerate(plabic.faces(K).faces)
                     if len(f.darts) == 4 and not f.boundary]
     assert defects == ["has a degree-2 corner", "does not have four distinct internal corners"]
 
@@ -357,10 +365,10 @@ def reference_square_eligible_labels(G):
             continue
         if any(isinstance(d[0], tuple) for d in named.darts):
             continue
-        corners = [H.dart_head(d) for d in named.darts]
+        corners = [ref_dart_head(H, d) for d in named.darts]
         if len(set(corners)) != 4 or any(H.is_boundary(c) for c in corners):
             continue
-        if all(len(H.rot[H.dart_head(d)]) >= 3 for d in face.darts):
+        if all(len(H.rot[ref_dart_head(H, d)]) >= 3 for d in face.darts):
             out.append(labeling.labels[idx])
     return tuple(out)
 
@@ -504,6 +512,290 @@ def test_ambiguous_side_is_raised_on_every_call():
 
 
 # ---------------------------------------------------------------------------
+# reference tracer: darts named (eid, end), stepped through the rotations
+# ---------------------------------------------------------------------------
+
+def ref_arc(G, p):
+    return ("arc", p % G.n)
+
+
+def ref_dart_tail(G, d):
+    eid, end = d
+    if isinstance(eid, tuple):  # boundary arc ("arc", p)
+        p = eid[1]
+        return G.boundary_order[p] if end == 0 else G.boundary_order[(p + 1) % G.n]
+    return G.edges[eid][end]
+
+
+def ref_dart_head(G, d):
+    eid, end = d
+    return ref_dart_tail(G, (eid, 1 - end))
+
+
+def ref_rotation_at(G, v):
+    """The rotation at v; a boundary vertex's is (arc to the next position,
+    arc to the previous one, pendant edge)."""
+    if not G.is_boundary(v):
+        return G.rot[v]
+    p = G.boundary_order.index(v)
+    return (ref_arc(G, p), ref_arc(G, p - 1), G.pendant_edge(v))
+
+
+def ref_dart_from(G, v, eid):
+    if isinstance(eid, tuple):
+        return (eid, 0 if G.boundary_order[eid[1]] == v else 1)
+    a, b = G.edges[eid]
+    if v == a:
+        return (eid, 0)
+    if v == b:
+        return (eid, 1)
+    raise plabic.PlabicError(f"vertex {v} not on edge {eid}")
+
+
+def ref_face_next(G, d):
+    """Next dart of the face on the left of d."""
+    v = ref_dart_head(G, d)
+    order = ref_rotation_at(G, v)
+    i = order.index(d[0])
+    return ref_dart_from(G, v, order[(i - 1) % len(order)])
+
+
+def ref_trip_next(G, d):
+    """Rules of the road: successor at black, predecessor at white."""
+    v = ref_dart_head(G, d)
+    if G.is_boundary(v):
+        raise plabic.PlabicError("trip step at a boundary vertex")
+    order = G.rot[v]
+    i = order.index(d[0])
+    step = 1 if G.colors[v] == plabic.BLACK else -1
+    return ref_dart_from(G, v, order[(i + step) % len(order)])
+
+
+def ref_all_darts(G, include_arcs=True):
+    for eid in sorted(G.edges):
+        yield (eid, 0)
+        yield (eid, 1)
+    if include_arcs:
+        for p in range(G.n):
+            yield (ref_arc(G, p), 0)
+            yield (ref_arc(G, p), 1)
+
+
+def ref_dart_key(d):
+    eid, end = d
+    if isinstance(eid, tuple):
+        return (1, eid[1], end)
+    return (0, eid, end)
+
+
+class RefFaces(NamedTuple):
+    faces: tuple
+    face_of: dict
+
+
+def reference_faces(G):
+    """The face orbits of ``ref_face_next``, each from its smallest dart in
+    ``ref_dart_key`` order, with the outer face dropped."""
+    if G.n == 1:
+        if len(G.colors) != 1 or len(G.edges) != 1:
+            raise plabic.PlabicError(
+                f"Euler check failed: V={len(G.colors) + 1} E={len(G.edges)}, but on one "
+                "boundary vertex only the lollipop has one face")
+        all_d = tuple(ref_all_darts(G, include_arcs=False))
+        return RefFaces((plabic.Face(all_d, True),), {d: 0 for d in all_d})
+    seen, orbits = set(), []
+    for d0 in sorted(ref_all_darts(G), key=ref_dart_key):
+        if d0 in seen:
+            continue
+        orbit = [d0]
+        seen.add(d0)
+        d = ref_face_next(G, d0)
+        while d != d0:
+            if d in seen:
+                raise plabic.PlabicError("face tracing revisited a dart; rotation system inconsistent")
+            orbit.append(d)
+            seen.add(d)
+            d = ref_face_next(G, d)
+        orbits.append(tuple(orbit))
+    V, E = len(G.colors) + G.n, len(G.edges) + G.n
+    if V - E + len(orbits) != 2:
+        raise plabic.PlabicError(
+            f"Euler check failed: V={V} E={E} F={len(orbits)} (disconnected embedding data?)")
+    interior = tuple(plabic.Face(o, any(isinstance(d[0], tuple) for d in o))
+                     for o in orbits if (ref_arc(G, 0), 0) not in o)
+    return RefFaces(interior, {d: i for i, f in enumerate(interior) for d in f.darts})
+
+
+def reference_leaf_color(G, walk):
+    for d in walk:
+        v = ref_dart_head(G, d)
+        if not G.is_boundary(v) and len(G.rot[v]) == 1:
+            return G.colors[v]
+    return plabic.BLACK
+
+
+def reference_trips(G):
+    """(start, end, darts) per boundary vertex, and the decorated trip
+    permutation."""
+    out, images, white = [], {}, set()
+    for bd in G.boundary_order:
+        d = ref_dart_from(G, bd, G.pendant_edge(bd))
+        walk = [d]
+        while not G.is_boundary(ref_dart_head(G, d)):
+            d = ref_trip_next(G, d)
+            walk.append(d)
+            if len(walk) > 2 * len(G.edges) + 2:
+                raise plabic.PlabicError("trip failed to terminate; malformed rotation system")
+        i, j = G.labels[bd], G.labels[ref_dart_head(G, d)]
+        out.append((i, j, tuple(walk)))
+        images[i] = j
+        if i == j and reference_leaf_color(G, walk) == plabic.WHITE:
+            white.add(i)
+    pi = tuple(images[i] for i in range(1, G.n + 1))
+    return tuple(out), perm.DecoratedPermutation(pi, frozenset(white))
+
+
+def reference_reducedness(G):
+    """The reducedness witnesses on the reference trips: round trips, trips
+    using an edge twice, pairs of trips sharing two edges in one order."""
+    all_trips = reference_trips(G)[0]
+    seen = {d for _, _, walk in all_trips for d in walk}
+    round_trips = 0
+    for d0 in ref_all_darts(G, include_arcs=False):
+        if d0 in seen:
+            continue
+        d = d0
+        while True:
+            seen.add(d)
+            d = ref_trip_next(G, d)
+            if d == d0:
+                break
+        round_trips += 1
+    selfint = tuple(start for start, end, walk in all_trips
+                    if start != end and len({d[0] for d in walk}) < len(walk))
+    parallel = set()
+    for i, (start1, _, walk1) in enumerate(all_trips):
+        order1 = {d[0]: p for p, d in enumerate(walk1)}
+        for start2, _, walk2 in all_trips[i + 1:]:
+            shared = [d[0] for d in walk2 if d[0] in order1]
+            if any(order1[a] < order1[b] for a, b in itertools.combinations(shared, 2)):
+                parallel.add((start1, start2))
+    return plabic.ReducednessReport(round_trips, selfint, tuple(sorted(parallel)),
+                                    plabic.parallel_edge_reduction_applicable(G) is not None)
+
+
+def outcome(call):
+    """The value of call(), or the error it raises."""
+    try:
+        return call()
+    except plabic.PlabicError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def assert_tracer_matches_reference(G, where=""):
+    """Faces (dart order within each face, ``face_of``), trips, the trip
+    permutation, both labelings and the reducedness witnesses equal the
+    reference tracer's, or both raise the same error."""
+    def plabic_faces():
+        fc = plabic.faces(G)
+        return fc.faces, fc.face_of
+
+    def plabic_trips():
+        got, sigma = plabic.trips(G)
+        return tuple((t.start, t.end, t.darts) for t in got), sigma
+
+    assert outcome(plabic_faces) == outcome(lambda: reference_faces(G)), where
+    assert outcome(plabic_trips) == outcome(lambda: reference_trips(G)), where
+    assert (outcome(lambda: plabic.reducedness_witness_checks(G))
+            == outcome(lambda: reference_reducedness(G))), where
+    for mode in ("source", "target"):
+        assert (labeling_outcome(sweep_labels, G, mode)
+                == labeling_outcome(reference_face_labeling, G, mode)), where
+
+
+def test_tracer_matches_reference_on_bridge_graphs():
+    graphs = 0
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for image in itertools.combinations(range(1, n + 1), k):
+                x = perm.grassmannian_from_image(image, k, n)
+                assert_tracer_matches_reference(plabic.bridge_graph(k, n, x), (k, n, x))
+                graphs += 1
+    assert graphs == 126
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k, n, lam", ((3, 7, (4, 3, 2)), (4, 8, (4, 4, 4, 4))))
+def test_tracer_matches_reference_on_square_move_walks(k, n, lam, seed):
+    rng = random.Random(seed)
+    G = relabelled_bridge_graph(k, n, lam)
+    for step in range(12):
+        for H in (G, plabic.full_contract(G), plabic.mirror(G)):
+            assert_tracer_matches_reference(H, f"seed={seed} step={step}")
+        eligible = plabic.square_eligible_labels(G)
+        G = plabic.square_move(G, eligible[rng.randrange(len(eligible))])
+
+
+def malformed_rotation_fixtures():
+    """Graphs whose rotations are wrong in the ways the tests below build."""
+    G = golden_gr25_graph()
+    yield "swapped rotation", plabic.PlabicGraph(
+        G.boundary_order, G.labels, G.colors, G.edges, {**G.rot, 3: (8, 7, 12, 3)})
+    yield "ambiguous bigon", doubled_edge(plabic.bridge_graph(2, 4, (3, 4, 1, 2)), 5)
+    lollipop = plabic.lollipop_graph(0, 1)
+    yield "n=1 plus a 4-cycle", plabic.PlabicGraph(
+        lollipop.boundary_order, lollipop.labels,
+        {**lollipop.colors, 2: "w", 3: "b", 4: "w", 5: "b"},
+        {**lollipop.edges, 2: (2, 3), 3: (3, 4), 4: (4, 5), 5: (5, 2)},
+        {**lollipop.rot, 2: (5, 2), 3: (2, 3), 4: (3, 4), 5: (4, 5)})
+    for x in ((3, 4, 1, 2), (3, 5, 1, 2, 4)):
+        B = plabic.bridge_graph(2, len(x), x)
+        for v in (v for v, r in B.rot.items() if len(r) >= 3):
+            yield f"reversed at {v} plus a digon", with_separate_digon(B, (v,))
+            order = B.rot[v]
+            yield f"rotation at {v} swapped", plabic.PlabicGraph(
+                B.boundary_order, B.labels, B.colors, B.edges,
+                {**B.rot, v: (order[1], order[0]) + order[2:]})
+            yield f"edge listed twice at {v}", plabic.PlabicGraph(
+                B.boundary_order, B.labels, B.colors, B.edges,
+                {**B.rot, v: order[:1] + order[2:] + order[:2]})
+
+
+def test_tracer_matches_reference_on_malformed_rotations():
+    messages = []
+    for name, G in malformed_rotation_fixtures():
+        assert_tracer_matches_reference(G, name)
+        for call in (lambda: plabic.faces(G), lambda: plabic.face_labeling(G, "target")):
+            got = outcome(call)
+            if isinstance(got, tuple):  # an error and its message
+                messages.append(got[1])
+    seen = " | ".join(messages)
+    for kind in ("revisited a dart", "Euler check failed: V=11", "only the lollipop",
+                 "both sides of the trip", "left faces unassigned"):
+        assert kind in seen, kind
+
+
+def test_rotation_missing_an_edge_is_a_plabic_error():
+    # the reference tracer fails here with a bare ValueError from tuple.index
+    G = plabic.bridge_graph(2, 4, (3, 4, 1, 2))
+    v = next(v for v, r in G.rot.items() if len(r) >= 3)
+    bad = plabic.PlabicGraph(G.boundary_order, G.labels, G.colors, G.edges,
+                             {**G.rot, v: G.rot[v][1:]})
+    for derive in (plabic.faces, plabic.trips):
+        with pytest.raises(plabic.PlabicError, match="the rotations do not list every dart"):
+            derive(bad)
+
+
+def test_graph_without_boundary_has_no_outer_face():
+    # Euler's formula holds for a digon on the sphere, but with no boundary
+    # vertex no face is the outer one
+    digon = {"n": 0, "boundary_labels": [], "vertices": [{"id": 1, "color": "w"}, {"id": 2, "color": "b"}],
+             "edges": [[1, 2], [1, 2]], "rotations": {"1": [2, 2], "2": [1, 1]}}
+    with pytest.raises(plabic.PlabicError, match="without boundary vertices has no outer face"):
+        plabic.from_json(digon)
+
+
+# ---------------------------------------------------------------------------
 # references: one flood fill per trip, one build per contracted vertex
 # ---------------------------------------------------------------------------
 
@@ -511,18 +803,19 @@ def reference_trip_sides(G, fc, trip):
     """Left ("L") or right ("R") of the trip for every interior face: the
     faces along its darts first, then a flood fill across the edges it does
     not use."""
+    start, end, darts = trip
     side = {}
 
     def put(f, s):
         if side.get(f, s) != s:
             raise plabic.AmbiguousSide(
-                f"face {f} lies on both sides of the trip {trip.start}->{trip.end}")
+                f"face {f} lies on both sides of the trip {start}->{end}")
         side[f] = s
 
-    for eid, end in trip.darts:
-        put(fc.face_of[(eid, end)], "L")
-        put(fc.face_of[(eid, 1 - end)], "R")
-    trip_edges = {d[0] for d in trip.darts}
+    for eid, end_ in darts:
+        put(fc.face_of[(eid, end_)], "L")
+        put(fc.face_of[(eid, 1 - end_)], "R")
+    trip_edges = {d[0] for d in darts}
     adj = {f: set() for f in range(len(fc.faces))}
     for eid in G.edges:
         f0, f1 = fc.face_of[(eid, 0)], fc.face_of[(eid, 1)]
@@ -538,26 +831,28 @@ def reference_trip_sides(G, fc, trip):
                 queue.append(g)
             elif side[g] != side[f]:
                 raise plabic.AmbiguousSide(
-                    f"contradictory side assignment near trip {trip.start}->{trip.end}")
+                    f"contradictory side assignment near trip {start}->{end}")
     if len(side) != len(fc.faces):
         raise plabic.PlabicError("flood fill left faces unassigned")
     return side
 
 
 def reference_face_labeling(G, mode):
-    """Labels from one flood fill per trip: a trip marks the faces on its
-    left, a white lollipop every face."""
-    fc = plabic.faces(G)
+    """Labels from one flood fill per trip of the reference tracer: a trip
+    marks the faces on its left, a white lollipop every face."""
+    fc = reference_faces(G)
     labels = [set() for _ in fc.faces]
-    for trip in plabic.trips(G)[0]:
-        if trip.start == trip.end:
-            if plabic._leaf_color(G, trip.darts) == plabic.WHITE:
+    all_trips, sigma = reference_trips(G)
+    for trip in all_trips:
+        start, end, _ = trip
+        if start == end:
+            if start in sigma.white_fixed:
                 for lab in labels:
-                    lab.add(trip.start)
+                    lab.add(start)
             continue
         for f, s in reference_trip_sides(G, fc, trip).items():
             if s == "L":
-                labels[f].add(trip.start if mode == "source" else trip.end)
+                labels[f].add(start if mode == "source" else end)
     return tuple(frozenset(lab) for lab in labels)
 
 
@@ -814,7 +1109,3 @@ def test_json_roundtrip(gr25_graph, gr37_graph):
             plabic.face_labeling(G, "target").labels
         )
 
-
-def test_to_dot_smoke(gr25_graph):
-    text = plabic.to_dot(gr25_graph, plabic.face_labeling(gr25_graph, "target"))
-    assert "graph plabic" in text and "--" in text

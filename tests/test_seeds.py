@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -170,6 +172,80 @@ def test_exchange_quotients_never_carry_over_between_calls():
         a = seeds.ExchangeExpr((d13,) * j, (d12,), d23)
         assert seeds.expressions_agree(a, seeds.ExchangeExpr((d12,), (d13,) * j, d23), samples)
         assert not seeds.expressions_agree(a, seeds.ExchangeExpr((d13,) * (j + 1), (d12,), d23), samples)
+
+
+def fraction_evaluate(expr, M, memo):
+    """An exchange expression's value with every product taken over
+    ``Fraction``: the reference for ``ExchangeExpr.evaluate``."""
+    if isinstance(expr, seeds.PluckerSymbol):
+        return pluecker.plucker(M, expr.columns)
+    if id(expr) not in memo:
+        num, num2 = Fraction(1), Fraction(1)
+        for f in expr.out_factors:
+            num *= fraction_evaluate(f, M, memo)
+        for f in expr.in_factors:
+            num2 *= fraction_evaluate(f, M, memo)
+        den = fraction_evaluate(expr.divisor, M, memo)
+        if den == 0:
+            raise ZeroDivisionError("exchange denominator vanishes at this sample point")
+        memo[id(expr)] = (num + num2) / den
+    return memo[id(expr)]
+
+
+def value_or_error(evaluate, expr, M):
+    try:
+        return evaluate(expr, M, {})
+    except ZeroDivisionError as exc:
+        return str(exc)
+
+
+def nested_expressions(rng):
+    """Labels after seeded mutation sequences from the Gr(3,7) rectangles
+    seed, and random quotients of Pluecker symbols nested up to four deep."""
+    samples, G = walk_instance(3, 7, (4, 3, 2), rng, count=4)
+    S = seeds.seed_from_graph(G, "target")
+    exprs = []
+    for _ in range(6):
+        T = S
+        for _ in range(6):
+            T = seeds.mutate_seed(T, rng.choice(T.quiver.mutable_vertices()))
+        exprs += T.labels.values()
+    pool = [seeds.PluckerSymbol(frozenset(c)) for c in itertools.combinations(range(1, 8), 3)]
+    for _ in range(200):
+        e = seeds.ExchangeExpr(tuple(rng.sample(pool, rng.randint(0, 3))),
+                               tuple(rng.sample(pool, rng.randint(0, 3))), rng.choice(pool))
+        pool.append(e)
+        exprs.append(e)
+    return samples, exprs
+
+
+def test_exchange_evaluate_matches_fraction_products():
+    rng = random.Random(17)
+    samples, exprs = nested_expressions(rng)
+    rational = pluecker.matrix([[Fraction(rng.randint(-9, 9), rng.randint(2, 7)) for _ in range(7)]
+                                for _ in range(3)])
+    assert any(x.denominator != 1 for row in rational for x in row)
+    kinds = set()
+    for M in (*samples, rational):
+        for expr in exprs:
+            got = value_or_error(lambda e, M, memo: e.evaluate(M, memo), expr, M)
+            assert got == value_or_error(fraction_evaluate, expr, M), (M, expr)
+            if isinstance(got, str):
+                kinds.add("zero divisor")
+            else:
+                assert type(got) is Fraction
+                kinds.add((got.denominator == 1, M is rational))
+    # integral values and true fractions at integer samples, true fractions
+    # at the rational one, and zero divisors
+    assert kinds >= {(True, False), (False, False), (False, True), "zero divisor"}, kinds
+
+
+def test_exchange_evaluate_zero_divisor_message():
+    d12, d13, d23 = (seeds.PluckerSymbol(frozenset(c)) for c in ({1, 2}, {1, 3}, {2, 3}))
+    M = pluecker.matrix([[1, 0, 0], [0, 1, 1]])  # D23 = 0
+    with pytest.raises(ZeroDivisionError) as info:
+        seeds.ExchangeExpr((d12,), (d13,), d23).evaluate(M, {})
+    assert str(info.value) == "exchange denominator vanishes at this sample point"
 
 
 def test_square_move_label_is_plucker():
