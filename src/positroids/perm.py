@@ -94,10 +94,6 @@ def coxeter_length(w: Permutation) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
-def is_reduced(word: Sequence[int], n: int) -> bool:
-    return coxeter_length(apply_word(word, n)) == len(word)
-
-
 def any_reduced_word(w: Permutation) -> ReducedWord:
     """Some reduced word for w, in application order.
 
@@ -155,11 +151,6 @@ def is_grassmannian(x: Permutation, k: int) -> bool:
     True
     """
     return all(d == k for d in descents(x))
-
-
-def is_min_rep(w: Permutation, k: int) -> bool:
-    """Membership in W^K_min (minimal-length reps of W_K \\ W)."""
-    return is_grassmannian(inverse(w), k)
 
 
 def is_max_rep(v: Permutation, k: int) -> bool:

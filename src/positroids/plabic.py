@@ -8,16 +8,15 @@ virtual edges, and a boundary vertex's implicit rotation is
 ``(arc to next position, arc to previous position, pendant edge)``.
 
 Vertex ids are positive integers for internal vertices and negative integers
-for boundary vertices.  Edge ids are positive integers; a dart is named ``(eid,
-end)``, with tail ``edges[eid][end]`` and head ``edges[eid][1 - end]``, and
-the darts of the arc from boundary position p to p + 1 are ``(("arc", p), 0)``
-(clockwise) and ``(("arc", p), 1)``.
+for boundary vertices, and edge ids are positive integers.
 
 The graph is a combinatorial map (Lando-Zvonkin, *Graphs on Surfaces and
-Their Applications*, 2004).  Its 2(E + n) darts are numbered once: the i-th
-edge in id order has darts 2i and 2i + 1 (ends 0 and 1), and arc p has darts
-2(E + p) and 2(E + p) + 1.  Dart d reverses to ``d ^ 1``.  Two integer
-permutations on these numbers carry the embedding:
+Their Applications*, 2004).  Its 2(E + n) darts are numbered once, and a dart
+is only ever its number: the i-th edge in id order has darts 2i and 2i + 1,
+dart 2i + end running from ``edges[eid][end]`` to ``edges[eid][1 - end]``,
+and the arc from boundary position p to p + 1 has darts 2(E + p) (clockwise)
+and 2(E + p) + 1.  Dart d reverses to ``d ^ 1``.  Two integer permutations on
+these numbers carry the embedding:
 
 - ``face_next`` takes d to the dart leaving head(d) along the predecessor of
   d's edge in the ccw rotation.  Faces are its cycles; every face lies to the
@@ -33,15 +32,15 @@ A trip ``i -> j`` puts ``j`` (target) or ``i`` (source) in the label of every
 face on its left.  Both labelings come from one sweep over the dual graph:
 crossing an edge changes sides only for the trips through it.  A face reached
 twice with different sides, or a trip dart without its trip on the left,
-makes a trip ambiguous, and :class:`AmbiguousSide` names the first such trip.
-Faces and trips are computed on dart numbers; their ``darts`` and
-``Faces.face_of`` give the ``(eid, end)`` names.
+makes a trip ambiguous, and :class:`AmbiguousSide` reports the first such trip.
+``Face.darts`` and ``Trip.darts`` list dart numbers, and ``Faces.face_of``
+maps each dart number to its face.
 
 A graph is immutable after construction: local moves, relabeling and the
 mirror build new graphs.  So its dart permutations, faces, trips, face
 labelings and full contraction are computed once, on first use, kept on the
 graph and shared by every caller; callers must not mutate what they get back
-(in particular a ``Faces.face_of`` dict).  A call that raises keeps nothing
+(in particular a ``Faces.face_of`` list).  A call that raises keeps nothing
 and raises again.
 """
 
@@ -57,9 +56,6 @@ from positroids.perm import DecoratedPermutation, Permutation
 
 BLACK = "b"
 WHITE = "w"
-
-Dart = tuple[object, int]  # (edge id, tail end); arcs use ("arc", p) ids
-
 
 class PlabicError(ValueError):
     pass
@@ -183,10 +179,9 @@ class PlabicGraph:
 # ---------------------------------------------------------------------------
 
 class _Darts(NamedTuple):
-    """A graph's darts by number (see the module docstring): dart 2i + end
-    is ``(eid, end)`` of the i-th edge in id order, and arc darts follow."""
+    """A graph's darts by number (see the module docstring)."""
 
-    names: tuple[Dart, ...]  # dart -> (eid, end) or (("arc", p), end)
+    eids: tuple[int, ...]  # edge ids in id order: dart d lies on edge eids[d >> 1]
     head: list[int]  # dart -> the vertex it enters
     face_next: list[int]  # dart -> next dart of the face on its left
     trip_next: list[int]  # dart -> next dart of its trip; -1 into the boundary
@@ -198,17 +193,15 @@ def _number_darts(G: PlabicGraph) -> _Darts:
     entering along o_i's edge is ``o_i ^ 1``, its face goes on along
     o_{i-1} and its trip along o_{i+1} (black) or o_{i-1} (white)."""
     n = G.n
-    names: list[Dart] = []
+    eids = tuple(sorted(G.edges))
     head: list[int] = []
     number: dict[int, int] = {}
-    for eid in sorted(G.edges):
+    for eid in eids:
         a, b = G.edges[eid]
         number[eid] = len(head)
-        names += ((eid, 0), (eid, 1))
         head += (b, a)
     arcs = len(head)
     for p in range(n):
-        names += ((("arc", p), 0), (("arc", p), 1))
         head += (G.boundary_order[(p + 1) % n], G.boundary_order[p])
 
     def leaving(v: int, eid: int) -> int:
@@ -235,7 +228,7 @@ def _number_darts(G: PlabicGraph) -> _Darts:
         face_next[cw ^ 1], face_next[ccw ^ 1], face_next[d ^ 1] = d, cw, ccw
     if -1 in face_next:
         raise PlabicError("the rotations do not list every dart")
-    return _Darts(tuple(names), head, face_next, trip_next)
+    return _Darts(eids, head, face_next, trip_next)
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +237,20 @@ def _number_darts(G: PlabicGraph) -> _Darts:
 
 @dataclass(frozen=True)
 class Face:
-    darts: tuple[Dart, ...]
+    darts: tuple[int, ...]  # dart numbers, each with the face on its left
     boundary: bool
 
 
 @dataclass(frozen=True)
 class Faces:
-    """The interior faces.  ``_cycles`` holds each face's darts by number,
-    in the same order as its ``darts``, and ``_face`` each dart number's face
+    """The interior faces, and ``face_of``: dart number -> index of its face
     (-1 on the outer face)."""
 
     faces: tuple[Face, ...]
-    _cycles: tuple[list[int], ...] = field(repr=False, compare=False)
-    _face: list[int] = field(repr=False, compare=False)
+    face_of: list[int] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.faces)
-
-    @cached_property
-    def face_of(self) -> dict[Dart, int]:
-        """Dart name -> index of its face (outer-face darts are absent)."""
-        return {d: i for i, f in enumerate(self.faces) for d in f.darts}
 
 
 def faces(G: PlabicGraph) -> Faces:
@@ -289,7 +275,7 @@ def _find_faces(G: PlabicGraph) -> Faces:
                 f"Euler check failed: V={len(G.colors) + 1} E={len(G.edges)}, but on one "
                 "boundary vertex only the lollipop has one face"
             )
-        return Faces((Face(darts.names[:arcs], True),), (list(range(arcs)),), [0, 0, -1, -1])
+        return Faces((Face(tuple(range(arcs)), True),), [0, 0, -1, -1])
 
     nxt = darts.face_next
     seen = [False] * len(nxt)
@@ -319,20 +305,15 @@ def _find_faces(G: PlabicGraph) -> Faces:
 
     # an orbit starts at its smallest dart, and the outer face at the
     # clockwise dart of arc 0
-    interior = tuple([orbit for orbit in orbits if orbit[0] != arcs])
+    interior = [orbit for orbit in orbits if orbit[0] != arcs]
     face = [-1] * len(nxt)
     for i, orbit in enumerate(interior):
         for d in orbit:
             face[d] = i
-    # tuples are built from lists, at their final size: CPython shrinks a
+    # the tuple is built from a list, at its final size: CPython shrinks a
     # tuple built from a generator from a guessed size, and freeing it then
     # fills the free list of the smaller size (up to 2,000 tuples a size)
-    names = darts.names
-    return Faces(
-        tuple([Face(tuple([names[d] for d in orbit]), max(orbit) >= arcs) for orbit in interior]),
-        interior,
-        face,
-    )
+    return Faces(tuple([Face(tuple(orbit), max(orbit) >= arcs) for orbit in interior]), face)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +324,7 @@ def _find_faces(G: PlabicGraph) -> Faces:
 class Trip:
     start: int  # boundary label
     end: int
-    darts: tuple[Dart, ...]
-    _walk: list[int] = field(repr=False, compare=False)  # the darts by number
+    darts: tuple[int, ...]  # dart numbers, from the pendant dart at start
 
 
 def trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
@@ -355,7 +335,7 @@ def trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
 
 def _find_trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
     darts = G._darts
-    names, head, nxt = darts.names, darts.head, darts.trip_next
+    head, nxt = darts.head, darts.trip_next
     arcs = 2 * len(G.edges)
     limit = arcs + 2
     out = []
@@ -370,7 +350,7 @@ def _find_trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]
             if len(walk) > limit:
                 raise PlabicError("trip failed to terminate; malformed rotation system")
         i, j = G.labels[bd], G.labels[head[d]]
-        out.append(Trip(i, j, tuple([names[d] for d in walk]), walk))
+        out.append(Trip(i, j, tuple(walk)))
         images[i] = j
         if i == j:
             # a round trip, colored by its (possibly subdivided) lollipop leaf
@@ -420,30 +400,30 @@ def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
     on its left, fixes face 0's own side.  A trip is ambiguous when a face is
     reached twice with masks that differ in its bit, or when one of its
     darts does not have the trip on its left (as when the trip runs along an
-    edge with one face on both sides); :class:`AmbiguousSide` names the
+    edge with one face on both sides); :class:`AmbiguousSide` reports the
     first ambiguous trip in trip order.  A round trip marks every face when
     its lollipop is white and none when it is black.
     """
     fc = faces(G)
     all_trips, sigma = trips(G)
-    cycles, face = fc._cycles, fc._face
+    face = fc.face_of
     arcs = 2 * len(G.edges)
     paths = [t for t in all_trips if t.start != t.end]
     bit = [0] * len(face)
     for i, t in enumerate(paths):
-        for d in t._walk:
+        for d in t.darts:
             bit[d] = 1 << i
-    mask: list[int | None] = [None] * len(cycles)
+    mask: list[int | None] = [None] * len(fc.faces)
     ambiguous = 0
     roots = 0
-    for root in range(len(cycles)):
+    for root in range(len(fc.faces)):
         if mask[root] is not None:
             continue
         roots += 1
         mask[root] = 0
         queue = [root]
         for f in queue:
-            for d in cycles[f]:
+            for d in fc.faces[f].darts:
                 if d >= arcs:  # a boundary arc: the outer face
                     continue
                 g = face[d ^ 1]
@@ -455,10 +435,10 @@ def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
                 else:
                     mask[g] = m
                     queue.append(g)
-    left0 = sum(1 << i for i, t in enumerate(paths) if not mask[face[t._walk[0]]] >> i & 1)
+    left0 = sum(1 << i for i, t in enumerate(paths) if not mask[face[t.darts[0]]] >> i & 1)
     left = [m ^ left0 for m in mask]
     for i, t in enumerate(paths):
-        for d in t._walk:
+        for d in t.darts:
             if not left[face[d]] >> i & 1 or left[face[d ^ 1]] >> i & 1:
                 ambiguous |= 1 << i
     if paths and roots > 1 and not ambiguous & 1:
@@ -484,7 +464,7 @@ def dual_quiver_arrows(G: PlabicGraph, fc: Faces) -> list[tuple[int, int]]:
     left and the black endpoint on the right while crossing; oriented 2-cycles
     cancelled pairwise.  Faces are referenced by index into ``fc``, which
     must be ``faces(G)``."""
-    head, face = G._darts.head, fc._face
+    head, face = G._darts.head, fc.face_of
     raw: Counter[tuple[int, int]] = Counter()
     for d in range(0, 2 * len(G.edges), 2):  # edge by edge, in id order
         b, a = head[d], head[d + 1]
@@ -593,9 +573,13 @@ def add_bridge(G: PlabicGraph, a: int, b: int) -> PlabicGraph:
     n = G.n
     if not 1 <= a < b <= n:
         raise InvalidBridge(f"need 1 <= a < b <= n, got ({a}, {b})")
-    # the trip permutation on boundary positions, independent of the labels
-    by_position = replace(G, labels={bd: p for p, bd in enumerate(G.boundary_order, start=1)})
-    lifted = permmod.bounded_affine(trips(by_position)[1])
+    # the trip permutation on boundary positions, independent of the labels;
+    # G's trips run one per position, in position order
+    all_trips, sigma = trips(G)
+    position = {G.labels[bd]: p for p, bd in enumerate(G.boundary_order, start=1)}
+    by_position = DecoratedPermutation(tuple(position[t.end] for t in all_trips),
+                                       frozenset(position[i] for i in sigma.white_fixed))
+    lifted = permmod.bounded_affine(by_position)
     if lifted.window[a - 1] <= lifted.window[b - 1]:
         raise InvalidBridge(f"bounded affine permutation not decreasing on ({a}, {b})")
 
@@ -678,8 +662,9 @@ def mirror(G: PlabicGraph) -> PlabicGraph:
 def expand_vertex(G: PlabicGraph, v: int, e_pair: tuple[int, int]) -> PlabicGraph:
     """(M2, reversed) split off a ccw-adjacent pair of edges of v onto a new
     same-colored vertex, joined to v through a new degree-2 vertex.  Every
-    dart keeps its ``(edge id, end)`` name, and the face between the pair
-    keeps its darts."""
+    edge keeps its id and the order of its ends, so an ``(edge id, end)``
+    pair stays on the same dart, and the face between the pair keeps its
+    darts."""
     e_a, e_b = e_pair
     order = G.rot[v]
     i = order.index(e_a)
@@ -757,10 +742,11 @@ def _square_defect(G: PlabicGraph, i: int) -> str | None:
     four corners are distinct internal vertices of degree at least 3.  (Its
     corner colors alternate because G is bipartite.)"""
     fc = faces(G)
-    if fc.faces[i].boundary or len(fc._cycles[i]) != 4:
+    face = fc.faces[i]
+    if face.boundary or len(face.darts) != 4:
         return "is not an interior quadrilateral"
     head = G._darts.head
-    corners = {head[d] for d in fc._cycles[i]}
+    corners = {head[d] for d in face.darts}
     if len(corners) != 4 or any(G.is_boundary(c) for c in corners):
         return "does not have four distinct internal corners"
     if any(len(G.rot[c]) < 3 for c in corners):
@@ -782,7 +768,10 @@ def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
     defect = _square_defect(G, i)
     if defect is not None:
         raise NotSquareEligible(f"face {sorted(label)} {defect}")
-    darts = faces(G).faces[i].darts  # edge darts, named by (eid, end)
+    # the face's edge darts as (eid, end), which survive corner expansion
+    # (it renumbers darts)
+    eids = G._darts.eids
+    darts = [(eids[d >> 1], d & 1) for d in faces(G).faces[i].darts]
     # expand corners of degree > 3 down to trivalent; the face keeps its darts
     for j, (eid, end) in enumerate(darts):
         c = G.edges[eid][1 - end]
@@ -849,7 +838,7 @@ def reducedness_witness_checks(G: PlabicGraph) -> ReducednessReport:
     same relative order, and (R1) not directly applicable."""
     all_trips, _ = trips(G)
     nxt = G._darts.trip_next
-    seen = {d for t in all_trips for d in t._walk}
+    seen = {d for t in all_trips for d in t.darts}
     round_trips = 0
     for d0 in range(2 * len(G.edges)):
         if d0 in seen:
@@ -867,16 +856,16 @@ def reducedness_witness_checks(G: PlabicGraph) -> ReducednessReport:
     # a dart's edge is d >> 1 (its edge's place in id order)
     selfint = tuple(
         t.start for t in all_trips
-        if t.start != t.end and len({d >> 1 for d in t._walk}) < len(t._walk)
+        if t.start != t.end and len({d >> 1 for d in t.darts}) < len(t.darts)
     )
 
     parallel = []
     for i, t1 in enumerate(all_trips):
-        order1 = {d >> 1: p for p, d in enumerate(t1._walk)}
+        order1 = {d >> 1: p for p, d in enumerate(t1.darts)}
         for t2 in all_trips[i + 1:]:
             # shared edges in t2's traversal order; flag a pair t1 also
             # traverses in that order
-            shared = [d >> 1 for d in t2._walk if d >> 1 in order1]
+            shared = [d >> 1 for d in t2.darts if d >> 1 in order1]
             if any(
                 order1[shared[ei]] < order1[shared[ej]]
                 for ei in range(len(shared))

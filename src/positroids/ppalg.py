@@ -155,20 +155,6 @@ def soc_chain(ambient: DiagramModule, word: Sequence[int]) -> DiagramModule:
 # The cluster-tilting summands U_j
 # ---------------------------------------------------------------------------
 
-def word_prefix_data(v: Permutation, w_word: Sequence[int], j: int):
-    """For position j of the word: the letter i_j, the prefix product w_(j),
-    and v_(j) (the product of the PDS letters at positions <= j)."""
-    n = len(v)
-    pds = permmod.positive_distinguished_subexpression(v, w_word)
-    if not 1 <= j <= len(w_word):
-        raise ValueError(f"position {j} outside the word")
-    i_j = w_word[j - 1]
-    w_j = permmod.apply_word(w_word[:j], n)
-    v_letters = [w_word[p - 1] for p in range(1, j + 1) if p in pds]
-    v_j = permmod.apply_word(v_letters, n)
-    return i_j, w_j, v_j, tuple(v_letters)
-
-
 def tilting_summand(
     k: int, n: int, v: Permutation, w_word: Sequence[int], j: int
 ) -> DiagramModule:
@@ -224,15 +210,20 @@ def plucker_of_module(
     k: int, n: int, v: Permutation, w_word: Sequence[int], j: int
 ) -> frozenset[int]:
     """Pluecker label of U_j: the projection of the generalized minor
-    ``(v_(j)^{-1}([i_j]), w_(j)^{-1}([i_j]))`` to the Grassmannian."""
+    ``(v_(j)^{-1}([i_j]), w_(j)^{-1}([i_j]))`` to the Grassmannian, with
+    i_j the letter at position j, w_(j) the product of the letters up to j
+    and v_(j) the product of the PDS letters up to j."""
     from positroids import pluecker
 
-    i_j, w_j, v_j, _ = word_prefix_data(v, w_word, j)
-    wj_inv = permmod.inverse(w_j)
-    vj_inv = permmod.inverse(v_j)
+    pds = permmod.positive_distinguished_subexpression(v, w_word)
+    if not 1 <= j <= len(w_word):
+        raise ValueError(f"position {j} outside the word")
+    i_j = w_word[j - 1]
+    wj_inv = permmod.inverse(permmod.apply_word(w_word[:j], n))
+    v_letters = [w_word[p - 1] for p in range(1, j + 1) if p in pds]
+    vj_inv = permmod.inverse(permmod.apply_word(v_letters, n))
     rows = frozenset(vj_inv[:i_j])
-    expected_rows = frozenset(permmod.inverse(v)[:i_j]) if i_j <= n else None
-    if rows != expected_rows:
+    if rows != frozenset(permmod.inverse(v)[:i_j]):
         raise ValueError(
             "generalized minor rows are not v^{-1}([l]); "
             "input word is not standard for a skew pair"
@@ -261,20 +252,25 @@ def endomorphism_quiver(k: int, n: int, v: Permutation, x: Permutation):
     ``(v, x v)``: vertices are the boxes of ``lambda_x``, frozen exactly at
     the projective-injective summands (the boxes on the southeast boundary),
     arrows by the hook/row/column rules with frozen-frozen arrows dropped.
-    Returns ``(quiver, labels)`` with labels the Pluecker column sets."""
+    Returns ``(quiver, labels)`` with labels the Pluecker column sets: the
+    summand U_j at position j of the standard word sits at
+    ``box_of_position(lambda_x, j, l(v))`` and carries
+    ``plucker_of_module(k, n, v, word, j)``."""
     from positroids.seeds import Quiver
 
     permmod.check_skew_pair(v, x, k)
     lam = shapes.from_vert_ne(tuple(x)[:k], k, n)
-    vi = permmod.inverse(v)
-    frozen = {b: shapes.is_lambda_frozen(lam, b) for b in shapes.boxes(lam)}
+    word = permmod.standard_reduced_expression(x, v, k)
+    offset = permmod.coxeter_length(v)
+    positions = permmod.summand_index_set(v, word)
+    if positions != tuple(range(offset + 1, len(word) + 1)):
+        raise ValueError(f"summand positions {positions} are not {offset + 1}..{len(word)}")
+    labels = {box_of_position(lam, j, offset): plucker_of_module(k, n, v, word, j)
+              for j in positions}
+    frozen = {b: shapes.is_lambda_frozen(lam, b) for b in labels}
     arrows = tuple(
         (s, t) for s, t in morphism_arrows(lam) if not (frozen[s] and frozen[t])
     )
-    labels = {
-        (r, c): frozenset(vi[j - 1] for j in shapes.rect_vert_ne(r, c, k, n))
-        for (r, c) in frozen
-    }
     return Quiver(frozen, arrows), labels
 
 

@@ -110,34 +110,9 @@ def from_vert_sw(labels: Iterable[int], k: int, n: int) -> Partition:
     return from_vert_ne({n + 1 - i for i in labels}, k, n)
 
 
-def pperm_sw(lam: Partition, k: int, n: int) -> tuple[int, ...]:
-    """Grassmannian permutation of type (n-k, n) read off the southwest path:
-    first the horizontal-step labels, then the vertical-step labels.
-
-    >>> pperm_sw((4, 3, 2), 3, 7)
-    (2, 4, 6, 7, 1, 3, 5)
-    """
-    vs = sorted(vert_sw(lam, k, n))
-    hs = sorted(set(range(1, n + 1)) - set(vs))
-    return tuple(hs + vs)
-
-
 # ---------------------------------------------------------------------------
 # Rectangles and frozenness
 # ---------------------------------------------------------------------------
-
-def rect_of(lam: Partition, b: Box) -> Partition:
-    """Largest rectangle inside lam whose lower-right corner is b: always the
-    full ``row(b) x col(b)`` rectangle anchored at the top-left corner.
-
-    >>> rect_of((4, 3, 2), (2, 3))
-    (3, 3)
-    """
-    if not contains_box(lam, b):
-        raise ValueError(f"box {b} outside {lam}")
-    r, c = b
-    return (c,) * r
-
 
 def rect_vert_ne(r: int, c: int, k: int, n: int) -> frozenset[int]:
     """``vert_ne`` of the r x c rectangle: [1..k-r] followed by [k-r+c+1..k+c]."""

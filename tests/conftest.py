@@ -63,6 +63,14 @@ def golden_gr37_graph() -> plabic.PlabicGraph:
     return G
 
 
+def dart_name(G: plabic.PlabicGraph, d: int) -> tuple:
+    """Dart number d of G as ``(eid, end)``, with ``(("arc", p), end)`` for
+    the arc from boundary position p to p + 1 (the numbering of the
+    ``plabic`` module docstring)."""
+    i, E = d >> 1, len(G.edges)
+    return (("arc", i - E) if i >= E else sorted(G.edges)[i], d & 1)
+
+
 @pytest.fixture
 def count_determinants(monkeypatch):
     """Count the calls of ``pluecker.determinant`` from here on."""

@@ -6,7 +6,7 @@ import time
 from itertools import combinations
 
 from positroids import lediag, perm, plabic, pluecker, ppalg, seeds, shapes
-from conftest import golden_gr25_graph, golden_gr37_graph, random_skew_pair, skew_pairs
+from conftest import dart_name, golden_gr25_graph, golden_gr37_graph, random_skew_pair, skew_pairs
 
 
 def announce(num, elapsed=None):
@@ -31,14 +31,15 @@ def test_criterion_01_gr25_golden():
         nm(lab.labels[i]) for i, f in enumerate(lab.faces.faces) if not f.boundary
     )
     assert internals == ["24", "25"]
+    face_of = {dart_name(G, d): i for d, i in enumerate(lab.faces.face_of)}
     # 25 sits in the central square (left of the dart 2->1 along its top edge),
     # 24 in the lower quadrilateral (left of the dart 3->4 along the bottom)
-    assert nm(lab.labels[lab.faces.face_of[(6, 1)]]) == "25"
-    assert nm(lab.labels[lab.faces.face_of[(8, 0)]]) == "24"
+    assert nm(lab.labels[face_of[(6, 1)]]) == "25"
+    assert nm(lab.labels[face_of[(8, 0)]]) == "24"
     # boundary placement: face across arc (p, p+1) carries the drawn label
     placed = {}
     for p in range(G.n):
-        idx = lab.faces.face_of[(("arc", p), 1)]
+        idx = face_of[(("arc", p), 1)]
         placed[(p + 1, (p % G.n) + 2 if p + 2 <= G.n else 1)] = nm(lab.labels[idx])
     assert placed == {(1, 2): "15", (2, 3): "12", (3, 4): "23", (4, 5): "34", (5, 1): "45"}
     S = seeds.seed_from_graph(G, "source")
@@ -210,8 +211,7 @@ def quadruple_of_square_face(G, labeling, idx):
     R = None
     neighbors = []
     for d in face.darts:
-        eid, end = d
-        nb = labeling.faces.face_of.get((eid, 1 - end))
+        nb = labeling.faces.face_of[d ^ 1]
         neighbors.append(labeling.labels[nb])
     R = frozenset.intersection(*neighbors)
     elems = []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from positroids import cli, perm, plabic, pluecker, shapes
 from positroids.cli import main
+from conftest import skew_pairs
 
 RUN = [sys.executable, "-m", "positroids.cli"]
 
@@ -306,6 +307,21 @@ def run_main_on(argv, stdin_text, monkeypatch, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_ppalg_quiver_prints_the_rectangles_seed(monkeypatch, capsys):
+    # the seed read off the tilting summands is the rectangles seed (the
+    # paper's main theorem), so the two commands print the same bytes
+    pairs = 0
+    for n in range(2, 6):
+        for k, v, x in skew_pairs(n):
+            args = ["--k", str(k), "--n", str(n), "--v", " ".join(map(str, v)),
+                    "--x", " ".join(map(str, x))]
+            got = run_main_on(["ppalg", "quiver", *args], "", monkeypatch, capsys)
+            assert got == run_main_on(["seed", "rectangles", *args], "", monkeypatch, capsys), args
+            assert got[0] == 0
+            pairs += 1
+    assert pairs == 185
 
 
 def malformed_graphs():

@@ -63,7 +63,7 @@ def test_coset_reps():
     assert perm.parabolic_longest(2, 5) == (2, 1, 5, 4, 3)
     assert perm.is_grassmannian((2, 4, 7, 8, 1, 3, 5, 6), 4)
     assert perm.is_max_rep((8, 3, 2, 7, 6, 5, 4, 1), 3)
-    assert perm.is_min_rep(perm.identity(5), 2)
+    assert perm.is_grassmannian(perm.inverse(perm.identity(5)), 2)
     assert not perm.is_max_rep(perm.identity(5), 2)
 
 
@@ -96,7 +96,7 @@ def test_standard_reduced_expression_lengths():
     word = perm.standard_reduced_expression(x, v, k)
     assert len(word) == 5 + 4
     assert perm.apply_word(word, n) == perm.multiply(x, v)
-    assert perm.is_reduced(word, n)
+    assert perm.coxeter_length(perm.apply_word(word, n)) == len(word)
 
 
 def test_standard_reduced_expression_running_example():

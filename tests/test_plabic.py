@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -7,7 +8,7 @@ from typing import NamedTuple
 import pytest
 
 from positroids import perm, plabic, pluecker, seeds, shapes
-from conftest import golden_gr25_graph, random_skew_pair
+from conftest import dart_name, golden_gr25_graph, random_skew_pair
 
 
 def label_names(labels):
@@ -109,9 +110,10 @@ def test_source_labels_gr25(gr25_graph):
 
 def _arc_label_map(G, lab):
     out = {}
+    face_of = {dart_name(G, d): i for d, i in enumerate(lab.faces.face_of)}
     for p in range(G.n):
         arc_dart = (("arc", p), 1)  # counterclockwise arc dart borders the interior face
-        idx = lab.faces.face_of.get(arc_dart)
+        idx = face_of.get(arc_dart)
         a = G.labels[G.boundary_order[p]]
         b = G.labels[G.boundary_order[(p + 1) % G.n]]
         out[(a, b)] = lab.labels[idx]
@@ -363,12 +365,13 @@ def reference_square_eligible_labels(G):
         named = again.faces.faces[again.index_of(labeling.labels[idx])]
         if named.boundary or len(named.darts) != 4:
             continue
-        if any(isinstance(d[0], tuple) for d in named.darts):
+        darts = [dart_name(H, d) for d in named.darts]
+        if any(isinstance(d[0], tuple) for d in darts):
             continue
-        corners = [ref_dart_head(H, d) for d in named.darts]
+        corners = [ref_dart_head(H, d) for d in darts]
         if len(set(corners)) != 4 or any(H.is_boundary(c) for c in corners):
             continue
-        if all(len(H.rot[ref_dart_head(H, d)]) >= 3 for d in face.darts):
+        if all(len(H.rot[ref_dart_head(H, dart_name(H, d))]) >= 3 for d in face.darts):
             out.append(labeling.labels[idx])
     return tuple(out)
 
@@ -698,11 +701,13 @@ def assert_tracer_matches_reference(G, where=""):
     reference tracer's, or both raise the same error."""
     def plabic_faces():
         fc = plabic.faces(G)
-        return fc.faces, fc.face_of
+        named = tuple(plabic.Face(tuple(dart_name(G, d) for d in f.darts), f.boundary)
+                      for f in fc.faces)
+        return named, {dart_name(G, d): i for d, i in enumerate(fc.face_of) if i >= 0}
 
     def plabic_trips():
         got, sigma = plabic.trips(G)
-        return tuple((t.start, t.end, t.darts) for t in got), sigma
+        return tuple((t.start, t.end, tuple(dart_name(G, d) for d in t.darts)) for t in got), sigma
 
     assert outcome(plabic_faces) == outcome(lambda: reference_faces(G)), where
     assert outcome(plabic_trips) == outcome(lambda: reference_trips(G)), where
@@ -719,7 +724,12 @@ def test_tracer_matches_reference_on_bridge_graphs():
         for k in range(n + 1):
             for image in itertools.combinations(range(1, n + 1), k):
                 x = perm.grassmannian_from_image(image, k, n)
-                assert_tracer_matches_reference(plabic.bridge_graph(k, n, x), (k, n, x))
+                G = plabic.bridge_graph(k, n, x)
+                assert_tracer_matches_reference(G, (k, n, x))
+                # darts are numbered in edge-id order, whatever the dict order
+                shuffled = plabic.PlabicGraph(G.boundary_order, G.labels, G.colors,
+                                              dict(reversed(G.edges.items())), G.rot)
+                assert_tracer_matches_reference(shuffled, (k, n, x, "edges reversed"))
                 graphs += 1
     assert graphs == 126
 
@@ -1019,6 +1029,41 @@ def test_add_bridge_composes_transposition():
             )
             assert new.window == expect
             lifted = new
+
+
+def test_add_bridge_reads_positions_not_labels():
+    # bridging a relabelled graph gives the relabelled bridged graph, and a
+    # bridge is valid or not by boundary position whatever the labels
+    rng = random.Random(2)
+    for _ in range(20):
+        n = rng.randint(3, 7)
+        k, v, x = random_skew_pair(n, rng)
+        u = tuple(rng.sample(range(1, n + 1), n))
+        G = plabic.lollipop_graph(k, n)
+        for i in perm.columnar_expression(x, k):
+            for a, b in itertools.combinations(range(1, n + 1), 2):
+                try:
+                    want = plabic.relabel_boundary(plabic.add_bridge(G, a, b), u)
+                except plabic.InvalidBridge:
+                    with pytest.raises(plabic.InvalidBridge):
+                        plabic.add_bridge(plabic.relabel_boundary(G, u), a, b)
+                else:
+                    assert plabic.add_bridge(plabic.relabel_boundary(G, u), a, b) == want
+            G = plabic.add_bridge(G, i, i + 1)
+
+
+def test_bridge_graph_builds_one_boundary_map_per_bridge(monkeypatch):
+    # add_bridge reads the trips of the graph it is given, so a bridge builds
+    # the boundary map of that one graph and of no relabelled copy
+    built = []
+    scan = plabic.PlabicGraph._boundary_edges.func
+    counted = functools.cached_property(lambda G: built.append(G) or scan(G))
+    counted.__set_name__(plabic.PlabicGraph, "_boundary_edges")
+    monkeypatch.setattr(plabic.PlabicGraph, "_boundary_edges", counted)
+    x = perm.grassmannian_from_image(range(13, 25), 12, 24)
+    plabic.bridge_graph(12, 24, x)
+    assert len(perm.columnar_expression(x, 12)) == 144
+    assert len(built) == 144
 
 
 def test_bridge_graphs_pass_reducedness_checks():

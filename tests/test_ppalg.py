@@ -264,6 +264,18 @@ def test_endomorphism_quiver_matches_rectangles_seed():
     assert labels == {b: l.columns for b, l in S.labels.items()}
 
 
+def test_endomorphism_quiver_needs_summands_after_v(monkeypatch):
+    # in a reduced word for w that is not the standard one, the summand
+    # positions are not the last l(x) positions, so no box has its summand
+    k, n, v = running_pair()
+    w = perm.apply_word(RUNNING_WORD, n)
+    x = perm.multiply(w, perm.inverse(v))
+    monkeypatch.setattr(perm, "standard_reduced_expression",
+                        lambda x, v, k: perm.any_reduced_word(w))
+    with pytest.raises(ValueError, match="summand positions"):
+        ppalg.endomorphism_quiver(k, n, v, x)
+
+
 def test_endomorphism_quiver_single_box():
     k, n = 2, 4
     v = perm.parabolic_longest(k, n)

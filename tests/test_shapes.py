@@ -25,27 +25,23 @@ def test_vert_ne_vert_sw_mutually_recoverable():
         assert shapes.from_vert_sw(sw, 3, 7) == lam
 
 
-def test_pperm_sw():
-    assert shapes.pperm_sw((4, 3, 2), 3, 7) == (2, 4, 6, 7, 1, 3, 5)
-    lam_empty = shapes.pperm_sw((), 3, 7)
-    assert lam_empty == perm.identity(7)
-    for lam in shapes.partitions_in_box(2, 3):
-        assert perm.coxeter_length(shapes.pperm_sw(lam, 2, 5)) == shapes.size(lam)
+def rect_of(r, c, k, n):
+    """Rect(b) for the box b = (r, c), read back from its ``rect_vert_ne``."""
+    return shapes.from_vert_ne(shapes.rect_vert_ne(r, c, k, n), k, n)
 
 
 def test_rect_of():
-    assert shapes.rect_of((4, 3, 2), (1, 1)) == (1,)
-    assert shapes.rect_of((4, 3, 2), (2, 3)) == (3, 3)
-    assert shapes.rect_of((4, 3, 2), (3, 2)) == (2, 2, 2)
-    with pytest.raises(ValueError):
-        shapes.rect_of((4, 3, 2), (3, 3))
+    assert rect_of(1, 1, 3, 7) == (1,)
+    assert rect_of(2, 3, 3, 7) == (3, 3)
+    assert rect_of(3, 2, 3, 7) == (2, 2, 2)
+    assert not shapes.contains_box((4, 3, 2), (3, 3))
 
 
 def test_rect_of_is_maximal_rectangle():
     lam = (4, 3, 3, 1)
     for b in shapes.boxes(lam):
         r, c = b
-        rect = shapes.rect_of(lam, b)
+        rect = rect_of(r, c, 4, 9)
         assert shapes.contains(lam, rect)
         assert rect == (c,) * r
         # no larger rectangle with corner b fits
