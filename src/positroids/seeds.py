@@ -532,6 +532,10 @@ class MutationClassReport:
     bound_hit: bool
     saw_multiple_arrow: bool
     representatives: tuple[Quiver, ...]
+    # new classes found at each depth 1, 2, ...: its length is the depth reached
+    frontier_sizes: tuple[int, ...]
+    # canonical labelings computed, the start's included
+    labelled: int
 
     @property
     def verdict(self) -> str:
@@ -559,7 +563,16 @@ def mutation_class_explore(
     """Breadth-first search of the mutation class of the mutable part of Q, up
     to quiver isomorphism and to :data:`MAX_CLASS_SIZE` classes.  The search
     runs on exchange matrices keyed by :func:`_canonical_label`;
-    representatives are Quivers on Q's mutable vertices."""
+    representatives are Quivers on Q's mutable vertices.
+
+    A mutated matrix equal, entry for entry, to one already made in the same
+    level is skipped before it is labelled: its class is already seen.  Such
+    repeats are common, since mutations at two vertices with ``b_qr = 0``
+    commute.  Each level keeps only ``hash(matrix)`` and where the matrix was
+    made (frontier index and vertex); on a hash hit the earlier matrix is made
+    again and compared, so a collision is never taken for a repeat.  A set of
+    the matrices themselves would hold a level's worth of them in memory
+    (6% more peak RSS on the mutation-class benchmark)."""
     Q0 = Q.restrict_mutable()
     # Individualization-refinement has exponential worst cases.  Up to 12
     # vertices the most symmetric quivers tried (no arrows, oriented cycles,
@@ -572,22 +585,30 @@ def mutation_class_explore(
             "only up to 12 vertices"
         )
     verts = list(Q0.frozen)
+    n = len(verts)
     B0 = _b_matrix(Q0, verts)
-    colour = [0] * len(verts)
+    colour = [0] * n
     seen = {_canonical_label(B0, colour)}
+    labelled = 1
     reps = [Q0] if keep_representatives else []
     # (matrix, vertex it was reached by): mutating there again gives its parent
     frontier = [(B0, -1)]
+    frontier_sizes = []
     saw_multiple = _max_multiplicity(B0) >= 2
     bound_hit = False
     while frontier and not (saw_multiple and stop_on_multiple_arrow):
         nxt = []
-        for cur, via in frontier:
-            for q in range(len(verts)):
+        made: dict[int, int] = {}  # hash of a matrix made in this level -> f * n + q
+        for f, (cur, via) in enumerate(frontier):
+            for q in range(n):
                 if q == via:
                     continue
                 new = _mutate_b(cur, q)
+                code = made.setdefault(hash(new), f * n + q)
+                if code != f * n + q and _mutate_b(frontier[code // n][0], code % n) == new:
+                    continue
                 key = _canonical_label(new, colour)
+                labelled += 1
                 if key in seen:
                     continue
                 seen.add(key)
@@ -601,6 +622,8 @@ def mutation_class_explore(
                     break
             if bound_hit:
                 break
+        if nxt:
+            frontier_sizes.append(len(nxt))
         if bound_hit:
             break
         frontier = nxt
@@ -608,7 +631,8 @@ def mutation_class_explore(
     if saw_multiple and stop_on_multiple_arrow:
         closed = False
     return MutationClassReport(
-        closed, len(seen), bound_hit, saw_multiple, tuple(reps)
+        closed, len(seen), bound_hit, saw_multiple, tuple(reps),
+        tuple(frontier_sizes), labelled,
     )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -696,12 +697,137 @@ def test_mutation_class_sizes_from_scrambled_starts(name, size):
     assert rep.verdict == "finite" and rep.class_size == size
     assert len({seeds.canonical_form(r) for r in rep.representatives}) == size
     assert all(set(r.frozen) == set(Q.frozen) for r in rep.representatives)
+    assert 1 + sum(rep.frontier_sizes) == size and all(rep.frontier_sizes)
+    # every class mutates at each vertex, all but the start skipping the move
+    # back to its parent; the repeat filter labels fewer matrices than that
+    assert rep.labelled < size * len(Q.frozen) - (size - 1)
 
 
 def test_mutation_class_vertex_cap():
     Q = seeds.Quiver({i: False for i in range(13)}, tuple((i, i + 1) for i in range(12)))
     with pytest.raises(ValueError, match="12 mutable vertices"):
         seeds.mutation_class_explore(Q)
+
+
+def reference_mutation_class_explore(Q, keep_representatives=False, stop_on_multiple_arrow=True):
+    """The BFS with no repeat filter: every mutated matrix is labelled, so
+    ``labelled`` is one more than the number of mutations made."""
+    Q0 = Q.restrict_mutable()
+    verts = list(Q0.frozen)
+    B0 = seeds._b_matrix(Q0, verts)
+    colour = [0] * len(verts)
+    seen = {seeds._canonical_label(B0, colour)}
+    labelled = 1
+    reps = [Q0] if keep_representatives else []
+    frontier = [(B0, -1)]
+    frontier_sizes = []
+    saw_multiple = seeds._max_multiplicity(B0) >= 2
+    bound_hit = False
+    while frontier and not (saw_multiple and stop_on_multiple_arrow):
+        nxt = []
+        for cur, via in frontier:
+            for q in range(len(verts)):
+                if q == via:
+                    continue
+                new = seeds._mutate_b(cur, q)
+                key = seeds._canonical_label(new, colour)
+                labelled += 1
+                if key in seen:
+                    continue
+                seen.add(key)
+                if seeds._max_multiplicity(new) >= 2:
+                    saw_multiple = True
+                if keep_representatives:
+                    reps.append(seeds._quiver_from_b(verts, Q0.frozen, new))
+                nxt.append((new, q))
+                if len(seen) > seeds.MAX_CLASS_SIZE:
+                    bound_hit = True
+                    break
+            if bound_hit:
+                break
+        if nxt:
+            frontier_sizes.append(len(nxt))
+        if bound_hit:
+            break
+        frontier = nxt
+    closed = not bound_hit and not frontier
+    if saw_multiple and stop_on_multiple_arrow:
+        closed = False
+    return seeds.MutationClassReport(
+        closed, len(seen), bound_hit, saw_multiple, tuple(reps),
+        tuple(frontier_sizes), labelled,
+    )
+
+
+def assert_bfs_matches_reference(monkeypatch, starts):
+    """Every report field but ``labelled`` equals the reference's, with the
+    real hash and with every hash colliding (then a repeat is skipped only
+    after the exact comparison).  Both stopping modes are run where they
+    differ: a class without a double arrow is searched the same way in both."""
+    for Q in starts:
+        wants = {False: reference_mutation_class_explore(Q, True, False)}
+        if wants[False].saw_multiple_arrow:
+            wants[True] = reference_mutation_class_explore(Q, True, True)
+        for stop, want in wants.items():
+            for colliding in (False, True):
+                with monkeypatch.context() as m:
+                    if colliding:
+                        m.setattr(seeds, "hash", lambda B: 0, raising=False)
+                    got = seeds.mutation_class_explore(Q, True, stop)
+                assert got.labelled <= want.labelled
+                assert replace(got, labelled=want.labelled) == want, (Q, stop, colliding)
+                assert 1 + sum(got.frontier_sizes) == got.class_size
+
+
+def scrambled_start(Q, rng):
+    """Q relabelled, then mutated along a random sequence: the same class."""
+    Q = relabel(Q, rng)
+    for _ in range(rng.randint(1, 2 * len(Q.frozen))):
+        Q = seeds.mutate_quiver(Q, rng.choice(Q.mutable_vertices()))
+    return Q
+
+
+def test_mutation_class_repeat_filter_matches_reference_on_shapes(monkeypatch):
+    rng = random.Random(14)
+    muts = [
+        lam
+        for m in range(1, 8)
+        for lam in shapes.partitions_in_box(m, m)
+        if shapes.size(lam) == m
+    ] + [(5, 3), (4, 3, 1)]
+    starts = [scrambled_start(seeds.mutable_grid_quiver(mut), rng) for mut in muts]
+    assert_bfs_matches_reference(monkeypatch, starts)
+
+
+def test_mutation_class_repeat_filter_matches_reference_with_frozen_vertices(monkeypatch):
+    # random quivers are mostly mutation-infinite, and their entries grow
+    # fast under mutation: simple arrows, at least 4 mutable vertices and a
+    # small bound keep the search shallow
+    monkeypatch.setattr(seeds, "MAX_CLASS_SIZE", 60)
+    rng = random.Random(1403)
+    starts = []
+    while len(starts) < 6:
+        Q = random_quiver(rng, rng.randint(6, 9))
+        if any(Q.frozen.values()) and len(Q.mutable_vertices()) >= 4:
+            starts.append(seeds.Quiver(Q.frozen, tuple(dict.fromkeys(Q.arrows))))
+    assert_bfs_matches_reference(monkeypatch, starts)
+
+
+def test_mutation_class_of_minimal_infinite_shape_closes():
+    # the workload's mode: a double arrow does not stop the search
+    rep = seeds.mutation_class_explore(seeds.mutable_grid_quiver((4, 3, 1)), stop_on_multiple_arrow=False)
+    assert rep.closed and rep.class_size == 1080 and rep.saw_multiple_arrow
+    assert rep.verdict == "infinite"
+
+
+def test_mutation_class_bound_hit(monkeypatch):
+    monkeypatch.setattr(seeds, "MAX_CLASS_SIZE", 100)
+    Q = seeds.mutable_grid_quiver((5, 3))
+    rep = seeds.mutation_class_explore(Q, keep_representatives=True)
+    assert rep.bound_hit and rep.closed is False and rep.class_size == 101
+    assert rep.verdict == "unknown"
+    want = reference_mutation_class_explore(Q, keep_representatives=True)
+    assert replace(rep, labelled=want.labelled) == want
 
 
 def test_gr2n_labels_stay_plucker():
