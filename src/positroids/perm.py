@@ -132,7 +132,7 @@ def descents(w: Permutation) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Parabolic coset representatives for W_K = S_{1..k} x S_{k+1..n}
+# Parabolic cosets of W_K = S_{1..k} x S_{k+1..n}
 # ---------------------------------------------------------------------------
 
 def parabolic_longest(k: int, n: int) -> Permutation:

@@ -201,8 +201,10 @@ def region_module(k: int, n: int, v: Permutation, P: Iterable[int]) -> DiagramMo
 
 def box_of_position(lam: shapes.Partition, j: int, offset: int) -> shapes.Box:
     """Box of lam at columnar position ``j - offset`` (positions past the
-    letters of v in a standard word)."""
+    letters of v in a standard word), for ``1 <= j - offset <= |lam|``."""
     boxes = list(shapes.boxes(lam))
+    if not 1 <= j - offset <= len(boxes):
+        raise ValueError(f"columnar position {j - offset} outside 1..{len(boxes)}")
     return boxes[j - offset - 1]
 
 

@@ -531,7 +531,9 @@ class MutationClassReport:
     class_size: int
     bound_hit: bool
     saw_multiple_arrow: bool
-    representatives: tuple[Quiver, ...]
+    # the isomorphism classes reached, as canonical_form values of quivers on
+    # Q's mutable vertices: the whole mutation class when closed
+    classes: set[tuple]
     # new classes found at each depth 1, 2, ...: its length is the depth reached
     frontier_sizes: tuple[int, ...]
     # canonical labelings computed, the start's included
@@ -556,14 +558,14 @@ MAX_CLASS_SIZE = 20000
 
 
 def mutation_class_explore(
-    Q: Quiver,
-    keep_representatives: bool = False,
-    stop_on_multiple_arrow: bool = True,
+    Q: Quiver, *, stop_on_multiple_arrow: bool = True
 ) -> MutationClassReport:
     """Breadth-first search of the mutation class of the mutable part of Q, up
     to quiver isomorphism and to :data:`MAX_CLASS_SIZE` classes.  The search
-    runs on exchange matrices keyed by :func:`_canonical_label`;
-    representatives are Quivers on Q's mutable vertices.
+    runs on exchange matrices; ``classes`` holds each class reached as the
+    value :func:`canonical_form` gives for a quiver on Q's mutable vertices,
+    so ``canonical_form(R.restrict_mutable()) in report.classes`` asks whether
+    the search reached R's class.
 
     A mutated matrix equal, entry for entry, to one already made in the same
     level is skipped before it is labelled: its class is already seen.  Such
@@ -584,13 +586,11 @@ def mutation_class_explore(
             "canonical labeling has exponential worst cases and is measured "
             "only up to 12 vertices"
         )
-    verts = list(Q0.frozen)
-    n = len(verts)
-    B0 = _b_matrix(Q0, verts)
-    colour = [0] * n
-    seen = {_canonical_label(B0, colour)}
+    n = len(Q0.frozen)
+    B0 = _b_matrix(Q0, list(Q0.frozen))
+    flags = (False,) * n  # keys are canonical_form values: (flags, label)
+    seen = {(flags, _canonical_label(B0, flags))}
     labelled = 1
-    reps = [Q0] if keep_representatives else []
     # (matrix, vertex it was reached by): mutating there again gives its parent
     frontier = [(B0, -1)]
     frontier_sizes = []
@@ -607,15 +607,13 @@ def mutation_class_explore(
                 code = made.setdefault(hash(new), f * n + q)
                 if code != f * n + q and _mutate_b(frontier[code // n][0], code % n) == new:
                     continue
-                key = _canonical_label(new, colour)
+                key = (flags, _canonical_label(new, flags))
                 labelled += 1
                 if key in seen:
                     continue
                 seen.add(key)
                 if _max_multiplicity(new) >= 2:
                     saw_multiple = True
-                if keep_representatives:
-                    reps.append(_quiver_from_b(verts, Q0.frozen, new))
                 nxt.append((new, q))
                 if len(seen) > MAX_CLASS_SIZE:
                     bound_hit = True
@@ -631,7 +629,7 @@ def mutation_class_explore(
     if saw_multiple and stop_on_multiple_arrow:
         closed = False
     return MutationClassReport(
-        closed, len(seen), bound_hit, saw_multiple, tuple(reps),
+        closed, len(seen), bound_hit, saw_multiple, seen,
         tuple(frontier_sizes), labelled,
     )
 
@@ -658,17 +656,6 @@ def dynkin_quiver(type_name: str) -> Quiver:
         raise ValueError(f"unknown type {type_name!r}")
     frozen = {i: False for i in range(1, rank + 1)}
     return Quiver(frozen, tuple(edges))
-
-
-def underlying_graph_isomorphic(Q1: Quiver, Q2: Quiver) -> bool:
-    """Isomorphism of underlying undirected (multi)graphs: equal canonical
-    forms of the symmetrised matrices ``|B|``, frozen flags ignored."""
-
-    def form(Q: Quiver) -> tuple[int, ...]:
-        B = _b_matrix(Q, list(Q.frozen))
-        return _canonical_label(tuple(tuple(map(abs, row)) for row in B), [0] * len(B))
-
-    return form(Q1) == form(Q2)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,16 @@ def test_frozen_labels_detect_frozen_boxes():
             assert frozenset(w_b[:ell]) == frozenset(xi[:ell])
 
 
+def test_box_of_position_rejects_positions_outside_the_shape():
+    assert ppalg.box_of_position((2, 1), 1, 0) == (1, 1)
+    assert ppalg.box_of_position((2, 1), 13, 10) == list(shapes.boxes((2, 1)))[-1]
+    for j in (0, 4, -1):
+        with pytest.raises(ValueError, match="outside"):
+            ppalg.box_of_position((2, 1), j, 0)
+    with pytest.raises(ValueError, match="outside"):
+        ppalg.box_of_position((2, 1), 10, 10)
+
+
 def test_region_module_zero():
     k, n, v = running_pair()
     vi = perm.inverse(v)
