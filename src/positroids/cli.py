@@ -375,8 +375,10 @@ def _crosscheck_instance(task) -> dict:
 
 
 # every skew pair with n <= --n is listed before any is checked; each step of
-# n brings about 3.4x the pairs and 5x the time (with --jobs 1 on a 2-CPU
-# Xeon, Python 3.11: 6,900 pairs in 6 s at n = 8, 23,694 in 30 s at n = 9)
+# n brings about 3.4x the pairs and 4-5x the time (with --jobs 1 on a 2-CPU
+# Xeon, Python 3.11, three runs each: 6,900 pairs in 3.6-5.2 s at n = 8,
+# 23,694 in 19-21 s at n = 9; 5.2-5.9 s and 23-30 s before the summands
+# shared one value per (v, word))
 _CROSSCHECK_MAX_N = 9
 
 

@@ -9,8 +9,10 @@ out in product notation the word reads right to left.)
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations
+from operator import gt
 from typing import Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
@@ -90,8 +92,13 @@ def coxeter_length(w: Permutation) -> int:
     >>> coxeter_length((3, 5, 1, 2, 4))
     5
     """
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    # scan right to left; each value's inversions are the smaller values seen
+    seen: list[int] = []
+    count = 0
+    for wi in reversed(w):
+        count += bisect_left(seen, wi)
+        insort(seen, wi)
+    return count
 
 
 def any_reduced_word(w: Permutation) -> ReducedWord:
@@ -296,17 +303,22 @@ def summand_index_set(v: Permutation, w_word: Sequence[int]) -> tuple[int, ...]:
 
 
 def bruhat_leq(v: Permutation, w: Permutation) -> bool:
-    """Bruhat order via the subword property.
+    """Bruhat order by Ehresmann's tableau criterion: ``v <= w`` iff for every
+    i the sorted values of ``v(1..i)`` are entrywise at most those of
+    ``w(1..i)``.
 
     >>> bruhat_leq((1, 3, 2), (3, 2, 1))
     True
     """
     if len(v) != len(w):
         raise ValueError("size mismatch")
-    try:
-        positive_distinguished_subexpression(v, any_reduced_word(w))
-    except ValueError:
-        return False
+    vs: list[int] = []
+    ws: list[int] = []
+    for vi, wi in zip(v, w):
+        insort(vs, vi)
+        insort(ws, wi)
+        if any(map(gt, vs, ws)):
+            return False
     return True
 
 
@@ -399,8 +411,9 @@ def positroid_decoration(v: Permutation, w: Permutation, k: int) -> DecoratedPer
         raise ValueError(f"{v} is not in W^K_max")
     if not bruhat_leq(v, w):
         raise ValueError("need v <= w in Bruhat order")
-    pi = multiply(inverse(v), w)
-    vik = {inverse(v)[i - 1] for i in range(1, k + 1)}
+    vi = inverse(v)
+    pi = multiply(vi, w)
+    vik = set(vi[:k])
     white = frozenset(i for i, p in enumerate(pi, start=1) if p == i and i in vik)
     return DecoratedPermutation(pi, white)
 

@@ -263,36 +263,3 @@ def project_minor(
     if not strip <= J:
         return None
     return J - strip
-
-
-def rectangle_label_word(
-    lam: Sequence[int], b: tuple[int, int], k: int, n: int
-) -> tuple[tuple[int, ...], bool]:
-    """The columnar prefix permutation ``w_b`` through box b, together with the
-    verification that ``w_b([ell])`` (adjusted by the [k]-interval padding or
-    stripping rule) reproduces the rectangle label ``vert_ne(Rect(b))``.
-    """
-    from positroids import perm, shapes
-
-    lam = shapes.normalize(lam)
-    if not shapes.contains_box(lam, b):
-        raise ValueError(f"box {b} outside {lam}")
-    prefix = []
-    for box in shapes.boxes(lam):
-        r, c = box
-        prefix.append(k + c - r)
-        if box == b:
-            break
-    # reading order is product order for W^K elements: first box acts last
-    w_b = perm.apply_word(tuple(reversed(prefix)), n)
-    r, c = b
-    ell = k + c - r
-    J = frozenset(w_b[:ell])
-    target = shapes.rect_vert_ne(r, c, k, n)
-    if ell == k:
-        check = J == target
-    elif ell < k:
-        check = J | set(range(ell + 1, k + 1)) == target
-    else:
-        check = J - set(range(k + 1, ell + 1)) == target
-    return w_b, check

@@ -9,7 +9,8 @@ Modules are compared up to a uniform level shift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 from positroids import perm as permmod
 from positroids import shapes
@@ -50,6 +51,8 @@ class DiagramModule:
         if not self.cells:
             return self
         lo = min(t for _, t in self.cells)
+        if lo == 0:
+            return self
         return DiagramModule(self.n, frozenset((i, t - lo) for i, t in self.cells))
 
     def render(self) -> str:
@@ -155,6 +158,38 @@ def soc_chain(ambient: DiagramModule, word: Sequence[int]) -> DiagramModule:
 # The cluster-tilting summands U_j
 # ---------------------------------------------------------------------------
 
+class _WordData(NamedTuple):
+    """What every summand of one ``(n, v, word)`` reads: the PDS, ``v^{-1}``
+    and, at index ``j - 1``, the sets ``w_(j)^{-1}([i_j])`` and
+    ``v_(j)^{-1}([i_j])``."""
+
+    pds: frozenset[int]
+    v_inv: Permutation
+    w_rows: tuple[frozenset[int], ...]
+    v_rows: tuple[frozenset[int], ...]
+
+
+# A pair's summands are built back to back, so a few entries serve them all;
+# each entry holds 2 * len(word) subsets of [n].
+@lru_cache(maxsize=32)
+def _word_data(n: int, v: Permutation, word: tuple[int, ...]) -> _WordData:
+    if len(v) != n:
+        raise ValueError(f"{v} is not in S_{n}")
+    pds = permmod.positive_distinguished_subexpression(v, word)
+    # left multiplication by s_i swaps the positions of the values i, i+1;
+    # pos[m - 1] is the position of m, so u^{-1}([i]) = pos[:i]
+    w_pos = list(range(1, n + 1))
+    v_pos = list(range(1, n + 1))
+    w_rows, v_rows = [], []
+    for j, i in enumerate(word, start=1):
+        w_pos[i - 1], w_pos[i] = w_pos[i], w_pos[i - 1]
+        if j in pds:
+            v_pos[i - 1], v_pos[i] = v_pos[i], v_pos[i - 1]
+        w_rows.append(frozenset(w_pos[:i]))
+        v_rows.append(frozenset(v_pos[:i]))
+    return _WordData(pds, permmod.inverse(v), tuple(w_rows), tuple(v_rows))
+
+
 def tilting_summand(
     k: int, n: int, v: Permutation, w_word: Sequence[int], j: int
 ) -> DiagramModule:
@@ -165,7 +200,7 @@ def tilting_summand(
     function takes the same ``(k, n, v, w_word, j)`` arguments, which the CLI,
     the demos, the acceptance criteria and the benchmark workloads pass
     positionally."""
-    pds = permmod.positive_distinguished_subexpression(v, w_word)
+    pds = _word_data(n, tuple(v), tuple(w_word)).pds
     if j in pds:
         raise ValueError(f"position {j} belongs to the subexpression for v")
     if not 1 <= j <= len(w_word):
@@ -176,23 +211,33 @@ def tilting_summand(
     return functor_E_dagger_word(V_j, v_letters)
 
 
+# one entry: the region modules of one pair come back to back, and a larger
+# cache would also serve other pairs with the same v
+@lru_cache(maxsize=1)
+def _lambda_v(k: int, n: int, v: Permutation) -> shapes.Partition:
+    """The shape of ``v^{-1}([k])``, shared by the region modules of one pair."""
+    return shapes.from_vert_sw(permmod.inverse(v)[:k], k, n)
+
+
 def region_module(k: int, n: int, v: Permutation, P: Iterable[int]) -> DiagramModule:
     """The composition diagram read off the region between the lattice paths
     of P and of ``v^{-1}([k])`` in the rotated rectangle: the skew shape
     ``lambda_v / lambda_P`` with box (r, c) contributing vertex
-    ``(n-k) + r - c`` at level ``-(r + c)``."""
+    ``(n-k) + r - c`` at level ``-(r + c)``, shifted so the lowest level
+    is 0."""
     P = frozenset(P)
-    vi = permmod.inverse(tuple(v))
-    lam_v = shapes.from_vert_sw(vi[:k], k, n)
+    lam_v = _lambda_v(k, n, tuple(v))
     lam_P = shapes.from_vert_sw(P, k, n)
     if not shapes.contains(lam_v, lam_P):
         raise ValueError(f"{sorted(P)} does not lie between the paths")
-    cells = set()
-    for (r, c) in shapes.boxes(lam_v):
-        if shapes.contains_box(lam_P, (r, c)):
-            continue
-        cells.add(((n - k) + r - c, -(r + c)))
-    return DiagramModule(n, frozenset(cells)).normalized()
+    # row r holds the boxes c = lo + 1 .. hi with lo = lam_P[r], hi = lam_v[r]
+    inner = lam_P + (0,) * (len(lam_v) - len(lam_P))
+    rows = [(r, lo, hi) for r, (lo, hi) in enumerate(zip(inner, lam_v), start=1) if lo < hi]
+    top = max((r + hi for r, _, hi in rows), default=0)  # -(lowest level)
+    cells = frozenset(
+        ((n - k) + r - c, top - r - c) for r, lo, hi in rows for c in range(lo + 1, hi + 1)
+    )
+    return DiagramModule(n, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +262,16 @@ def plucker_of_module(
     and v_(j) the product of the PDS letters up to j."""
     from positroids import pluecker
 
-    pds = permmod.positive_distinguished_subexpression(v, w_word)
+    data = _word_data(n, tuple(v), tuple(w_word))
     if not 1 <= j <= len(w_word):
         raise ValueError(f"position {j} outside the word")
     i_j = w_word[j - 1]
-    wj_inv = permmod.inverse(permmod.apply_word(w_word[:j], n))
-    v_letters = [w_word[p - 1] for p in range(1, j + 1) if p in pds]
-    vj_inv = permmod.inverse(permmod.apply_word(v_letters, n))
-    rows = frozenset(vj_inv[:i_j])
-    if rows != frozenset(permmod.inverse(v)[:i_j]):
+    if data.v_rows[j - 1] != frozenset(data.v_inv[:i_j]):
         raise ValueError(
             "generalized minor rows are not v^{-1}([l]); "
             "input word is not standard for a skew pair"
         )
-    result = pluecker.project_minor(v, k, i_j, frozenset(wj_inv[:i_j]))
+    result = pluecker.project_minor(v, k, i_j, data.w_rows[j - 1])
     if result is None:
         raise ValueError("generalized minor does not project to a single Pluecker coordinate")
     return result

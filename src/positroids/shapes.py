@@ -101,9 +101,18 @@ def from_vert_ne(labels: Iterable[int], k: int, n: int) -> Partition:
     (4, 3, 2)
     """
     ordered = sorted(labels)
-    if len(ordered) != k or not all(1 <= i <= n for i in ordered):
+    if (
+        len(ordered) != k
+        or len(set(ordered)) != k
+        or (k and not 1 <= ordered[0] <= ordered[-1] <= n)
+    ):
         raise ValueError(f"not a {k}-subset of [{n}]: {ordered}")
-    return normalize(ordered[k - r] - (k + 1 - r) for r in range(1, k + 1))
+    # distinct sorted labels give weakly decreasing nonnegative parts, so
+    # only the trailing zeros need dropping
+    parts = [ordered[k - r] - (k + 1 - r) for r in range(1, k + 1)]
+    while parts and not parts[-1]:
+        parts.pop()
+    return tuple(parts)
 
 
 def from_vert_sw(labels: Iterable[int], k: int, n: int) -> Partition:

@@ -474,6 +474,15 @@ def test_perm_pds_bad_input_exits_2(argv, monkeypatch, capsys):
     assert_usage_error(argv, monkeypatch, capsys)
 
 
+@pytest.mark.parametrize("argv", (
+    ["perm", "columnar", "--k", "5", "--x", "1 2 3"],
+    ["perm", "columnar", "--k", "4", "--n", "3", "--x", "1 2 3"],
+), ids=" ".join)
+def test_perm_columnar_k_beyond_n_exits_2(argv, monkeypatch, capsys):
+    # x([k]) has fewer than k labels, which shapes.from_vert_ne rejects
+    assert_usage_error(argv, monkeypatch, capsys)
+
+
 VERIFY_EXCHANGE = ["seed", "verify-exchange", "--k", "2", "--n", "5", "--v", "wK",
                    "--x", "3 5 1 2 4"]
 

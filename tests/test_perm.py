@@ -182,6 +182,33 @@ def test_bruhat_leq():
         assert perm.bruhat_leq(perm.parabolic_longest(k, n), perm.longest_element(n))
 
 
+def test_bruhat_leq_matches_subword_property_s5():
+    from itertools import permutations
+
+    group = list(permutations(range(1, 6)))
+    below = 0
+    for w in group:
+        word = perm.any_reduced_word(w)
+        for v in group:
+            try:
+                perm.positive_distinguished_subexpression(v, word)
+                expect = True
+            except ValueError:
+                expect = False
+            assert perm.bruhat_leq(v, w) == expect, (v, w)
+            below += expect
+    # the number of comparable pairs v <= w in S_5 is neither 0 nor all
+    assert 0 < below < len(group) ** 2
+
+
+def test_coxeter_length_matches_inversion_count_s6():
+    from itertools import permutations
+
+    for w in permutations(range(1, 7)):
+        inversions = sum(1 for i in range(6) for j in range(i + 1, 6) if w[i] > w[j])
+        assert perm.coxeter_length(w) == inversions
+
+
 def test_bounded_affine():
     n = 5
     ident_black = perm.decorate(perm.identity(n))

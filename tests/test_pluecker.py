@@ -272,18 +272,46 @@ def test_project_minor_size_failure_returns_none():
     assert pluecker.project_minor(v, 3, 2, {1, 3}) is None
 
 
+def rectangle_label_word(lam, b, k, n):
+    """The columnar prefix permutation ``w_b`` through box b, together with
+    whether ``w_b([ell])``, padded or stripped by the [k]-interval rule,
+    reproduces the rectangle label ``vert_ne(Rect(b))``."""
+    lam = shapes.normalize(lam)
+    if not shapes.contains_box(lam, b):
+        raise ValueError(f"box {b} outside {lam}")
+    prefix = []
+    for box in shapes.boxes(lam):
+        r, c = box
+        prefix.append(k + c - r)
+        if box == b:
+            break
+    # reading order is product order for W^K elements: first box acts last
+    w_b = perm.apply_word(tuple(reversed(prefix)), n)
+    r, c = b
+    ell = k + c - r
+    J = frozenset(w_b[:ell])
+    target = shapes.rect_vert_ne(r, c, k, n)
+    if ell == k:
+        check = J == target
+    elif ell < k:
+        check = J | set(range(ell + 1, k + 1)) == target
+    else:
+        check = J - set(range(k + 1, ell + 1)) == target
+    return w_b, check
+
+
 def test_rectangle_label_word_golden():
     # k=5, n=8 shape (5,3,2,1); box (2,3) carries s6 and the prefix word gives
     # w_b([6]) - {6} = {1,2,3,7,8}
     lam = (5, 3, 2, 1)
-    w_b, ok = pluecker.rectangle_label_word(lam, (2, 3), 5, 8)
+    w_b, ok = rectangle_label_word(lam, (2, 3), 5, 8)
     assert ok
     assert frozenset(w_b[:6]) == frozenset({1, 2, 3, 6, 7, 8})
     assert shapes.rect_vert_ne(2, 3, 5, 8) == frozenset({1, 2, 3, 7, 8})
 
 
 def test_rectangle_label_word_single_box():
-    w_b, ok = pluecker.rectangle_label_word((1,), (1, 1), 3, 6)
+    w_b, ok = rectangle_label_word((1,), (1, 1), 3, 6)
     assert ok
     assert w_b == perm.simple_reflection(3, 6)
 
@@ -293,7 +321,7 @@ def test_rectangle_label_word_exhaustive_small():
         for k in range(1, n):
             for lam in shapes.partitions_in_box(k, n - k):
                 for b in shapes.boxes(lam):
-                    _, ok = pluecker.rectangle_label_word(lam, b, k, n)
+                    _, ok = rectangle_label_word(lam, b, k, n)
                     assert ok, (n, k, lam, b)
 
 

@@ -3,7 +3,7 @@ from itertools import permutations as iter_perms
 
 import pytest
 
-from positroids import perm, ppalg, seeds, shapes
+from positroids import perm, pluecker, ppalg, seeds, shapes
 from conftest import skew_pairs
 
 
@@ -377,6 +377,71 @@ def test_socle_removal_and_chain_match_references_on_every_summand():
                 assert ppalg.tilting_summand(k, n, v, word, j) == U_j
                 checked += 1
     assert checked > 1000
+
+
+def ref_plucker_of_module(k, n, v, word, j):
+    """The Pluecker label of U_j as first written: the PDS and both prefix
+    products are recomputed for every position."""
+    pds = perm.positive_distinguished_subexpression(v, word)
+    i_j = word[j - 1]
+    wj_inv = perm.inverse(perm.apply_word(word[:j], n))
+    vj_inv = perm.inverse(perm.apply_word([word[p - 1] for p in range(1, j + 1) if p in pds], n))
+    assert frozenset(vj_inv[:i_j]) == frozenset(perm.inverse(v)[:i_j])
+    return pluecker.project_minor(v, k, i_j, frozenset(wj_inv[:i_j]))
+
+
+def ref_region_module(k, n, v, P):
+    """The region module as first written: a walk over the boxes of lambda_v."""
+    lam_v = shapes.from_vert_sw(perm.inverse(v)[:k], k, n)
+    lam_P = shapes.from_vert_sw(P, k, n)
+    assert shapes.contains(lam_v, lam_P)
+    return ppalg.module(n, {
+        ((n - k) + r - c, -(r + c))
+        for r, c in shapes.boxes(lam_v) if not shapes.contains_box(lam_P, (r, c))
+    }).normalized()
+
+
+def test_shared_pair_data_matches_references_on_every_summand():
+    ppalg._word_data.cache_clear()
+    pairs_with_summands = summands = 0
+    for n in range(2, 7):
+        for k, v, x in skew_pairs(n):
+            word = perm.standard_reduced_expression(x, v, k)
+            J = perm.summand_index_set(v, word)
+            pairs_with_summands += bool(J)
+            for j in J:
+                P = ppalg.plucker_of_module(k, n, v, word, j)
+                assert P == ref_plucker_of_module(k, n, v, word, j)
+                assert ppalg.region_module(k, n, v, P) == ref_region_module(k, n, v, P)
+                summands += 1
+    info = ppalg._word_data.cache_info()
+    # one build per pair, and every other summand call of the pair a hit
+    assert info.misses == pairs_with_summands > 100
+    assert info.hits == summands - pairs_with_summands
+    assert info.currsize <= info.maxsize
+
+
+def test_summand_errors_repeat_on_every_call():
+    k, n, v = running_pair()
+    pds = sorted(perm.positive_distinguished_subexpression(v, RUNNING_WORD))
+    # for v = (2,5,1,4,3) in this non-standard word, position 1 has no label
+    not_standard = (1, 2, 3, 4, 2, 3, 1, 2, 1)
+    cases = (
+        (ppalg.tilting_summand, (k, n, v, RUNNING_WORD, pds[0]), "belongs to the subexpression"),
+        (ppalg.tilting_summand, (k, n, v, RUNNING_WORD, 0), "outside the word"),
+        (ppalg.plucker_of_module, (k, n, v, RUNNING_WORD, len(RUNNING_WORD) + 1),
+         "outside the word"),
+        (ppalg.plucker_of_module, (2, 5, (2, 5, 1, 4, 3), not_standard, 1), "not standard"),
+        # words too short to hold a reduced word for v
+        (ppalg.tilting_summand, (k, n, v, (), 1), "not a Bruhat subword"),
+        (ppalg.plucker_of_module, (k, n, v, (1, 2), 1), "not a Bruhat subword"),
+        (ppalg.tilting_summand, (k, n, v, (1, n), 1), f"letter {n} is not a generator"),
+        (ppalg.plucker_of_module, (k, n + 1, v, RUNNING_WORD, 11), f"not in S_{n + 1}"),
+    )
+    for fn, args, message in cases:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                fn(*args)
 
 
 def test_functor_E_dagger_word_rejects_bad_letters():

@@ -129,6 +129,19 @@ def test_mutable_part():
     assert shapes.mutable_part((3, 3, 3)) == (2, 2)
 
 
+@pytest.mark.parametrize("labels", (
+    [2, 2, 5],  # a repeated label
+    [1, 1, 1],
+    [0, 3, 5],  # labels outside [1, n]
+    [3, 5, 8],
+    [1, 2],  # the wrong size
+    [1, 2, 3, 4],
+), ids=str)
+def test_from_vert_ne_rejects_non_subsets(labels):
+    with pytest.raises(ValueError, match="not a 3-subset of \\[7\\]"):
+        shapes.from_vert_ne(labels, 3, 7)
+
+
 def test_normalize_checks_parts_as_given():
     assert shapes.normalize([3, 2, 2, 0, 0]) == (3, 2, 2)
     assert shapes.normalize([0]) == ()
