@@ -376,9 +376,8 @@ def _crosscheck_instance(task) -> dict:
 
 # every skew pair with n <= --n is listed before any is checked; each step of
 # n brings about 3.4x the pairs and 4-5x the time (with --jobs 1 on a 2-CPU
-# Xeon, Python 3.11, three runs each: 6,900 pairs in 3.6-5.2 s at n = 8,
-# 23,694 in 19-21 s at n = 9; 5.2-5.9 s and 23-30 s before the summands
-# shared one value per (v, word))
+# Xeon, Python 3.11, three runs each: 6,900 pairs in 2.4-2.8 s at n = 8,
+# 23,694 in 12-14 s at n = 9, with the summands built on level bitmasks)
 _CROSSCHECK_MAX_N = 9
 
 
@@ -534,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck")
     p.add_argument("--n", type=int, required=True,
                    help=f"check every skew pair with n at most this, 2 to {_CROSSCHECK_MAX_N} "
-                        "(n = 9 is 23,694 pairs, about 30 s a CPU)")
+                        "(n = 9 is 23,694 pairs, about 13 s a CPU)")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at least 1; capped at the CPU count")

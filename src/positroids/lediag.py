@@ -55,13 +55,15 @@ def is_le_diagram(O: OplusDiagram) -> bool:
     >>> is_le_diagram(parse("+ +\\n+ 0"))
     False
     """
+    plus = O.plus
+    above: set[int] = set()  # columns with a + in an earlier row
     for r, part in enumerate(O.shape, start=1):
+        left = False  # a + earlier in this row
         for c in range(1, part + 1):
-            if (r, c) in O.plus:
-                continue
-            above = any((r2, c) in O.plus for r2 in range(1, r))
-            left = any((r, c2) in O.plus for c2 in range(1, c))
-            if above and left:
+            if (r, c) in plus:
+                left = True
+                above.add(c)
+            elif left and c in above:
                 return False
     return True
 

@@ -171,10 +171,10 @@ def is_max_rep(v: Permutation, k: int) -> bool:
     return all(vi[i - 1] > vi[i] for i in range(1, n) if i != k)
 
 
-def check_skew_pair(v: Permutation, x: Permutation, k: int) -> None:
+def check_skew_pair(v: Permutation, x: Permutation, k: int) -> int:
     """Raise ValueError unless ``(v, w = x v)`` is a length-additive skew
     pair: v and x in S_n with ``0 < k < n``, v in W^K_max, x in ^K W and
-    ``l(x v) = l(x) + l(v)``.
+    ``l(x v) = l(x) + l(v)``.  Returns ``l(x v)``.
 
     >>> check_skew_pair((2, 1), (2, 1), 1)
     Traceback (most recent call last):
@@ -188,8 +188,10 @@ def check_skew_pair(v: Permutation, x: Permutation, k: int) -> None:
         raise ValueError(f"{v} is not in W^K_max")
     if not is_grassmannian(x, k):
         raise ValueError(f"{x} is not in ^K W")
-    if not is_length_additive(x, v):
+    length = coxeter_length(multiply(x, v))
+    if length != coxeter_length(x) + coxeter_length(v):
         raise ValueError("factorization x*v is not length-additive")
+    return length
 
 
 def grassmannian_from_image(image: Iterable[int], k: int, n: int) -> Permutation:
@@ -260,11 +262,11 @@ def standard_reduced_expression(x: Permutation, v: Permutation, k: int) -> Reduc
     part of ``v = w_K v'``.
     """
     n = len(x)
-    check_skew_pair(v, x, k)
+    length = check_skew_pair(v, x, k)
     w_K = parabolic_longest(k, n)
     v_prime = multiply(w_K, v)  # w_K^{-1} v, as w_K is an involution
     word = min_rep_expression(v_prime, k) + parabolic_longest_word(k, n) + columnar_expression(x, k)
-    assert len(word) == coxeter_length(multiply(x, v))
+    assert len(word) == length
     return word
 
 

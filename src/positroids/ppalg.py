@@ -4,13 +4,17 @@ A module is a finite set of cells ``(vertex, level)`` with ``vertex`` in
 ``[1, n-1]``.  A cell covers the cells at ``(vertex +- 1, level - 1)``; the
 socle sits at the bottom of the staggered diagram and the top at the top.
 Modules are compared up to a uniform level shift.
+
+The socle chain and socle removal run on level bitmasks: n + 1 ints, bit
+``t - base`` of entry a set iff ``(a, t)`` is a cell.  Entries 0 and n stay
+0, so one letter is a few int operations on whole vertex rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from positroids import perm as permmod
 from positroids import shapes
@@ -84,74 +88,69 @@ def injective(n: int, i: int) -> DiagramModule:
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"need 1 <= i <= n-1, got i={i}")
-    cells = {
-        (i + u - v, u + v)
-        for u in range(0, n - i)
-        for v in range(0, i)
-    }
+    return _from_masks(n, _injective_masks(n, i), 0)
+
+
+# ---------------------------------------------------------------------------
+# Functors, on level bitmasks
+# ---------------------------------------------------------------------------
+
+def _on_masks(M: DiagramModule, word: Sequence[int], kernel: Callable) -> DiagramModule:
+    """Run a mask kernel on M along ``word``, with base M's lowest level."""
+    for p in word:
+        if not 1 <= p <= M.n - 1:
+            raise ValueError(f"letter {p} outside [1, {M.n - 1}]")
+    masks = [0] * (M.n + 1)
+    base = min((t for _, t in M.cells), default=0)
+    for a, t in M.cells:
+        masks[a] |= 1 << (t - base)
+    return _from_masks(M.n, kernel(masks, word), base)
+
+
+def _from_masks(n: int, masks: list[int], base: int) -> DiagramModule:
+    cells = []
+    for a, m in enumerate(masks):
+        while m:
+            low = m & -m
+            cells.append((a, base + low.bit_length() - 1))
+            m ^= low
     return DiagramModule(n, frozenset(cells))
 
 
-# ---------------------------------------------------------------------------
-# Functors
-# ---------------------------------------------------------------------------
+def _injective_masks(n: int, i: int) -> list[int]:
+    """Q_i from level 0: vertex a holds min(a, i, n-a, n-i) cells, from level |a-i| up by 2."""
+    masks = [0] * (n + 1)
+    for a in range(1, n):
+        masks[a] = ((1 << 2 * min(a, i, n - a, n - i)) - 1) // 3 << abs(a - i)
+    return masks
+
+
+def _chain_masks(A: list[int], word: Iterable[int]) -> list[int]:
+    """Socle chain in A: letter p adjoins A's cells at p whose lower neighbours in A are in C."""
+    C = [0] * len(A)
+    for p in word:
+        C[p] |= A[p] & ~(((A[p - 1] & ~C[p - 1]) | (A[p + 1] & ~C[p + 1])) << 1)
+    return C
+
+
+def _remove_socle_masks(C: list[int], word: Iterable[int]) -> list[int]:
+    """E-dagger in place: letter i keeps the cells at i with a cell below."""
+    for i in word:
+        C[i] &= (C[i - 1] | C[i + 1]) << 1
+    return C
+
 
 def functor_E_dagger_word(M: DiagramModule, word: Sequence[int]) -> DiagramModule:
     """Apply E-dagger letter by letter: letter i removes every socle cell at
-    vertex i.
-
-    The socle is computed once.  Removing cells changes only what lies below
-    the cells directly above them, so after letter i removes the socle cells
-    ``(i, t)`` the only new socle cells are those among ``(i +- 1, t + 1)``
-    with nothing left below them.  This holds for any cell set.
-    """
-    n = M.n
-    cells = set(M.cells)
-    socle_at: list[list[int]] = [[] for _ in range(n)]  # vertex -> socle levels
-    for i, t in M.socle():
-        socle_at[i].append(t)
-    for i in word:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"letter {i} outside [1, {n - 1}]")
-        doomed, socle_at[i] = socle_at[i], []
-        cells.difference_update((i, t) for t in doomed)
-        for t in doomed:
-            for a in (i - 1, i + 1):
-                if (
-                    (a, t + 1) in cells
-                    and (a - 1, t) not in cells
-                    and (a + 1, t) not in cells
-                ):
-                    socle_at[a].append(t + 1)
-    return DiagramModule(n, frozenset(cells))
+    vertex i."""
+    return _on_masks(M, word, _remove_socle_masks)
 
 
 def soc_chain(ambient: DiagramModule, word: Sequence[int]) -> DiagramModule:
     """Iterated socle construction inside ``ambient``: reading the word in
     application order, each letter p adjoins every ambient cell at vertex p
-    whose lower neighbors are already present.
-
-    The ambient cells are grouped by vertex once, and each letter looks only
-    at the cells of its vertex not adjoined yet."""
-    n = ambient.n
-    cells = ambient.cells
-    pending: list[list[int]] = [[] for _ in range(n)]  # vertex -> levels left
-    for i, t in cells:
-        pending[i].append(t)
-    included: set[Cell] = set()
-    for p in word:
-        if not 1 <= p <= n - 1:
-            raise ValueError(f"letter {p} outside [1, {n - 1}]")
-        left = []
-        for t in pending[p]:
-            # a cell's lower neighbors are the ambient cells among these two
-            a, b = (p - 1, t - 1), (p + 1, t - 1)
-            if (a in included or a not in cells) and (b in included or b not in cells):
-                included.add((p, t))
-            else:
-                left.append(t)
-        pending[p] = left
-    return DiagramModule(n, frozenset(included))
+    whose lower neighbors are already present."""
+    return _on_masks(ambient, word, _chain_masks)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +204,10 @@ def tilting_summand(
         raise ValueError(f"position {j} belongs to the subexpression for v")
     if not 1 <= j <= len(w_word):
         raise ValueError(f"position {j} outside the word")
-    V_j = soc_chain(injective(n, w_word[j - 1]), tuple(reversed(w_word[:j])))
+    C = _chain_masks(_injective_masks(n, w_word[j - 1]), reversed(w_word[:j]))
     # v_(j)^{-1}: the PDS letters before position j, last first
-    v_letters = tuple(w_word[p - 1] for p in range(j - 1, 0, -1) if p in pds)
-    return functor_E_dagger_word(V_j, v_letters)
+    v_letters = [w_word[p - 1] for p in range(j - 1, 0, -1) if p in pds]
+    return _from_masks(n, _remove_socle_masks(C, v_letters), 0)
 
 
 # one entry: the region modules of one pair come back to back, and a larger

@@ -17,6 +17,31 @@ def test_is_le_diagram():
     assert lediag.is_le_diagram(M)
 
 
+def ref_is_le_diagram(O):
+    """The Le-property as first written: every 0 box rescans its row and its
+    column."""
+    for r, part in enumerate(O.shape, start=1):
+        for c in range(1, part + 1):
+            if (r, c) in O.plus:
+                continue
+            above = any((r2, c) in O.plus for r2 in range(1, r))
+            left = any((r, c2) in O.plus for c2 in range(1, c))
+            if above and left:
+                return False
+    return True
+
+
+def test_is_le_diagram_matches_reference_on_every_filling_in_a_3x4_box():
+    fillings = les = 0
+    for shape in shapes.partitions_in_box(3, 4):
+        for O in lediag.all_fillings(shape):
+            le = lediag.is_le_diagram(O)
+            assert le == ref_is_le_diagram(O), O
+            fillings += 1
+            les += le
+    assert 0 < les < fillings
+
+
 def test_reading_word_extremes():
     shape = (3, 2)
     all_plus = lediag.OplusDiagram(shape, frozenset(shapes.boxes(shape)))

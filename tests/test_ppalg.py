@@ -342,22 +342,40 @@ def ref_soc_chain(ambient, word):
 
 
 def random_cells(n, rng):
-    """An arbitrary cell set, not necessarily a module's diagram."""
+    """An arbitrary cell set, not necessarily a module's diagram: its levels
+    start from a random lowest level in [-30, 30], and some vertices may
+    hold no cell at all."""
     height = rng.randint(1, 7)
     density = rng.random()
+    low = rng.randint(-30, 30)
+    rows = [i for i in range(1, n) if rng.random() < 0.8]
     return ppalg.module(n, {
-        (i, t) for i in range(1, n) for t in range(height) if rng.random() < density
+        (i, t) for i in rows for t in range(low, low + height) if rng.random() < density
     })
 
 
 def test_socle_removal_and_chain_match_references_on_arbitrary_cells():
     rng = random.Random(11)
+    lows, empty_rows = set(), 0
     for _ in range(600):
         n = rng.randint(2, 8)
         M = random_cells(n, rng)
+        lows.add(min((t for _, t in M.cells), default=0))
+        empty_rows += any(count == 0 for count in M.dimension_vector())
         word = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 16))]
         assert ppalg.functor_E_dagger_word(M, word) == ref_functor_E_dagger_word(M, word)
         assert ppalg.soc_chain(M, word) == ref_soc_chain(M, word)
+    # the masks' base is exercised below, at and above level 0
+    assert min(lows) < 0 < max(lows) and 0 in lows
+    assert empty_rows > 100
+
+
+def test_injective_matches_its_cell_formula():
+    for n in range(2, 11):
+        for i in range(1, n):
+            assert ppalg.injective(n, i).cells == {
+                (i + u - v, u + v) for u in range(n - i) for v in range(i)
+            }
 
 
 def test_socle_removal_and_chain_match_references_on_every_summand():
