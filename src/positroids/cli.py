@@ -57,7 +57,14 @@ def parse_perm(text: str, k: int | None = None, n: int | None = None) -> perm.Pe
 
 
 def parse_subset(text: str) -> frozenset[int]:
-    return frozenset(int(t) for t in text.replace(",", " ").split())
+    """Integers separated by spaces or commas; an entry given twice is a
+    usage error, not read as one."""
+    entries = [int(t) for t in text.replace(",", " ").split()]
+    subset = frozenset(entries)
+    if len(subset) < len(entries):
+        repeated = next(i for i in entries if entries.count(i) > 1)
+        raise UsageError(f"entry {repeated} is repeated in {text!r}")
+    return subset
 
 
 def read_input(args) -> str:
@@ -232,7 +239,7 @@ def cmd_seed(args) -> int:
         G = read_graph(args)
         S = seeds.seed_from_graph(G, args.mode)
         for step in args.seq.split(";"):
-            S = seeds.mutate_seed(S, frozenset(parse_subset(step)))
+            S = seeds.mutate_seed(S, parse_subset(step))
         write_json(seeds.seed_to_json(S), args)
         return EXIT_OK
     if args.sub == "verify-exchange":
@@ -242,9 +249,10 @@ def cmd_seed(args) -> int:
 
 # the walk evaluates every exchange at every sample, and each sample keeps the
 # minors it was asked, so time and memory grow with --samples x --steps (one
-# CPU of a 2-CPU Xeon, Python 3.11): on Gr(4,8), 1,000 samples x 1,000 steps
-# take 25 s and peak at 28 MB; on Gr(8,16) 53 s and 64 MB; on Gr(12,24),
-# 1,000 samples x 100 steps take 29 s and peak at 52 MB
+# CPU of a shared 2-CPU Xeon, Python 3.11, no bytecode cache; ranges over
+# repeated runs): on Gr(4,8), 1,000 samples x 1,000 steps take 8-13 s and
+# peak at 28 MB; on Gr(8,16) 37-38 s and 64 MB; on Gr(12,24), 1,000 samples
+# x 100 steps take 25-31 s and peak at 52 MB
 _MAX_SAMPLES = 1000
 _MAX_STEPS = 1000
 
@@ -558,7 +566,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_OK
     except (UsageError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError prints as the repr of its message; the message is wanted
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -128,10 +128,10 @@ class PlabicGraph:
 
     @cached_property
     def _contracted(self) -> PlabicGraph | None:
-        """The full contraction, or None when it is the graph itself (so a
-        graph never refers to itself)."""
-        H = _contract(self)
-        return None if H is self else H
+        """The full contraction, on one edit and built once, or None when it
+        is the graph itself (so a graph never refers to itself)."""
+        ed = _Edit(self)
+        return ed.build() if ed.contract() else None
 
     def other_end(self, eid: int, v: int) -> int:
         a, b = self.edges[eid]
@@ -510,7 +510,7 @@ class _Edit:
     """A mutable copy of a graph's colors, edges and rotations, for one local
     move or a run of them.  New vertex and edge ids count up from the largest
     ids in use, in the order they are asked for, so a move always numbers its
-    output the same way."""
+    output the same way.  Only :meth:`build` validates."""
 
     def __init__(self, G: PlabicGraph):
         self.G = G
@@ -519,6 +519,7 @@ class _Edit:
         self.rot = {v: list(r) for v, r in G.rot.items()}
         self.next_v = max(G.colors, default=0) + 1
         self.next_e = max(G.edges, default=0) + 1
+        self.contracted = False
 
     def new_vertex(self, color: str) -> int:
         v = self.next_v
@@ -532,32 +533,80 @@ class _Edit:
         self.edges[e] = (a, b)
         return e
 
+    def other_end(self, e: int, v: int) -> int:
+        a, b = self.edges[e]
+        return b if a == v else a
+
     def reattach(self, e: int, old: int, new: int) -> None:
         """Move the end of edge e at vertex old to vertex new."""
         a, b = self.edges[e]
         self.edges[e] = (new if a == old else a, new if b == old else b)
 
-    def swap(self, v: int, old: int, new: int) -> None:
-        """Put edge new in the slot of edge old in v's rotation, if v has one."""
-        if v > 0:
-            self.rot[v] = [new if e == old else e for e in self.rot[v]]
-
     def subdivide(self, e: int, a: int, color: str) -> int:
         """Put a new degree-2 vertex of the given color on edge e: e now runs
         from a to it, and a new edge from it to e's far end takes e's slot
         there.  Returns the new vertex."""
-        b = next(w for w in self.edges[e] if w != a)
+        b = self.other_end(e, a)
         m = self.new_vertex(color)
         e_new = self.new_edge(m, b)
         self.edges[e] = (a, m)
         self.rot[m] = [e, e_new]
-        self.swap(b, e, e_new)
+        if b > 0:
+            self.rot[b] = [e_new if f == e else f for f in self.rot[b]]
         return m
+
+    def expand(self, v: int, e_pair: tuple[int, int]) -> None:
+        """(M2, reversed) at v: see :func:`expand_vertex`."""
+        e_a, e_b = e_pair
+        order = self.rot[v]
+        i = order.index(e_a)
+        if order[(i + 1) % len(order)] != e_b:
+            raise PlabicError(f"edges {e_pair} are not ccw-adjacent at {v}")
+        v2 = self.new_vertex(self.colors[v])
+        mid = self.new_vertex(_OTHER[self.colors[v]])
+        e_v2mid = self.new_edge(v2, mid)
+        e_midv = self.new_edge(mid, v)
+        for e in (e_a, e_b):
+            self.reattach(e, v, v2)
+        self.rot[v2] = [e_a, e_b, e_v2mid]
+        self.rot[mid] = [e_v2mid, e_midv]
+        # the connector takes the slot of the pair in v's rotation
+        self.rot[v] = [e_midv if e == e_a else e for e in order if e != e_b]
+
+    def contract(self) -> bool:
+        """(M2) over and over, smallest eligible id first: delete a degree-2
+        internal vertex x whose two neighbors are distinct internal vertices
+        (of one color), and merge its far neighbor v into its near one u, v's
+        other edges taking the slot of x's edge in u's rotation.  Each step
+        keeps a valid graph valid.  Returns whether any vertex went; the next
+        build records its graph as its own full contraction."""
+        far = self.other_end
+        before = len(self.colors)
+        while True:
+            x = min((x for x, r in self.rot.items()
+                     if len(r) == 2 and far(r[0], x) > 0 and far(r[1], x) > 0
+                     and far(r[0], x) != far(r[1], x)), default=None)
+            if x is None:
+                self.contracted = True
+                return len(self.colors) < before
+            e1, e2 = self.rot[x]
+            u, v = far(e1, x), far(e2, x)
+            del self.colors[x], self.rot[x], self.edges[e1], self.edges[e2], self.colors[v]
+            rv = self.rot.pop(v)
+            i = rv.index(e2)
+            spliced = rv[i + 1:] + rv[:i]
+            for e in spliced:
+                self.reattach(e, v, u)
+            ru = self.rot[u]
+            j = ru.index(e1)
+            self.rot[u] = ru[:j] + spliced + ru[j + 1:]
 
     def build(self) -> PlabicGraph:
         H = PlabicGraph(self.G.boundary_order, dict(self.G.labels), self.colors, self.edges,
                         {v: tuple(r) for v, r in self.rot.items()})
         H.validate()
+        if self.contracted:
+            H.__dict__["_contracted"] = None  # cached: H is its own contraction
         return H
 
 
@@ -664,23 +713,9 @@ def expand_vertex(G: PlabicGraph, v: int, e_pair: tuple[int, int]) -> PlabicGrap
     same-colored vertex, joined to v through a new degree-2 vertex.  Every
     edge keeps its id and the order of its ends, so an ``(edge id, end)``
     pair stays on the same dart, and the face between the pair keeps its
-    darts."""
-    e_a, e_b = e_pair
-    order = G.rot[v]
-    i = order.index(e_a)
-    if order[(i + 1) % len(order)] != e_b:
-        raise PlabicError(f"edges {e_pair} are not ccw-adjacent at {v}")
+    darts.  :func:`square_move` expands on its own edit instead."""
     ed = _Edit(G)
-    v2 = ed.new_vertex(G.colors[v])
-    mid = ed.new_vertex(_OTHER[G.colors[v]])
-    e_v2mid = ed.new_edge(v2, mid)
-    e_midv = ed.new_edge(mid, v)
-    for e in (e_a, e_b):
-        ed.reattach(e, v, v2)
-    ed.rot[v2] = [e_a, e_b, e_v2mid]
-    ed.rot[mid] = [e_v2mid, e_midv]
-    # the connector takes the slot of the pair in v's rotation
-    ed.rot[v] = [e_midv if e == e_a else e for e in order if e != e_b]
+    ed.expand(v, e_pair)
     return ed.build()
 
 
@@ -704,38 +739,6 @@ def full_contract(G: PlabicGraph) -> PlabicGraph:
     return G if H is None else H
 
 
-def _contract(G: PlabicGraph) -> PlabicGraph:
-    """(M2) over and over on one edit, smallest eligible id first: delete a
-    degree-2 internal vertex x whose two neighbors are distinct internal
-    vertices (of one color), and merge its far neighbor v into its near one
-    u, v's other edges taking the slot of x's edge in u's rotation.  Each
-    step keeps the graph valid, so only the result is built and validated;
-    G itself comes back when no vertex is eligible."""
-    ed = _Edit(G)
-
-    def far(e: int, x: int) -> int:
-        a, b = ed.edges[e]
-        return b if a == x else a
-
-    while True:
-        x = min((x for x, r in ed.rot.items()
-                 if len(r) == 2 and far(r[0], x) > 0 and far(r[1], x) > 0
-                 and far(r[0], x) != far(r[1], x)), default=None)
-        if x is None:
-            return ed.build() if len(ed.colors) < len(G.colors) else G
-        e1, e2 = ed.rot[x]
-        u, v = far(e1, x), far(e2, x)
-        del ed.colors[x], ed.rot[x], ed.edges[e1], ed.edges[e2], ed.colors[v]
-        rv = ed.rot.pop(v)
-        i = rv.index(e2)
-        spliced = rv[i + 1:] + rv[:i]
-        for e in spliced:
-            ed.reattach(e, v, u)
-        ru = ed.rot[u]
-        j = ru.index(e1)
-        ed.rot[u] = ru[:j] + spliced + ru[j + 1:]
-
-
 def _square_defect(G: PlabicGraph, i: int) -> str | None:
     """Why no square move applies at face i of the fully contracted graph G,
     or None when one does: the face must be an interior quadrilateral whose
@@ -757,10 +760,11 @@ def _square_defect(G: PlabicGraph, i: int) -> str | None:
 def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
     """(M1) square move at the interior face carrying the given target label.
 
-    The graph is first fully contracted; corners of degree > 3 are expanded so
-    the face has four trivalent corners, the four colors are switched, and
-    degree-2 vertices are inserted on the legs wherever bipartiteness needs
-    repair.  The trip permutation is unchanged.
+    The graph is first fully contracted.  One edit then expands corners of
+    degree > 3 so the face has four trivalent corners, switches the four
+    colors, inserts degree-2 vertices on the legs wherever bipartiteness
+    needs repair and contracts again; its one build validates the result and
+    records it as its own full contraction.  The trip permutation is unchanged.
     """
     label = frozenset(label)
     G = full_contract(G)
@@ -768,27 +772,27 @@ def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
     defect = _square_defect(G, i)
     if defect is not None:
         raise NotSquareEligible(f"face {sorted(label)} {defect}")
-    # the face's edge darts as (eid, end), which survive corner expansion
-    # (it renumbers darts)
+    # the face's edge darts as (eid, end), which corner expansion keeps
     eids = G._darts.eids
     darts = [(eids[d >> 1], d & 1) for d in faces(G).faces[i].darts]
+    ed = _Edit(G)
     # expand corners of degree > 3 down to trivalent; the face keeps its darts
     for j, (eid, end) in enumerate(darts):
-        c = G.edges[eid][1 - end]
-        if len(G.rot[c]) > 3:
-            G = expand_vertex(G, c, (darts[(j + 1) % 4][0], eid))
-
-    corners = [G.edges[eid][1 - end] for eid, end in darts]
+        c = ed.edges[eid][1 - end]
+        if len(ed.rot[c]) > 3:
+            ed.expand(c, (darts[(j + 1) % 4][0], eid))
+    corners = [ed.edges[eid][1 - end] for eid, end in darts]
     face_edges = {eid for eid, _ in darts}
-    ed = _Edit(G)
     for c in corners:
         ed.colors[c] = _OTHER[ed.colors[c]]
+    # corners alternate in color, so no leg between two corners is subdivided
     for c in corners:
-        leg = next(e for e in G.rot[c] if e not in face_edges)
-        z = G.other_end(leg, c)
+        leg = next(e for e in ed.rot[c] if e not in face_edges)
+        z = ed.other_end(leg, c)
         if z > 0 and ed.colors[z] == ed.colors[c]:
             ed.subdivide(leg, c, _OTHER[ed.colors[c]])
-    return full_contract(ed.build())
+    ed.contract()
+    return ed.build()
 
 
 def square_eligible_labels(G: PlabicGraph) -> tuple[frozenset[int], ...]:

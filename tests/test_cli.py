@@ -430,6 +430,33 @@ def test_plabic_move_square_ineligible_face_exits_2(monkeypatch, capsys):
     assert_usage_error(argv, monkeypatch, capsys, json.dumps(plabic.to_json(G)))
 
 
+# a set given with a repeated entry is refused, not read as the set
+REPEATED_ENTRIES = (
+    (["plabic", "move", "square", "--face", "1 1 3"], "entry 1 is repeated in '1 1 3'"),
+    (["plabic", "move", "square", "--face", "1,3, 3"], "entry 3 is repeated in '1,3, 3'"),
+    (["seed", "mutate", "--mode", "target", "--seq", "1 3;2 4 2"],
+     "entry 2 is repeated in '2 4 2'"),
+    (["seed", "from-graph", "--mode", "target", "--delete", "1 5 1"],
+     "entry 1 is repeated in '1 5 1'"),
+    (["perm", "necklace", "--pi", "3 5 1 2 4", "--white", "3 3"], "entry 3 is repeated in '3 3'"),
+)
+
+
+@pytest.mark.parametrize("argv, message", REPEATED_ENTRIES,
+                         ids=[" ".join(argv) for argv, _ in REPEATED_ENTRIES])
+def test_repeated_subset_entry_is_a_usage_error(argv, message, monkeypatch, capsys):
+    G = plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))
+    code, out, err = run_main_on(argv, json.dumps(plabic.to_json(G)), monkeypatch, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_missing_face_error_prints_its_message(monkeypatch, capsys):
+    G = plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))
+    code, out, err = run_main_on(["plabic", "move", "square", "--face", "1"],
+                                 json.dumps(plabic.to_json(G)), monkeypatch, capsys)
+    assert (code, out, err) == (2, "", "error: no face labeled [1]\n")
+
+
 # (k, n, v, x) that are not length-additive skew pairs
 BAD_SKEW_PAIRS = (
     (2, 4, "1 2 3 4", "3 4 1 2"),  # v not in W^K_max

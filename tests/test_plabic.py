@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 import re
 from collections import Counter
@@ -415,11 +416,12 @@ def test_one_face_labeling_per_square_call(monkeypatch):
     k, n, lam = 4, 8, (4, 4, 4, 4)
     G = plabic.bridge_graph(k, n, perm.grassmannian_from_image(shapes.vert_ne(lam, k, n), k, n))
     labelings, expansions = [], []
-    for name, log in (("face_labeling", labelings), ("expand_vertex", expansions)):
-        def counted(*args, _real=getattr(plabic, name), _log=log):
+    for owner, name, log in ((plabic, "face_labeling", labelings),
+                             (plabic._Edit, "expand", expansions)):
+        def counted(*args, _real=getattr(owner, name), _log=log):
             _log.append(args)
             return _real(*args)
-        monkeypatch.setattr(plabic, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     eligible = plabic.square_eligible_labels(G)
     assert len(labelings) == 1
     for lab in eligible:
@@ -464,6 +466,165 @@ def test_square_move_walk_matches_fresh_graphs(k, n, lam, seed):
         back = plabic.square_move(H, new.pop())
         assert set(plabic.face_labeling(back, "target").labels) == set(labels), where
         G = H
+
+
+# ---------------------------------------------------------------------------
+# a square move is one edit: against the first, one build per stage
+# ---------------------------------------------------------------------------
+
+def ref_expand_vertex(G, v, e_pair):
+    """The first (M2, reversed): a copy of G, expanded and built."""
+    e_a, e_b = e_pair
+    order = G.rot[v]
+    i = order.index(e_a)
+    if order[(i + 1) % len(order)] != e_b:
+        raise plabic.PlabicError(f"edges {e_pair} are not ccw-adjacent at {v}")
+    ed = plabic._Edit(G)
+    v2 = ed.new_vertex(G.colors[v])
+    mid = ed.new_vertex(plabic._OTHER[G.colors[v]])
+    e_v2mid = ed.new_edge(v2, mid)
+    e_midv = ed.new_edge(mid, v)
+    for e in (e_a, e_b):
+        ed.reattach(e, v, v2)
+    ed.rot[v2] = [e_a, e_b, e_v2mid]
+    ed.rot[mid] = [e_v2mid, e_midv]
+    ed.rot[v] = [e_midv if e == e_a else e for e in order if e != e_b]
+    return ed.build()
+
+
+def ref_contract(G):
+    """The first full contraction: a copy of G contracted and built, or G
+    itself when no vertex is eligible."""
+    ed = plabic._Edit(G)
+
+    def far(e, x):
+        a, b = ed.edges[e]
+        return b if a == x else a
+
+    while True:
+        x = min((x for x, r in ed.rot.items()
+                 if len(r) == 2 and far(r[0], x) > 0 and far(r[1], x) > 0
+                 and far(r[0], x) != far(r[1], x)), default=None)
+        if x is None:
+            return ed.build() if len(ed.colors) < len(G.colors) else G
+        e1, e2 = ed.rot[x]
+        u, v = far(e1, x), far(e2, x)
+        del ed.colors[x], ed.rot[x], ed.edges[e1], ed.edges[e2], ed.colors[v]
+        rv = ed.rot.pop(v)
+        i = rv.index(e2)
+        spliced = rv[i + 1:] + rv[:i]
+        for e in spliced:
+            ed.reattach(e, v, u)
+        ru = ed.rot[u]
+        j = ru.index(e1)
+        ed.rot[u] = ru[:j] + spliced + ru[j + 1:]
+
+
+def ref_square_move(G, label):
+    """The first (M1): contract, expand corner by corner, recolor and
+    subdivide on a fresh edit, and contract again, building and validating
+    a graph at every stage."""
+    label = frozenset(label)
+    G = ref_contract(G)
+    i = plabic.face_labeling(G, "target").index_of(label)
+    defect = plabic._square_defect(G, i)
+    if defect is not None:
+        raise plabic.NotSquareEligible(f"face {sorted(label)} {defect}")
+    eids = G._darts.eids
+    darts = [(eids[d >> 1], d & 1) for d in plabic.faces(G).faces[i].darts]
+    for j, (eid, end) in enumerate(darts):
+        c = G.edges[eid][1 - end]
+        if len(G.rot[c]) > 3:
+            G = ref_expand_vertex(G, c, (darts[(j + 1) % 4][0], eid))
+    corners = [G.edges[eid][1 - end] for eid, end in darts]
+    face_edges = {eid for eid, _ in darts}
+    ed = plabic._Edit(G)
+    for c in corners:
+        ed.colors[c] = plabic._OTHER[ed.colors[c]]
+    for c in corners:
+        leg = next(e for e in G.rot[c] if e not in face_edges)
+        z = G.other_end(leg, c)
+        if z > 0 and ed.colors[z] == ed.colors[c]:
+            ed.subdivide(leg, c, plabic._OTHER[ed.colors[c]])
+    return ref_contract(ed.build())
+
+
+def exchange_walk_graphs(steps):
+    """The graphs of seeded square-move walks on the three exchange-walk
+    benchmark instances, Gr(3,7), Gr(3,8) and Gr(4,8)."""
+    for seed, (k, n, lam) in enumerate(((3, 7, (4, 3, 2)), (3, 8, (5, 5, 5)),
+                                        (4, 8, (4, 4, 4, 4)))):
+        rng = random.Random(seed)
+        G = relabelled_bridge_graph(k, n, lam)
+        for _ in range(steps):
+            yield G
+            eligible = plabic.square_eligible_labels(G)
+            G = plabic.square_move(G, eligible[rng.randrange(len(eligible))])
+
+
+def move_outcome(move, *args):
+    """The JSON text of the graph a move returns, or the type it raises."""
+    try:
+        return json.dumps(plabic.to_json(move(*args)))
+    except Exception as exc:
+        return type(exc)
+
+
+def test_square_move_matches_one_build_per_stage(monkeypatch):
+    expansions = []
+    real_expand = plabic._Edit.expand
+    monkeypatch.setattr(plabic._Edit, "expand",
+                        lambda ed, *args: expansions.append(args) or real_expand(ed, *args))
+    outcomes = Counter()
+    graphs = itertools.chain(square_walk_graphs(seed=5, walks=60, steps=5),
+                             exchange_walk_graphs(steps=30))
+    for G in graphs:
+        assert move_outcome(plabic.full_contract, G) == move_outcome(ref_contract, G)
+        labels = plabic.face_labeling(plabic.full_contract(G), "target").labels
+        for lab in labels + (frozenset(range(1, G.n + 1)),):  # the last one labels no face
+            expansions.clear()
+            got = move_outcome(plabic.square_move, G, lab)
+            assert got == move_outcome(ref_square_move, G, lab), (plabic.to_json(G), sorted(lab))
+            outcomes["expanded" if expansions else got if isinstance(got, type) else "moved"] += 1
+    assert outcomes["moved"] >= 120 and outcomes["expanded"] >= 400, outcomes
+    assert outcomes[plabic.NotSquareEligible] >= 1200 and outcomes[KeyError] >= 200, outcomes
+
+
+def test_expand_vertex_matches_its_first_version():
+    expanded = 0
+    for G in exchange_walk_graphs(steps=4):
+        for v, order in sorted(G.rot.items()):
+            for i, e in enumerate(order):
+                for pair in ((e, order[(i + 1) % len(order)]), (order[(i + 1) % len(order)], e)):
+                    got = move_outcome(plabic.expand_vertex, G, v, pair)
+                    assert got == move_outcome(ref_expand_vertex, G, v, pair), (v, pair)
+                    expanded += not isinstance(got, type)
+        assert move_outcome(plabic.expand_vertex, G, -1, (1, 2)) is KeyError
+    assert expanded >= 500, expanded
+
+
+def test_square_move_builds_and_validates_once(monkeypatch):
+    G = relabelled_bridge_graph(4, 8, (4, 4, 4, 4))
+    eligible = plabic.square_eligible_labels(G)  # contracts G once, beforehand
+    builds, validated, contractions, expansions = [], [], [], []
+    for owner, name, log in ((plabic._Edit, "build", builds),
+                             (plabic.PlabicGraph, "validate", validated),
+                             (plabic._Edit, "contract", contractions),
+                             (plabic._Edit, "expand", expansions)):
+        def counted(first, *args, _real=getattr(owner, name), _log=log):
+            _log.append(first)
+            return _real(first, *args)
+        monkeypatch.setattr(owner, name, counted)
+    for lab in eligible:
+        del builds[:], validated[:], contractions[:]
+        H = plabic.square_move(G, lab)
+        assert len(builds) == 1 and validated == [H], sorted(lab)
+        assert len(contractions) == 1 and contractions[0] is builds[0], sorted(lab)
+        # H is known to be its own full contraction: nothing contracts it again
+        assert plabic.full_contract(H) is H
+        plabic.square_eligible_labels(H)
+        assert len(contractions) == 1, sorted(lab)
+    assert expansions  # one build also when corners of degree > 3 are expanded
 
 
 # ---------------------------------------------------------------------------
