@@ -250,9 +250,9 @@ def cmd_seed(args) -> int:
 # the walk evaluates every exchange at every sample, and each sample keeps the
 # minors it was asked, so time and memory grow with --samples x --steps (one
 # CPU of a shared 2-CPU Xeon, Python 3.11, no bytecode cache; ranges over
-# repeated runs): on Gr(4,8), 1,000 samples x 1,000 steps take 8-13 s and
-# peak at 28 MB; on Gr(8,16) 37-38 s and 64 MB; on Gr(12,24), 1,000 samples
-# x 100 steps take 25-31 s and peak at 52 MB
+# repeated runs): on Gr(4,8), 1,000 samples x 1,000 steps take 7-9 s and
+# peak at 23 MB; on Gr(8,16) 33 s and 43 MB; on Gr(12,24), 1,000 samples
+# x 100 steps take 24 s and peak at 35 MB
 _MAX_SAMPLES = 1000
 _MAX_STEPS = 1000
 

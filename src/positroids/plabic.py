@@ -558,9 +558,10 @@ class _Edit:
     def expand(self, v: int, e_pair: tuple[int, int]) -> None:
         """(M2, reversed) at v: see :func:`expand_vertex`."""
         e_a, e_b = e_pair
-        order = self.rot[v]
-        i = order.index(e_a)
-        if order[(i + 1) % len(order)] != e_b:
+        order = self.rot.get(v)
+        if order is None:
+            raise PlabicError(f"cannot expand edges {e_pair} at {v}: not an internal vertex")
+        if e_a not in order or order[(order.index(e_a) + 1) % len(order)] != e_b:
             raise PlabicError(f"edges {e_pair} are not ccw-adjacent at {v}")
         v2 = self.new_vertex(self.colors[v])
         mid = self.new_vertex(_OTHER[self.colors[v]])

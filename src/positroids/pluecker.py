@@ -3,10 +3,9 @@ Schubert-cell sampling, three-term relations, weak separation, and the
 projection from generalized minors to Pluecker coordinates.
 
 All arithmetic is exact; there is no floating point anywhere in this module.
-Matrix entries are ``fractions.Fraction`` (or ``int``) and every minor is
-returned as a ``Fraction``.  A minor whose entries are all integers, as every
-Schubert-cell sample's are, is eliminated on Python ints with exact division;
-any other minor is eliminated over ``Fraction``.
+An exact value that is an integer is an ``int``, any other rational a
+``fractions.Fraction``: entries, minors and exchange quotients alike.  One
+Bareiss elimination on ints computes every minor.
 
 A :class:`Matrix` keeps its maximal minors: :func:`plucker` computes each
 column set's minor once per matrix and answers later calls from the matrix's
@@ -16,10 +15,10 @@ table lives and dies with its matrix; there is no module-level memo.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 # draws of sample_schubert_cell before it gives up on its nonvanishing
@@ -37,10 +36,10 @@ class Matrix(tuple):
 
     >>> M = Matrix([[1, 0, 2], [0, 1, 3]])
     >>> M == ((1, 0, 2), (0, 1, 3)), plucker(M, {2, 3}), M.minors
-    (True, Fraction(-2, 1), {frozenset({2, 3}): Fraction(-2, 1)})
+    (True, -2, {frozenset({2, 3}): -2})
     """
 
-    minors: dict[frozenset[int], Fraction]
+    minors: dict[frozenset[int], int | Fraction]
 
     def __new__(cls, rows: Iterable[Iterable]) -> Matrix:
         self = super().__new__(cls, map(tuple, rows))
@@ -49,37 +48,43 @@ class Matrix(tuple):
 
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
-    return Matrix((Fraction(x) for x in row) for row in rows)
+    """A :class:`Matrix` of the entries as exact values (see the module)."""
+    return Matrix((exact_quotient(*Fraction(x).as_integer_ratio()) for x in row) for row in rows)
 
 
-def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Bareiss fraction-free elimination; exact for rational entries.
+def exact_quotient(num: int, den: int) -> int | Fraction:
+    """num / den: an ``int`` when den divides num, else a reduced ``Fraction``."""
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
 
-    When every entry is an integer (``denominator == 1``) the elimination runs
-    on the numerators as Python ints, dividing exactly by the previous pivot
-    with ``//``; otherwise it runs over ``Fraction`` with ``/``.  Both paths
-    swap in the first nonzero pivot below and flip the sign per swap.
+
+def determinant(rows: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
+    """Bareiss fraction-free elimination on Python ints; exact for rational
+    entries.  Each row is first scaled by the lcm of its entries'
+    denominators, and the integer determinant divided by their product.
 
     >>> determinant(matrix([[1, 2], [3, 4]]))
-    Fraction(-2, 1)
+    -2
     >>> determinant(matrix([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]))
     Fraction(-5, 6)
     """
-    m = [list(row) for row in rows]
-    size = len(m)
-    if any(len(row) != size for row in m):
-        raise ValueError("determinant needs a square matrix")
-    if all(x.denominator == 1 for row in m for x in row):
-        m = [[x.numerator for x in row] for row in m]
-        return Fraction(_bareiss(m, 1, operator.floordiv))
-    return Fraction(_bareiss(m, Fraction(1), operator.truediv))
+    size = len(rows)
+    m = []
+    scale = 1
+    for row in rows:
+        if len(row) != size:
+            raise ValueError("determinant needs a square matrix")
+        d = lcm(*[x.denominator for x in row])
+        m.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return exact_quotient(_bareiss(m), scale)
 
 
-def _bareiss(m: list[list], prev, div) -> Fraction | int:
-    """Determinant of the square matrix m, eliminated in place; ``div`` must
-    divide exactly, since each step's numerator is a multiple of ``prev``."""
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of the square int matrix m, eliminated in place; ``//`` is
+    exact, since each step's numerator is a multiple of ``prev``."""
     size = len(m)
-    sign = 1
+    sign, prev = 1, 1
     for j in range(size - 1):
         if m[j][j] == 0:
             for i in range(j + 1, size):
@@ -95,20 +100,20 @@ def _bareiss(m: list[list], prev, div) -> Fraction | int:
             row = m[i]
             lead = row[j]
             for c in range(j + 1, size):
-                row[c] = div(row[c] * pivot - lead * pivot_row[c], prev)
+                row[c] = (row[c] * pivot - lead * pivot_row[c]) // prev
         prev = pivot
     return sign * m[size - 1][size - 1]
 
 
-def plucker(M: Sequence[Sequence[Fraction]], I: Iterable[int]) -> Fraction:
-    """Maximal minor in the column set I (1-based columns).
+def plucker(M: Sequence[Sequence[int | Fraction]], I: Iterable[int]) -> int | Fraction:
+    """Maximal minor in the column set I (1-based columns), an exact value.
 
     A :class:`Matrix` answers from its table of minors and computes only a
     column set it has not been asked before; any other row sequence computes
     the minor every time.
 
     >>> plucker(matrix([[1, 0, -1, -2], [0, 1, 3, 1]]), {3, 4})
-    Fraction(5, 1)
+    5
     """
     key = frozenset(I)
     table = M.minors if isinstance(M, Matrix) else {}
@@ -132,7 +137,7 @@ def three_term_check(M: Matrix, R: Iterable[int], quad: Sequence[int]) -> bool:
     if not cyclically_ordered(a, b, c, d):
         raise ValueError(f"{quad} is not cyclically ordered")
 
-    def D(*extra: int) -> Fraction:
+    def D(*extra: int) -> int | Fraction:
         return plucker(M, R | set(extra))
 
     return D(a, c) * D(b, d) == D(b, c) * D(a, d) + D(a, b) * D(c, d)
@@ -167,28 +172,29 @@ def sample_schubert_cell(
     """Random point of the Schubert cell with pivot set I: a reduced
     row-echelon matrix with pivot columns I and nonzero random integer free
     entries, so the lexicographically minimal nonvanishing Pluecker coordinate
-    is exactly ``D_I``.
+    is exactly ``D_I``.  Entries are ints.  I must be a k-subset of [1, n].
 
     When ``require_nonzero`` subsets are given (e.g. a Grassmann necklace),
     the point is resampled until all of those coordinates are nonzero.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
-    pivots = sorted(I)
-    if len(pivots) != k:
-        raise ValueError(f"need a {k}-subset of pivot columns")
+    I = list(I)
+    pivots = sorted(set(I))
+    if len(I) != k or len(pivots) != k or any(not 1 <= p <= n for p in pivots):
+        raise ValueError(f"pivot set {I} is not a {k}-subset of [1, {n}]")
     required = [frozenset(s) for s in require_nonzero]
     for _ in range(SAMPLE_TRIES):
         rows = []
-        for r, p in enumerate(pivots):
-            row = [Fraction(0)] * n
-            row[p - 1] = Fraction(1)
+        for p in pivots:
+            row = [0] * n
+            row[p - 1] = 1
             for c in range(p + 1, n + 1):
                 if c not in pivots:
                     val = 0
                     while val == 0:
                         val = rng.randint(-10**6, 10**6)
-                    row[c - 1] = Fraction(val)
+                    row[c - 1] = val
             rows.append(row)
         M = Matrix(rows)
         if all(plucker(M, s) != 0 for s in required):

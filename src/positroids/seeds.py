@@ -263,15 +263,17 @@ def _canonical_label(B: ExchangeMatrix, colour: Sequence) -> tuple[int, ...]:
 class ClusterExpression:
     """Base class; subclasses are Pluecker symbols and exchange quotients.
 
-    ``evaluate(M, memo)`` computes the value at the sample point M exactly.
-    Pluecker values are read through :func:`pluecker.plucker`, so a
-    :class:`pluecker.Matrix` computes each minor once over its whole life.
+    ``evaluate(M, memo)`` computes the value at the sample point M exactly,
+    as an ``int`` when it is an integer and as a ``Fraction`` otherwise (the
+    rule of :mod:`positroids.pluecker`).  Pluecker values are read through
+    :func:`pluecker.plucker`, so a :class:`pluecker.Matrix` computes each
+    minor once over its whole life.
     ``memo`` belongs to one sample and one call and holds only exchange
     quotients, under ``id()``, so shared subexpressions are evaluated once.  A
     memo must not outlive the expressions it holds, which is why quotients are
     never kept on the matrix."""
 
-    def evaluate(self, M: Matrix, memo: dict) -> Fraction:
+    def evaluate(self, M: Matrix, memo: dict) -> int | Fraction:
         raise NotImplementedError
 
 
@@ -279,7 +281,7 @@ class ClusterExpression:
 class PluckerSymbol(ClusterExpression):
     columns: frozenset[int]
 
-    def evaluate(self, M: Matrix, memo: dict) -> Fraction:
+    def evaluate(self, M: Matrix, memo: dict) -> int | Fraction:
         return pluecker.plucker(M, self.columns)
 
     def __repr__(self) -> str:
@@ -292,14 +294,15 @@ class ExchangeExpr(ClusterExpression):
 
     Each product is kept as an integer numerator and denominator, so at an
     integer sample point (where every factor but a nested quotient is an
-    integral minor) it multiplies Python ints; the value is one reduced
-    ``Fraction`` per quotient."""
+    integral minor) it multiplies Python ints.  The value keeps
+    :mod:`positroids.pluecker`'s rule: an ``int`` when the division is exact,
+    else a reduced ``Fraction``."""
 
     out_factors: tuple[ClusterExpression, ...]
     in_factors: tuple[ClusterExpression, ...]
     divisor: ClusterExpression
 
-    def evaluate(self, M: Matrix, memo: dict) -> Fraction:
+    def evaluate(self, M: Matrix, memo: dict) -> int | Fraction:
         key = id(self)
         if key in memo:
             return memo[key]
@@ -308,8 +311,8 @@ class ExchangeExpr(ClusterExpression):
         den = self.divisor.evaluate(M, memo)
         if den == 0:
             raise ZeroDivisionError("exchange denominator vanishes at this sample point")
-        val = Fraction((p1 * q2 + p2 * q1) * den.denominator, q1 * q2 * den.numerator)
-        memo[key] = val
+        val = memo[key] = pluecker.exact_quotient((p1 * q2 + p2 * q1) * den.denominator,
+                                                  q1 * q2 * den.numerator)
         return val
 
 

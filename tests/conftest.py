@@ -5,6 +5,7 @@ computed."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,12 @@ def dart_name(G: plabic.PlabicGraph, d: int) -> tuple:
     ``plabic`` module docstring)."""
     i, E = d >> 1, len(G.edges)
     return (("arc", i - E) if i >= E else sorted(G.edges)[i], d & 1)
+
+
+def exact_type(x) -> type:
+    """The type an exact value x must have: ``int`` when x is an integer,
+    ``Fraction`` for any other rational."""
+    return int if Fraction(x).denominator == 1 else Fraction
 
 
 @pytest.fixture

@@ -563,11 +563,12 @@ def exchange_walk_graphs(steps):
 
 
 def move_outcome(move, *args):
-    """The JSON text of the graph a move returns, or the type it raises."""
+    """The JSON text of the graph a move returns, or the type and message of
+    what it raises."""
     try:
         return json.dumps(plabic.to_json(move(*args)))
     except Exception as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def test_square_move_matches_one_build_per_stage(monkeypatch):
@@ -585,22 +586,33 @@ def test_square_move_matches_one_build_per_stage(monkeypatch):
             expansions.clear()
             got = move_outcome(plabic.square_move, G, lab)
             assert got == move_outcome(ref_square_move, G, lab), (plabic.to_json(G), sorted(lab))
-            outcomes["expanded" if expansions else got if isinstance(got, type) else "moved"] += 1
+            outcomes["expanded" if expansions else got[0] if isinstance(got, tuple) else "moved"] += 1
     assert outcomes["moved"] >= 120 and outcomes["expanded"] >= 400, outcomes
     assert outcomes[plabic.NotSquareEligible] >= 1200 and outcomes[KeyError] >= 200, outcomes
 
 
 def test_expand_vertex_matches_its_first_version():
-    expanded = 0
+    kinds = Counter()
     for G in exchange_walk_graphs(steps=4):
+        far_edge = max(G.edges)  # the last edge added, not at every vertex
         for v, order in sorted(G.rot.items()):
-            for i, e in enumerate(order):
-                for pair in ((e, order[(i + 1) % len(order)]), (order[(i + 1) % len(order)], e)):
-                    got = move_outcome(plabic.expand_vertex, G, v, pair)
-                    assert got == move_outcome(ref_expand_vertex, G, v, pair), (v, pair)
-                    expanded += not isinstance(got, type)
-        assert move_outcome(plabic.expand_vertex, G, -1, (1, 2)) is KeyError
-    assert expanded >= 500, expanded
+            pairs = [(e, order[(i + 1) % len(order)]) for i, e in enumerate(order)]
+            pairs += [(b, a) for a, b in pairs] + [(far_edge, order[0])]
+            for pair in pairs:
+                want = move_outcome(ref_expand_vertex, G, v, pair)
+                kinds[want[0].__name__ if isinstance(want, tuple) else "expanded"] += 1
+                if isinstance(want, tuple) and want[0] is not plabic.PlabicError:
+                    # the first version's ValueError from an edge not at v
+                    # is now a PlabicError naming v and the pair
+                    want = plabic.PlabicError, f"edges {pair} are not ccw-adjacent at {v}"
+                assert move_outcome(plabic.expand_vertex, G, v, pair) == want, (v, pair)
+        # a boundary vertex and an id of no vertex: a KeyError before
+        for v in (-1, max(G.colors) + 1):
+            assert move_outcome(ref_expand_vertex, G, v, (1, 2))[0] is KeyError
+            assert move_outcome(plabic.expand_vertex, G, v, (1, 2)) == (
+                plabic.PlabicError, f"cannot expand edges (1, 2) at {v}: not an internal vertex")
+    assert kinds["expanded"] >= 500 and kinds["PlabicError"] >= 500, kinds
+    assert kinds["ValueError"] >= 100, kinds
 
 
 def test_square_move_builds_and_validates_once(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroids import perm, pluecker, shapes
+from conftest import exact_type
 
 
 def test_plucker_pivot_matrix():
@@ -125,7 +127,7 @@ def test_determinant_rational_path_divides_exactly():
 ), ids=str)
 def test_determinant_row_swaps_flip_the_sign(rows, det):
     result = pluecker.determinant(rows)
-    assert isinstance(result, Fraction)
+    assert type(result) is exact_type(det)
     assert result == det
 
 
@@ -164,13 +166,96 @@ def test_determinant_matches_sympy(size):
         expected = sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
                                   for x in row] for row in rows]).det()
         result = pluecker.determinant(rows)
-        assert isinstance(result, Fraction), (kind, rows)
-        assert result == Fraction(int(expected.p), int(expected.q)), (kind, rows)
+        want = Fraction(int(expected.p), int(expected.q))
+        assert type(result) is exact_type(want), (kind, rows)
+        assert result == want, (kind, rows)
         kinds.add((kind, result == 0))
     # the singular ones are singular, and random ones mostly are not
     assert ("singular int", True) in kinds and ("big int", False) in kinds
     if size > 1:
         assert ("singular int", False) not in kinds
+
+
+def ref_determinant(rows):
+    """The first two-path Bareiss: integer rows eliminated on ints with
+    ``//``, any other matrix over ``Fraction`` with ``/``; always a
+    ``Fraction``."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    size = len(m)
+    if any(len(row) != size for row in m):
+        raise ValueError("determinant needs a square matrix")
+    if all(x.denominator == 1 for row in m for x in row):
+        m = [[x.numerator for x in row] for row in m]
+        prev, div = 1, operator.floordiv
+    else:
+        prev, div = Fraction(1), operator.truediv
+    sign = 1
+    for j in range(size - 1):
+        if m[j][j] == 0:
+            for i in range(j + 1, size):
+                if m[i][j] != 0:
+                    m[j], m[i] = m[i], m[j]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot_row = m[j]
+        pivot = pivot_row[j]
+        for i in range(j + 1, size):
+            row = m[i]
+            lead = row[j]
+            for c in range(j + 1, size):
+                row[c] = div(row[c] * pivot - lead * pivot_row[c], prev)
+        prev = pivot
+    return Fraction(sign * m[size - 1][size - 1])
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_determinant_matches_its_two_path_version(size):
+    rng = random.Random(1968 * size)
+    kinds = set()
+    for kind, rows in _random_matrices(rng, size):
+        want = ref_determinant(rows)
+        result = pluecker.determinant(rows)
+        assert result == want and type(result) is exact_type(want), (kind, rows)
+        kinds.add(kind)
+    assert len(kinds) == 6
+
+
+@pytest.mark.parametrize("k, n, seed", ((3, 7, 4), (4, 8, 5)))
+def test_sample_minors_are_ints_equal_to_the_two_path_version(k, n, seed):
+    rng = random.Random(seed)
+    for _ in range(3):
+        pt = pluecker.sample_schubert_cell(k, n, sorted(rng.sample(range(1, n + 1), k)), rng)
+        M = pt.matrix
+        assert all(type(x) is int for row in M for x in row)
+        for cols in itertools.combinations(range(1, n + 1), k):
+            value = pluecker.plucker(M, cols)
+            assert value == ref_determinant([[row[c - 1] for c in cols] for row in M]), cols
+        assert len(M.minors) == math.comb(n, k)
+        assert all(type(x) is int for x in M.minors.values())
+        assert M.minors[pt.cell] == 1
+
+
+def test_matrix_stores_integral_entries_as_ints():
+    M = pluecker.matrix([[Fraction(4, 2), 3, Fraction(1, 2)], [0.5, Fraction(-6, 3), True]])
+    assert M == ((2, 3, Fraction(1, 2)), (Fraction(1, 2), -2, 1))
+    assert [type(x) for row in M for x in row] == [int, int, Fraction, Fraction, int, int]
+    # a rational minor that is an integer is an int, any other a Fraction
+    assert pluecker.plucker(M, {1, 2}) == Fraction(-11, 2)
+    assert type(pluecker.plucker(M, {1, 2})) is Fraction
+    assert pluecker.plucker(M, {2, 3}) == 4 and type(pluecker.plucker(M, {2, 3})) is int
+    assert pluecker.determinant([[Fraction(1, 2), 0], [0, 4]]) == 2
+    assert type(pluecker.determinant([[Fraction(1, 2), 0], [0, 4]])) is int
+
+
+@pytest.mark.parametrize("I", ({0, 1}, [1, 1], {4, 5}, {1, 2, 3}, {2}))
+def test_sample_schubert_cell_rejects_pivot_sets_outside_the_cells(I):
+    # {0, 1} once wrote its pivot into the last column, [1, 1] pivoted two
+    # rows in column 1, and {4, 5} raised a bare IndexError
+    with pytest.raises(ValueError) as info:
+        pluecker.sample_schubert_cell(2, 4, I, 1)
+    assert str(info.value) == f"pivot set {list(I)} is not a 2-subset of [1, 4]"
 
 
 def test_three_term_random_samples():

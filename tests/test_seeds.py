@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from positroids import perm, plabic, pluecker, seeds, shapes
-from conftest import random_skew_pair
+from conftest import exact_type, random_skew_pair
 
 
 def linear_a3():
@@ -230,12 +230,13 @@ def test_exchange_evaluate_matches_fraction_products():
     for M in (*samples, rational):
         for expr in exprs:
             got = value_or_error(lambda e, M, memo: e.evaluate(M, memo), expr, M)
-            assert got == value_or_error(fraction_evaluate, expr, M), (M, expr)
+            want = value_or_error(fraction_evaluate, expr, M)
+            assert got == want, (M, expr)
             if isinstance(got, str):
                 kinds.add("zero divisor")
             else:
-                assert type(got) is Fraction
-                kinds.add((got.denominator == 1, M is rational))
+                assert type(got) is exact_type(want), (M, expr)
+                kinds.add((want.denominator == 1, M is rational))
     # integral values and true fractions at integer samples, true fractions
     # at the rational one, and zero divisors
     assert kinds >= {(True, False), (False, False), (False, True), "zero divisor"}, kinds
