@@ -8,14 +8,21 @@ Subcommand groups mirror the library modules::
     positroids le skew --k 3 --n 8 --x "..." --v "..." | positroids le leify
     positroids ppalg module --k 3 --n 7 --v "..." --x "..." --j 14
 
-Graph-consuming commands read graph JSON from ``--in`` or stdin; producers
-write JSON to ``--out`` or stdout, so commands compose under pipes.  Exit
-codes: 0 success, 1 verification failure, 2 usage or precondition error.  A
-reader that closes the output pipe early (``| head``) is none of these: the
-command stops writing and exits 0, with nothing on stderr.
+The commands that read a graph (``plabic trips``, ``faces``, ``mirror``,
+``relabel``, ``move`` and ``dualquiver``; ``seed from-graph`` and ``mutate``)
+or an oplus-diagram (``le leify`` and ``read``) take it from ``--in`` or
+stdin; no other command accepts ``--in``.  A command that accepts ``--out``
+writes to that file exactly the bytes it would print, so commands compose
+under pipes and files alike.  Exit codes: 0 success, 1 verification failure,
+2 usage or precondition error.  A reader that closes the output pipe early
+(``| head``) is none of these: the command stops writing and exits 0, with
+nothing on stderr.
 
-Each handler imports the library modules its subcommand calls, so a command
-loads only its own group's modules (``perm`` is shared by all of them).
+Each subcommand's parser names its one handler (``set_defaults(func=...)``).
+A handler returns what the command prints, text or a value written as one
+line of JSON, and ``main`` alone writes it; a JSON report with failures exits
+1.  Each handler imports the library modules it calls, so a command loads only
+its own group's modules (``perm`` is shared by all of them).
 """
 
 from __future__ import annotations
@@ -56,6 +63,11 @@ def parse_perm(text: str, k: int | None = None, n: int | None = None) -> perm.Pe
     return w
 
 
+def parse_pair(args) -> tuple[perm.Permutation, perm.Permutation]:
+    """(v, x) from ``--v`` and ``--x``, each a permutation of [--n]."""
+    return parse_perm(args.v, args.k, args.n), parse_perm(args.x, args.k, args.n)
+
+
 def parse_subset(text: str) -> frozenset[int]:
     """Integers separated by spaces or commas; an entry given twice is a
     usage error, not read as one."""
@@ -69,7 +81,7 @@ def parse_subset(text: str) -> frozenset[int]:
 
 def read_input(args) -> str:
     """The text of the ``--in`` file, or of stdin without ``--in``."""
-    if getattr(args, "infile", None):
+    if args.infile:
         with open(args.infile) as fh:
             return fh.read()
     return sys.stdin.read()
@@ -79,15 +91,6 @@ def read_graph(args):
     from positroids import plabic
 
     return plabic.from_json(json.loads(read_input(args)))
-
-
-def write_json(data, args) -> None:
-    text = json.dumps(data, indent=None, sort_keys=False)
-    if getattr(args, "outfile", None):
-        with open(args.outfile, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def fmt_word(word) -> str:
@@ -113,38 +116,34 @@ def run_report(command: str, checks: list[dict], rng_seed: int | None, **inputs)
 # perm subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_perm(args) -> int:
-    if args.sub == "columnar":
-        x = parse_perm(args.x, args.k, args.n)
-        word = perm.columnar_expression(x, args.k)
-        print(fmt_word(word))
-        return EXIT_OK
-    if args.sub == "pds":
-        if (args.w is None) == (args.word is None):
-            raise UsageError("perm pds needs exactly one of --w and --word")
-        v = parse_perm(args.v, args.k, args.n)
-        if args.w is not None:
-            word = perm.any_reduced_word(parse_perm(args.w, args.k, len(v)))
-        else:
-            word = tuple(int(t) for t in args.word.replace(",", " ").split())
-        used = perm.positive_distinguished_subexpression(v, word)
-        print("positions:", fmt_subset(used))
-        print("index set:", fmt_subset(perm.summand_index_set(v, word)))
-        return EXIT_OK
-    if args.sub == "necklace":
-        pi = parse_perm(args.pi, args.k, args.n)
-        white = parse_subset(args.white) if args.white else frozenset()
-        sigma = perm.DecoratedPermutation(pi, white)
-        for J in perm.grassmann_necklace(sigma):
-            print(fmt_subset(J))
-        return EXIT_OK
-    if args.sub == "bounded-affine":
-        pi = parse_perm(args.pi, args.k, args.n)
-        white = parse_subset(args.white) if args.white else frozenset()
-        lifted = perm.bounded_affine(perm.DecoratedPermutation(pi, white))
-        print(" ".join(str(f) for f in lifted.window))
-        return EXIT_OK
-    raise UsageError(f"unknown perm subcommand {args.sub!r}")
+def perm_columnar(args) -> str:
+    x = parse_perm(args.x, args.k, args.n)
+    return fmt_word(perm.columnar_expression(x, args.k))
+
+
+def perm_pds(args) -> str:
+    if (args.w is None) == (args.word is None):
+        raise UsageError("perm pds needs exactly one of --w and --word")
+    v = parse_perm(args.v, args.k, args.n)
+    if args.w is not None:
+        word = perm.any_reduced_word(parse_perm(args.w, args.k, len(v)))
+    else:
+        word = tuple(int(t) for t in args.word.replace(",", " ").split())
+    used = perm.positive_distinguished_subexpression(v, word)
+    return (f"positions: {fmt_subset(used)}\n"
+            f"index set: {fmt_subset(perm.summand_index_set(v, word))}")
+
+
+def parse_decorated(args) -> perm.DecoratedPermutation:
+    return perm.DecoratedPermutation(parse_perm(args.pi, args.k, args.n), parse_subset(args.white))
+
+
+def perm_necklace(args) -> str:
+    return "\n".join(fmt_subset(J) for J in perm.grassmann_necklace(parse_decorated(args)))
+
+
+def perm_bounded_affine(args) -> str:
+    return " ".join(str(f) for f in perm.bounded_affine(parse_decorated(args)).window)
 
 
 # ---------------------------------------------------------------------------
@@ -163,88 +162,93 @@ def check_bridge_n(n: int) -> None:
         raise UsageError(f"--n must be at most {_MAX_BRIDGE_N} for a bridge graph")
 
 
-def cmd_plabic(args) -> int:
+def plabic_bridge(args) -> dict:
     from positroids import plabic
 
-    if args.sub == "bridge":
-        check_bridge_n(args.n)
-        x = parse_perm(args.x, args.k, args.n)
-        G = plabic.bridge_graph(args.k, args.n, x)
-        write_json(plabic.to_json(G), args)
-        return EXIT_OK
-    G = read_graph(args)
-    if args.sub == "trips":
-        _, sigma = plabic.trips(G)
-        print(" ".join(str(i) for i in sigma.perm))
-        if sigma.white_fixed:
-            print("white fixed:", fmt_subset(sigma.white_fixed))
-        return EXIT_OK
-    if args.sub == "faces":
-        labeling = plabic.face_labeling(G, args.mode)
-        for i, lab in enumerate(labeling.labels):
-            kind = "boundary" if labeling.faces.faces[i].boundary else "internal"
-            print(f"{fmt_subset(lab)}  [{kind}]")
-        return EXIT_OK
-    if args.sub == "relabel":
-        u = parse_perm(args.perm, None, G.n)
-        write_json(plabic.to_json(plabic.relabel_boundary(G, u)), args)
-        return EXIT_OK
-    if args.sub == "mirror":
-        write_json(plabic.to_json(plabic.mirror(G)), args)
-        return EXIT_OK
-    if args.sub == "move":
-        if args.kind != "square":
-            raise UsageError("only 'square' moves are addressable by face")
-        H = plabic.square_move(G, parse_subset(args.face))
-        write_json(plabic.to_json(H), args)
-        return EXIT_OK
-    if args.sub == "dualquiver":
-        from positroids import seeds
+    check_bridge_n(args.n)
+    x = parse_perm(args.x, args.k, args.n)
+    return plabic.to_json(plabic.bridge_graph(args.k, args.n, x))
 
-        seed = seeds.seed_from_graph(G, "target")
-        if args.dot:
-            print(seeds.seed_to_dot(seed))
-        else:
-            write_json(seeds.seed_to_json(seed), args)
-        return EXIT_OK
-    raise UsageError(f"unknown plabic subcommand {args.sub!r}")
+
+def plabic_trips(args) -> str:
+    from positroids import plabic
+
+    _, sigma = plabic.trips(read_graph(args))
+    text = " ".join(str(i) for i in sigma.perm)
+    if sigma.white_fixed:
+        text += "\nwhite fixed: " + fmt_subset(sigma.white_fixed)
+    return text
+
+
+def plabic_faces(args) -> str:
+    from positroids import plabic
+
+    labeling = plabic.face_labeling(read_graph(args), args.mode)
+    return "\n".join(
+        f"{fmt_subset(lab)}  [{'boundary' if labeling.faces.faces[i].boundary else 'internal'}]"
+        for i, lab in enumerate(labeling.labels)
+    )
+
+
+def plabic_relabel(args) -> dict:
+    from positroids import plabic
+
+    G = read_graph(args)
+    return plabic.to_json(plabic.relabel_boundary(G, parse_perm(args.perm, None, G.n)))
+
+
+def plabic_mirror(args) -> dict:
+    from positroids import plabic
+
+    return plabic.to_json(plabic.mirror(read_graph(args)))
+
+
+def plabic_move(args) -> dict:
+    from positroids import plabic
+
+    G = read_graph(args)
+    return plabic.to_json(plabic.square_move(G, parse_subset(args.face)))
+
+
+def plabic_dualquiver(args) -> str | dict:
+    from positroids import seeds
+
+    seed = seeds.seed_from_graph(read_graph(args), "target")
+    return seeds.seed_to_dot(seed) if args.dot else seeds.seed_to_json(seed)
 
 
 # ---------------------------------------------------------------------------
 # seed subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_seed(args) -> int:
+def seed_rectangles(args) -> dict:
     from positroids import seeds
 
-    if args.sub == "rectangles":
-        v = parse_perm(args.v, args.k, args.n)
-        x = parse_perm(args.x, args.k, args.n)
-        S = seeds.rectangles_seed(args.k, args.n, v, x)
-        write_json(seeds.seed_to_json(S), args)
-        return EXIT_OK
-    if args.sub == "classify":
-        from positroids import shapes
+    return seeds.seed_to_json(seeds.rectangles_seed(args.k, args.n, *parse_pair(args)))
 
-        lam = shapes.normalize(int(t) for t in args.lam.replace(",", " ").split())
-        print(seeds.classify_mutable_shape(lam))
-        return EXIT_OK
-    if args.sub == "from-graph":
-        G = read_graph(args)
-        delete = parse_subset(args.delete) if args.delete else None
-        S = seeds.seed_from_graph(G, args.mode, delete)
-        write_json(seeds.seed_to_json(S), args)
-        return EXIT_OK
-    if args.sub == "mutate":
-        G = read_graph(args)
-        S = seeds.seed_from_graph(G, args.mode)
-        for step in args.seq.split(";"):
-            S = seeds.mutate_seed(S, parse_subset(step))
-        write_json(seeds.seed_to_json(S), args)
-        return EXIT_OK
-    if args.sub == "verify-exchange":
-        return _verify_exchange(args)
-    raise UsageError(f"unknown seed subcommand {args.sub!r}")
+
+def seed_classify(args) -> str:
+    from positroids import seeds, shapes
+
+    lam = shapes.normalize(int(t) for t in args.lam.replace(",", " ").split())
+    return seeds.classify_mutable_shape(lam)
+
+
+def seed_from_graph(args) -> dict:
+    from positroids import seeds
+
+    G = read_graph(args)
+    delete = parse_subset(args.delete) if args.delete else None
+    return seeds.seed_to_json(seeds.seed_from_graph(G, args.mode, delete))
+
+
+def seed_mutate(args) -> dict:
+    from positroids import seeds
+
+    S = seeds.seed_from_graph(read_graph(args), args.mode)
+    for step in args.seq.split(";"):
+        S = seeds.mutate_seed(S, parse_subset(step))
+    return seeds.seed_to_json(S)
 
 
 # the walk evaluates every exchange at every sample, and each sample keeps the
@@ -257,7 +261,7 @@ _MAX_SAMPLES = 1000
 _MAX_STEPS = 1000
 
 
-def _verify_exchange(args) -> int:
+def seed_verify_exchange(args) -> dict:
     """Criterion 6 as a seeded walk: square-move the bridge graph of x,
     relabelled by v^-1, at a random eligible face; the exchange expression of
     the seed mutated at that face must equal the Pluecker coordinate of the
@@ -271,8 +275,7 @@ def _verify_exchange(args) -> int:
         raise UsageError(f"--steps must be between 1 and {_MAX_STEPS}")
     check_bridge_n(args.n)
     rng = random.Random(args.rng_seed)
-    v = parse_perm(args.v, args.k, args.n)
-    x = parse_perm(args.x, args.k, args.n)
+    v, x = parse_pair(args)
     perm.check_skew_pair(v, x, args.k)
     vi = perm.inverse(v)
     cell = frozenset(vi[:args.k])
@@ -299,65 +302,56 @@ def _verify_exchange(args) -> int:
         )
         name = f"exchange step {step} at {''.join(map(str, sorted(q)))}"
         checks.append({"name": name, "status": "ok" if ok else "fail"})
-    report = run_report(
+    return run_report(
         "seed verify-exchange", checks, args.rng_seed,
         k=args.k, n=args.n, v=list(v), x=list(x), samples=args.samples,
     )
-    write_json(report, args)
-    return EXIT_OK if report["failures"] == 0 else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
 # le subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_le(args) -> int:
+def le_skew(args) -> str:
     from positroids import lediag
 
-    if args.sub == "skew":
-        x = parse_perm(args.x, args.k, args.n)
-        v = parse_perm(args.v, args.k, args.n)
-        print(lediag.skew_oplus(args.k, args.n, x, v).render())
-        return EXIT_OK
+    v, x = parse_pair(args)
+    return lediag.skew_oplus(args.k, args.n, x, v).render()
+
+
+def le_leify(args) -> str:
+    from positroids import lediag
+
+    return lediag.leify(lediag.parse(read_input(args))).render()
+
+
+def le_read(args) -> str:
+    from positroids import lediag
+
     O = lediag.parse(read_input(args))
-    if args.sub == "leify":
-        print(lediag.leify(O).render())
-        return EXIT_OK
-    if args.sub == "read":
-        if args.k is None or args.n is None:
-            raise UsageError("le read needs --k and --n")
-        r = lediag.reading_word(O, args.k, args.n)
-        print(" ".join(str(i) for i in r))
-        return EXIT_OK
-    raise UsageError(f"unknown le subcommand {args.sub!r}")
+    if args.k is None or args.n is None:
+        raise UsageError("le read needs --k and --n")
+    return " ".join(str(i) for i in lediag.reading_word(O, args.k, args.n))
 
 
 # ---------------------------------------------------------------------------
 # ppalg subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_ppalg(args) -> int:
+def ppalg_module(args) -> str:
     from positroids import ppalg
 
-    if args.sub == "module":
-        v = parse_perm(args.v, args.k, args.n)
-        x = parse_perm(args.x, args.k, args.n)
-        word = perm.standard_reduced_expression(x, v, args.k)
-        M = ppalg.tilting_summand(args.k, args.n, v, word, args.j)
-        print(M.render())
-        return EXIT_OK
-    if args.sub == "quiver":
-        from positroids import seeds
+    v, x = parse_pair(args)
+    word = perm.standard_reduced_expression(x, v, args.k)
+    return ppalg.tilting_summand(args.k, args.n, v, word, args.j).render()
 
-        v = parse_perm(args.v, args.k, args.n)
-        x = parse_perm(args.x, args.k, args.n)
-        quiver, labels = ppalg.endomorphism_quiver(args.k, args.n, v, x)
-        S = seeds.LabeledSeed(quiver, {b: seeds.PluckerSymbol(l) for b, l in labels.items()})
-        write_json(seeds.seed_to_json(S), args)
-        return EXIT_OK
-    if args.sub == "crosscheck":
-        return _ppalg_crosscheck(args)
-    raise UsageError(f"unknown ppalg subcommand {args.sub!r}")
+
+def ppalg_quiver(args) -> dict:
+    from positroids import ppalg, seeds
+
+    quiver, labels = ppalg.endomorphism_quiver(args.k, args.n, *parse_pair(args))
+    S = seeds.LabeledSeed(quiver, {b: seeds.PluckerSymbol(l) for b, l in labels.items()})
+    return seeds.seed_to_json(S)
 
 
 def _crosscheck_instance(task) -> dict:
@@ -389,7 +383,7 @@ def _crosscheck_instance(task) -> dict:
 _CROSSCHECK_MAX_N = 9
 
 
-def _ppalg_crosscheck(args) -> int:
+def ppalg_crosscheck(args) -> dict:
     """Every skew pair with 2 <= n <= --n: tilting summands against region
     modules.  An --n below 2 has no pair to check, so it is a usage error."""
     from positroids import shapes
@@ -415,9 +409,7 @@ def _ppalg_crosscheck(args) -> int:
     else:
         checks = [_crosscheck_instance(t) for t in tasks]
     report = run_report("ppalg crosscheck", checks, None, n=args.n)
-    summary = {"checks": len(checks), "failures": report["failures"]}
-    write_json(summary if not args.verbose else report, args)
-    return EXIT_OK if report["failures"] == 0 else EXIT_VERIFY
+    return report if args.verbose else {"checks": len(checks), "failures": report["failures"]}
 
 
 # ---------------------------------------------------------------------------
@@ -427,126 +419,91 @@ def _ppalg_crosscheck(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="positroids", description=__doc__.splitlines()[0])
     groups = top.add_subparsers(dest="group", required=True)
+    bridge_n = f"at most {_MAX_BRIDGE_N}"
 
-    def io(p):
-        p.add_argument("--in", dest="infile")
-        p.add_argument("--out", dest="outfile")
+    def command(group, name, func, reads=False, writes=False):
+        p = group.add_parser(name)
+        p.set_defaults(func=func)
+        if reads:
+            p.add_argument("--in", dest="infile")
+        if writes:
+            p.add_argument("--out", dest="outfile")
+        return p
 
-    g = groups.add_parser("perm")
-    sub = g.add_subparsers(dest="sub", required=True)
-    p = sub.add_parser("columnar")
+    def kn(p, required=True, n_help=None):
+        p.add_argument("--k", type=int, required=required)
+        p.add_argument("--n", type=int, required=required, help=n_help)
+
+    def pair(p, n_help=None):
+        kn(p, n_help=n_help)
+        p.add_argument("--v", required=True)
+        p.add_argument("--x", required=True)
+
+    g = groups.add_parser("perm").add_subparsers(dest="sub", required=True)
+    p = command(g, "columnar", perm_columnar)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--x", required=True)
-    p = sub.add_parser("pds")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
+    p = command(g, "pds", perm_pds)
+    kn(p, required=False)
     p.add_argument("--v", required=True)
     p.add_argument("--w")
     p.add_argument("--word", help="reduced word letters in application order")
-    p = sub.add_parser("necklace")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--pi", required=True)
-    p.add_argument("--white")
-    p = sub.add_parser("bounded-affine")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--pi", required=True)
-    p.add_argument("--white")
-    g.set_defaults(func=cmd_perm)
+    for name, func in (("necklace", perm_necklace), ("bounded-affine", perm_bounded_affine)):
+        p = command(g, name, func)
+        kn(p, required=False)
+        p.add_argument("--pi", required=True)
+        p.add_argument("--white", default="")
 
-    g = groups.add_parser("plabic")
-    sub = g.add_subparsers(dest="sub", required=True)
-    p = sub.add_parser("bridge")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help=f"at most {_MAX_BRIDGE_N}")
+    g = groups.add_parser("plabic").add_subparsers(dest="sub", required=True)
+    p = command(g, "bridge", plabic_bridge, writes=True)
+    kn(p, n_help=bridge_n)
     p.add_argument("--x", required=True)
-    io(p)
-    for name in ("trips", "mirror"):
-        p = sub.add_parser(name)
-        io(p)
-    p = sub.add_parser("faces")
+    command(g, "trips", plabic_trips, reads=True, writes=True)
+    command(g, "mirror", plabic_mirror, reads=True, writes=True)
+    p = command(g, "faces", plabic_faces, reads=True, writes=True)
     p.add_argument("--mode", choices=("source", "target"), required=True)
-    io(p)
-    p = sub.add_parser("relabel")
+    p = command(g, "relabel", plabic_relabel, reads=True, writes=True)
     p.add_argument("--perm", required=True)
-    io(p)
-    p = sub.add_parser("move")
+    p = command(g, "move", plabic_move, reads=True, writes=True)
     p.add_argument("kind", choices=("square",))
     p.add_argument("--face", required=True)
-    io(p)
-    p = sub.add_parser("dualquiver")
+    p = command(g, "dualquiver", plabic_dualquiver, reads=True, writes=True)
     p.add_argument("--dot", action="store_true")
-    io(p)
-    g.set_defaults(func=cmd_plabic)
 
-    g = groups.add_parser("seed")
-    sub = g.add_subparsers(dest="sub", required=True)
-    p = sub.add_parser("rectangles")
-    for flag in ("--v", "--x"):
-        p.add_argument(flag, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    io(p)
-    p = sub.add_parser("classify")
+    g = groups.add_parser("seed").add_subparsers(dest="sub", required=True)
+    pair(command(g, "rectangles", seed_rectangles, writes=True))
+    p = command(g, "classify", seed_classify)
     p.add_argument("--lambda", dest="lam", required=True)
-    p = sub.add_parser("from-graph")
+    p = command(g, "from-graph", seed_from_graph, reads=True, writes=True)
     p.add_argument("--mode", choices=("source", "target"), default="target")
     p.add_argument("--delete")
-    io(p)
-    p = sub.add_parser("mutate")
+    p = command(g, "mutate", seed_mutate, reads=True, writes=True)
     p.add_argument("--mode", choices=("source", "target"), default="target")
     p.add_argument("--seq", required=True, help="semicolon-separated face labels")
-    io(p)
-    p = sub.add_parser("verify-exchange")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help=f"at most {_MAX_BRIDGE_N}")
-    p.add_argument("--v", required=True)
-    p.add_argument("--x", required=True)
+    p = command(g, "verify-exchange", seed_verify_exchange, writes=True)
+    pair(p, n_help=bridge_n)
     p.add_argument("--samples", type=int, default=20, help=f"1 to {_MAX_SAMPLES}")
     p.add_argument("--steps", type=int, default=8, help=f"1 to {_MAX_STEPS}")
     p.add_argument("--rng-seed", type=int, default=0)
-    io(p)
-    g.set_defaults(func=cmd_seed)
 
-    g = groups.add_parser("le")
-    sub = g.add_subparsers(dest="sub", required=True)
-    p = sub.add_parser("skew")
-    for flag in ("--x", "--v"):
-        p.add_argument(flag, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    for name in ("leify", "read"):
-        p = sub.add_parser(name)
-        p.add_argument("--k", type=int)
-        p.add_argument("--n", type=int)
-        io(p)
-    g.set_defaults(func=cmd_le)
+    g = groups.add_parser("le").add_subparsers(dest="sub", required=True)
+    pair(command(g, "skew", le_skew))
+    kn(command(g, "leify", le_leify, reads=True, writes=True), required=False)
+    kn(command(g, "read", le_read, reads=True, writes=True), required=False)
 
-    g = groups.add_parser("ppalg")
-    sub = g.add_subparsers(dest="sub", required=True)
-    p = sub.add_parser("module")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--x", required=True)
+    g = groups.add_parser("ppalg").add_subparsers(dest="sub", required=True)
+    p = command(g, "module", ppalg_module)
+    pair(p)
     p.add_argument("--j", type=int, required=True)
-    p = sub.add_parser("quiver")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--x", required=True)
-    io(p)
-    p = sub.add_parser("crosscheck")
+    pair(command(g, "quiver", ppalg_quiver, writes=True))
+    p = command(g, "crosscheck", ppalg_crosscheck, writes=True)
     p.add_argument("--n", type=int, required=True,
                    help=f"check every skew pair with n at most this, 2 to {_CROSSCHECK_MAX_N} "
                         "(n = 9 is 23,694 pairs, about 13 s a CPU)")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at least 1; capped at the CPU count")
-    io(p)
-    g.set_defaults(func=cmd_ppalg)
 
     return top
 
@@ -554,10 +511,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        # flushed here, not at interpreter exit, so a closed pipe is seen below
-        sys.stdout.flush()
-        return code
+        result = args.func(args)
+        text = (result if isinstance(result, str) else json.dumps(result)) + "\n"
+        if getattr(args, "outfile", None):
+            with open(args.outfile, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            # flushed here, not at interpreter exit, so a closed pipe is seen below
+            sys.stdout.flush()
+        return EXIT_VERIFY if isinstance(result, dict) and result.get("failures") else EXIT_OK
     except BrokenPipeError:
         # the reader has closed stdout: send what is still buffered to
         # devnull, so the flush at exit cannot fail again

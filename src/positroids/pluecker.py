@@ -82,10 +82,11 @@ def determinant(rows: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
 
 def _bareiss(m: list[list[int]]) -> int:
     """Determinant of the square int matrix m, eliminated in place; ``//`` is
-    exact, since each step's numerator is a multiple of ``prev``."""
+    exact, since each step's numerator is a multiple of ``prev``.  The last
+    pivot is the determinant, and the 0x0 matrix, with no pivot, has 1."""
     size = len(m)
     sign, prev = 1, 1
-    for j in range(size - 1):
+    for j in range(size):
         if m[j][j] == 0:
             for i in range(j + 1, size):
                 if m[i][j] != 0:
@@ -102,7 +103,7 @@ def _bareiss(m: list[list[int]]) -> int:
             for c in range(j + 1, size):
                 row[c] = (row[c] * pivot - lead * pivot_row[c]) // prev
         prev = pivot
-    return sign * m[size - 1][size - 1]
+    return sign * prev
 
 
 def plucker(M: Sequence[Sequence[int | Fraction]], I: Iterable[int]) -> int | Fraction:

@@ -3,7 +3,8 @@
 A module is a finite set of cells ``(vertex, level)`` with ``vertex`` in
 ``[1, n-1]``.  A cell covers the cells at ``(vertex +- 1, level - 1)``; the
 socle sits at the bottom of the staggered diagram and the top at the top.
-Modules are compared up to a uniform level shift.
+``==`` compares cells, levels included; modules are compared up to a uniform
+level shift through :meth:`DiagramModule.normalized`.
 
 The socle chain and socle removal run on level bitmasks: n + 1 ints, bit
 ``t - base`` of entry a set iff ``(a, t)`` is a cell.  Entries 0 and n stay
@@ -300,9 +301,8 @@ def endomorphism_quiver(k: int, n: int, v: Permutation, x: Permutation):
     ``plucker_of_module(k, n, v, word, j)``."""
     from positroids.seeds import Quiver
 
-    permmod.check_skew_pair(v, x, k)
+    word = permmod.standard_reduced_expression(x, v, k)  # checks the skew pair
     lam = shapes.from_vert_ne(tuple(x)[:k], k, n)
-    word = permmod.standard_reduced_expression(x, v, k)
     offset = permmod.coxeter_length(v)
     positions = permmod.summand_index_set(v, word)
     if positions != tuple(range(offset + 1, len(word) + 1)):

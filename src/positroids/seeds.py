@@ -360,15 +360,17 @@ class LabeledSeed:
 
 def mutate_seed(S: LabeledSeed, q: Hashable) -> LabeledSeed:
     """Seed mutation: the label at q is replaced by the exchange expression
-    ``(prod over arrows out of q + prod over arrows into q) / old label``."""
-    new_label = ExchangeExpr(
+    ``(prod over arrows out of q + prod over arrows into q) / old label``.
+    A q that is not a mutable vertex raises :func:`mutate_quiver`'s
+    ``ValueError``."""
+    quiver = mutate_quiver(S.quiver, q)
+    labels = dict(S.labels)
+    labels[q] = ExchangeExpr(
         tuple(S.labels[r] for r in S.quiver.arrows_from(q)),
         tuple(S.labels[s] for s in S.quiver.arrows_into(q)),
         S.labels[q],
     )
-    labels = dict(S.labels)
-    labels[q] = new_label
-    return LabeledSeed(mutate_quiver(S.quiver, q), labels)
+    return LabeledSeed(quiver, labels)
 
 
 def seeds_equal(S1: LabeledSeed, S2: LabeledSeed, up_to_arrow_reversal: bool = False) -> bool:

@@ -1,6 +1,9 @@
+import argparse
+import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -792,3 +795,105 @@ RUN_QUIETLY = (
 def test_each_command_loads_only_its_modules(argv, modules):
     want = ["positroids.cli"] + [f"positroids.{m}" for m in modules.split()]
     assert fresh_modules(RUN_QUIETLY, *argv) == sorted(want)
+
+
+# ---------------------------------------------------------------------------
+# golden corpus: argv, stdin, exit code, stdout and stderr of the README and
+# CI commands, of every subcommand and of ten seeded draws of each
+# perfbench.workloads.cli_command kind, recorded from `python -m
+# positroids.cli` in fresh interpreters; an entry's "source" says where its
+# argv comes from, and stdout over 4 kB is kept as its sha256
+# ---------------------------------------------------------------------------
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "testdata" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"]))
+def test_cli_golden_corpus(entry, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # so `--in missing.json` names no file
+    code, out, err = run_main_on(entry["argv"], entry["stdin"], monkeypatch, capsys)
+    if "stdout" in entry:
+        assert out == entry["stdout"]
+    else:
+        assert (len(out.encode()), hashlib.sha256(out.encode()).hexdigest()) == (
+            entry["stdout_len"], entry["stdout_sha256"])
+    assert (code, err) == (entry["exit"], entry["stderr"])
+
+
+# ---------------------------------------------------------------------------
+# --in and --out: declared only where they act
+# ---------------------------------------------------------------------------
+
+def declared(option: str) -> set[str]:
+    """The subcommands ("group sub") whose parser declares ``option``."""
+    def subparsers(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices.items()
+
+    return {f"{group} {sub}" for group, g in subparsers(cli.build_parser())
+            for sub, p in subparsers(g) if option in p._option_string_actions}
+
+
+GR25_JSON = json.dumps(plabic.to_json(plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))))
+SKEW_ARGS = ["--k", "3", "--n", "7", "--v", "3 2 7 1 6 5 4", "--x", "3 6 7 1 2 4 5"]
+# every command that declares --out, with a stdin it reads
+OUT_COMMANDS = (
+    (["plabic", "bridge", "--k", "2", "--n", "5", "--x", "3 5 1 2 4"], ""),
+    (["plabic", "trips"], GR25_JSON),
+    (["plabic", "faces", "--mode", "target"], GR25_JSON),
+    (["plabic", "mirror"], GR25_JSON),
+    (["plabic", "relabel", "--perm", "2 1 5 4 3"], GR25_JSON),
+    (["plabic", "move", "square", "--face", "1 3"], GR25_JSON),
+    (["plabic", "dualquiver"], GR25_JSON),
+    (["plabic", "dualquiver", "--dot"], GR25_JSON),
+    (["seed", "rectangles", *SKEW_ARGS], ""),
+    (["seed", "from-graph"], GR25_JSON),
+    (["seed", "mutate", "--seq", "1 3"], GR25_JSON),
+    (VERIFY_EXCHANGE + ["--samples", "3", "--steps", "3"], ""),
+    (["le", "leify"], "+ + + 0\n+ 0 0 0\n0 0 0\n0\n"),
+    (["le", "read", "--k", "2", "--n", "5"], "0 0 0\n0 0\n"),
+    (["ppalg", "quiver", *SKEW_ARGS], ""),
+    (["ppalg", "crosscheck", "--n", "4"], ""),
+    (["ppalg", "crosscheck", "--n", "3", "--verbose"], ""),
+)
+READERS = {"plabic trips", "plabic faces", "plabic mirror", "plabic relabel", "plabic move",
+           "plabic dualquiver", "seed from-graph", "seed mutate", "le leify", "le read"}
+
+
+def test_out_commands_are_every_command_declaring_out():
+    assert {" ".join(argv[:2]) for argv, _ in OUT_COMMANDS} == declared("--out")
+
+
+@pytest.mark.parametrize("argv, stdin_text", OUT_COMMANDS, ids=[" ".join(a) for a, _ in OUT_COMMANDS])
+def test_out_file_holds_exactly_the_stdout_bytes(argv, stdin_text, tmp_path, monkeypatch, capsys):
+    code, out, err = run_main_on(argv, stdin_text, monkeypatch, capsys)
+    assert (code, err) == (0, "") and out
+    path = tmp_path / "out.txt"
+    assert run_main_on(argv + ["--out", str(path)], stdin_text, monkeypatch, capsys) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_in_is_declared_by_the_readers_only():
+    assert declared("--in") == READERS
+
+
+@pytest.mark.parametrize("argv", (
+    ["plabic", "bridge", "--k", "2", "--n", "5", "--x", "3 5 1 2 4"],
+    ["seed", "rectangles", *SKEW_ARGS],
+    VERIFY_EXCHANGE + ["--samples", "1", "--steps", "1"],
+    ["ppalg", "quiver", *SKEW_ARGS],
+    ["ppalg", "crosscheck", "--n", "3"],
+), ids=lambda argv: " ".join(argv[:2]))
+def test_producers_reject_in(argv, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(GR25_JSON)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--in", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --in" in err
+
+
+def test_seed_mutate_at_a_missing_label_names_it(monkeypatch, capsys):
+    code, out, err = run_main_on(["seed", "mutate", "--seq", ""], GR25_JSON, monkeypatch, capsys)
+    assert (code, out, err) == (2, "", "error: cannot mutate at frozenset()\n")

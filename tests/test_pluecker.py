@@ -258,6 +258,17 @@ def test_sample_schubert_cell_rejects_pivot_sets_outside_the_cells(I):
     assert str(info.value) == f"pivot set {list(I)} is not a 2-subset of [1, 4]"
 
 
+def test_the_empty_matrix_has_determinant_1():
+    # each of these raised a bare IndexError from _bareiss
+    sample = pluecker.sample_schubert_cell(0, 3, set(), 1)
+    for value in (
+        pluecker.determinant([]),
+        pluecker.plucker(pluecker.matrix([]), set()),
+        pluecker.plucker(sample.matrix, set()),
+    ):
+        assert (value, type(value)) == (1, int)
+
+
 def test_three_term_random_samples():
     rng = random.Random(11)
     for _ in range(100):

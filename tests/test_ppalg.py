@@ -286,6 +286,35 @@ def test_endomorphism_quiver_needs_summands_after_v(monkeypatch):
         ppalg.endomorphism_quiver(k, n, v, x)
 
 
+def test_endomorphism_quiver_checks_the_skew_pair_once(monkeypatch):
+    k, n, v = running_pair()
+    x = perm.multiply(perm.apply_word(RUNNING_WORD, n), perm.inverse(v))
+    checked = []
+    real = perm.check_skew_pair
+    monkeypatch.setattr(perm, "check_skew_pair", lambda *pair: checked.append(pair) or real(*pair))
+    ppalg.endomorphism_quiver(k, n, v, x)
+    assert checked == [(v, x, k)]
+
+
+@pytest.mark.parametrize("k, n, v, x", (
+    (2, 4, (1, 2, 3, 4), (3, 4, 1, 2)),  # v not in W^K_max
+    (2, 4, (2, 1, 4, 3), (2, 1, 3, 4)),  # x not in ^K W
+    (2, 4, (2, 4, 1, 3), (3, 4, 1, 2)),  # not length-additive
+))
+def test_endomorphism_quiver_rejects_a_bad_pair_as_check_skew_pair_does(k, n, v, x):
+    with pytest.raises(ValueError) as want:
+        perm.check_skew_pair(v, x, k)
+    with pytest.raises(ValueError) as got:
+        ppalg.endomorphism_quiver(k, n, v, x)
+    assert str(got.value) == str(want.value)
+
+
+def test_modules_equal_up_to_shift_only_once_normalized():
+    low, high = ppalg.module(4, {(1, 0), (2, 1)}), ppalg.module(4, {(1, 3), (2, 4)})
+    assert low != high
+    assert low.normalized() == high.normalized() == low
+
+
 def test_endomorphism_quiver_single_box():
     k, n = 2, 4
     v = perm.parabolic_longest(k, n)

@@ -63,6 +63,16 @@ def test_mutate_seed_involution_numeric():
     assert seeds.expressions_agree(back.labels[q], S.labels[q], samples)
 
 
+@pytest.mark.parametrize("q", (frozenset(), frozenset({1, 5}), frozenset({1, 2})), ids=str)
+def test_mutate_seed_at_a_missing_or_frozen_label_raises_value_error(q):
+    # a label the seed lacks raised a bare KeyError before the quiver was asked
+    S = seeds.rectangles_seed(2, 5, perm.parabolic_longest(2, 5), (3, 5, 1, 2, 4))
+    assert q not in S.labels or S.quiver.frozen[q]
+    with pytest.raises(ValueError) as info:
+        seeds.mutate_seed(S, q)
+    assert str(info.value) == f"cannot mutate at {q!r}"
+
+
 def test_expressions_agree_checks_every_sample():
     # D12 and D13 agree at the first sample only; each sample keeps its own minors
     d12, d13 = seeds.PluckerSymbol(frozenset({1, 2})), seeds.PluckerSymbol(frozenset({1, 3}))
