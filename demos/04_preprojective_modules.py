@@ -7,7 +7,7 @@ canonical cluster-tilting module of a skew Schubert cell, and the same modules
 fall out of a purely lattice-path region description.
 """
 
-from positroids import perm, ppalg, seeds, shapes
+from positroids import perm, ppalg, seeds
 
 n = 7
 print("injective Q_4 for rank", n - 1, "(socle S_4 at the bottom):")
@@ -17,25 +17,21 @@ print()
 k = 3
 v = perm.multiply(perm.parabolic_longest(k, n), perm.simple_reflection(3, n))
 x = (3, 6, 7, 1, 2, 4, 5)
-word = perm.standard_reduced_expression(x, v, k)
-positions = perm.summand_index_set(v, word)
-print("pair (v, w = x v) with l(w) =", len(word),
-      "and summand positions", positions)
+U = ppalg.tilting_module(k, n, v, x)
+print("pair (v, w = x v) with l(w) =", len(U.word),
+      "and summand positions", U.positions)
 print()
 
-for j in positions:
-    U = ppalg.tilting_summand(k, n, v, word, j)
-    P = ppalg.plucker_of_module(k, n, v, word, j)
+for j, M, P in zip(U.positions, U.summands, U.labels):
     R = ppalg.region_module(k, n, v, P)
-    assert U.normalized() == R  # socle-chain route == region route
+    assert M.normalized() == R  # socle-chain route == region route
     print(f"position {j}:  Delta_{''.join(map(str, sorted(P)))}")
-    print(U.render())
+    print(M.render())
     print()
 
 quiver, labels = ppalg.endomorphism_quiver(k, n, v, x)
 S = seeds.rectangles_seed(k, n, v, x)
 assert quiver == S.quiver
 print("the morphism quiver of the summands equals the rectangles-seed quiver:")
-lam = shapes.from_vert_ne(x[:k], k, n)
-print("  vertices per box of", lam, "; projective-injectives at",
-      sorted(ppalg.projective_injective_boxes(lam)))
+print("  vertices per box of", U.shape, "; projective-injectives at",
+      sorted(b for b, frozen in zip(U.boxes, U.frozen) if frozen))

@@ -362,17 +362,12 @@ def _crosscheck_instance(task) -> dict:
     n, k, lam_v, lam_x = task
     v = perm.max_rep_from_image(shapes.vert_sw(lam_v, k, n), k, n)
     x = perm.grassmannian_from_image(shapes.vert_ne(lam_x, k, n), k, n)
-    word = perm.standard_reduced_expression(x, v, k)
-    mismatches = 0
-    for j in perm.summand_index_set(v, word):
-        P = ppalg.plucker_of_module(k, n, v, word, j)
-        a = ppalg.tilting_summand(k, n, v, word, j).normalized()
-        b = ppalg.region_module(k, n, v, P)
-        if a != b:
-            mismatches += 1
+    U = ppalg.tilting_module(k, n, v, x)
+    ok = all(M.normalized() == ppalg.region_module(k, n, v, P)
+             for M, P in zip(U.summands, U.labels))
     return {
         "name": f"n={n} k={k} lam_v={list(lam_v)} lam_x={list(lam_x)}",
-        "status": "ok" if mismatches == 0 else "fail",
+        "status": "ok" if ok else "fail",
     }
 
 
@@ -489,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = groups.add_parser("le").add_subparsers(dest="sub", required=True)
     pair(command(g, "skew", le_skew))
-    kn(command(g, "leify", le_leify, reads=True, writes=True), required=False)
+    command(g, "leify", le_leify, reads=True, writes=True)
     kn(command(g, "read", le_read, reads=True, writes=True), required=False)
 
     g = groups.add_parser("ppalg").add_subparsers(dest="sub", required=True)

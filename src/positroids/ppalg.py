@@ -9,6 +9,11 @@ level shift through :meth:`DiagramModule.normalized`.
 The socle chain and socle removal run on level bitmasks: n + 1 ints, bit
 ``t - base`` of entry a set iff ``(a, t)`` is a cell.  Entries 0 and n stay
 0, so one letter is a few int operations on whole vertex rows.
+
+A skew pair ``(v, x v)`` has one :class:`TiltingModule`: its standard word,
+lambda_x, and each summand U_j with its box, Pluecker label and frozen flag.
+A word's summands are built once, in one walk along it, which
+:func:`tilting_summand` and :func:`plucker_of_module` read as well.
 """
 
 from __future__ import annotations
@@ -45,17 +50,11 @@ class DiagramModule:
         return tuple(c for c in ((i - 1, t - 1), (i + 1, t - 1)) if c in self.cells)
 
     def socle(self) -> frozenset[Cell]:
-        cells = self.cells
-        return frozenset(
-            (i, t) for i, t in cells
-            if (i - 1, t - 1) not in cells and (i + 1, t - 1) not in cells
-        )
+        return frozenset(c for c in self.cells if not self.below(c))
 
     def normalized(self) -> "DiagramModule":
         """Shift levels so the minimum is 0 (modules agree up to translation)."""
-        if not self.cells:
-            return self
-        lo = min(t for _, t in self.cells)
+        lo = min((t for _, t in self.cells), default=0)
         if lo == 0:
             return self
         return DiagramModule(self.n, frozenset((i, t - lo) for i, t in self.cells))
@@ -159,18 +158,19 @@ def soc_chain(ambient: DiagramModule, word: Sequence[int]) -> DiagramModule:
 # ---------------------------------------------------------------------------
 
 class _WordData(NamedTuple):
-    """What every summand of one ``(n, v, word)`` reads: the PDS, ``v^{-1}``
-    and, at index ``j - 1``, the sets ``w_(j)^{-1}([i_j])`` and
-    ``v_(j)^{-1}([i_j])``."""
+    """What the summands of one ``(n, v, word)`` read: the PDS, ``v^{-1}``, at
+    index ``j - 1`` the sets ``w_(j)^{-1}([i_j])`` and ``v_(j)^{-1}([i_j])``,
+    and U_j itself at each position j outside the PDS, in order."""
 
     pds: frozenset[int]
     v_inv: Permutation
     w_rows: tuple[frozenset[int], ...]
     v_rows: tuple[frozenset[int], ...]
+    summands: dict[int, DiagramModule]
 
 
 # A pair's summands are built back to back, so a few entries serve them all;
-# each entry holds 2 * len(word) subsets of [n].
+# each entry holds 2 * len(word) subsets of [n] and the word's summands.
 @lru_cache(maxsize=32)
 def _word_data(n: int, v: Permutation, word: tuple[int, ...]) -> _WordData:
     if len(v) != n:
@@ -181,34 +181,35 @@ def _word_data(n: int, v: Permutation, word: tuple[int, ...]) -> _WordData:
     w_pos = list(range(1, n + 1))
     v_pos = list(range(1, n + 1))
     w_rows, v_rows = [], []
+    v_letters = []  # the PDS letters before position j
+    summands = {}
     for j, i in enumerate(word, start=1):
         w_pos[i - 1], w_pos[i] = w_pos[i], w_pos[i - 1]
         if j in pds:
             v_pos[i - 1], v_pos[i] = v_pos[i], v_pos[i - 1]
+            v_letters.append(i)
+        else:
+            # U_j: socle chain in Q_{i_j} along w_(j)^{-1}, socle removal along v_(j)^{-1}
+            C = _chain_masks(_injective_masks(n, i), reversed(word[:j]))
+            summands[j] = _from_masks(n, _remove_socle_masks(C, reversed(v_letters)), 0)
         w_rows.append(frozenset(w_pos[:i]))
         v_rows.append(frozenset(v_pos[:i]))
-    return _WordData(pds, permmod.inverse(v), tuple(w_rows), tuple(v_rows))
+    return _WordData(pds, permmod.inverse(v), tuple(w_rows), tuple(v_rows), summands)
 
 
-def tilting_summand(
-    k: int, n: int, v: Permutation, w_word: Sequence[int], j: int
-) -> DiagramModule:
+def tilting_summand(k: int, n: int, v: Permutation, w_word: Sequence[int], j: int) -> DiagramModule:
     """The summand U_j built from the injective Q_{i_j}: first the socle chain
     along ``w_(j)^{-1}``, then socle removal along ``v_(j)^{-1}``.
 
     ``k`` does not enter the construction; it stays so that every summand
     function takes the same ``(k, n, v, w_word, j)`` arguments, which the CLI,
-    the demos, the acceptance criteria and the benchmark workloads pass
-    positionally."""
-    pds = _word_data(n, tuple(v), tuple(w_word)).pds
-    if j in pds:
+    the tests and the benchmark workloads pass positionally."""
+    data = _word_data(n, tuple(v), tuple(w_word))
+    if j in data.pds:
         raise ValueError(f"position {j} belongs to the subexpression for v")
     if not 1 <= j <= len(w_word):
         raise ValueError(f"position {j} outside the word")
-    C = _chain_masks(_injective_masks(n, w_word[j - 1]), reversed(w_word[:j]))
-    # v_(j)^{-1}: the PDS letters before position j, last first
-    v_letters = [w_word[p - 1] for p in range(j - 1, 0, -1) if p in pds]
-    return _from_masks(n, _remove_socle_masks(C, v_letters), 0)
+    return data.summands[j]
 
 
 # one entry: the region modules of one pair come back to back, and a larger
@@ -241,17 +242,8 @@ def region_module(k: int, n: int, v: Permutation, P: Iterable[int]) -> DiagramMo
 
 
 # ---------------------------------------------------------------------------
-# Pluecker labels and the endomorphism quiver
+# Pluecker labels, the tilting module of a skew pair, its quiver
 # ---------------------------------------------------------------------------
-
-def box_of_position(lam: shapes.Partition, j: int, offset: int) -> shapes.Box:
-    """Box of lam at columnar position ``j - offset`` (positions past the
-    letters of v in a standard word), for ``1 <= j - offset <= |lam|``."""
-    boxes = list(shapes.boxes(lam))
-    if not 1 <= j - offset <= len(boxes):
-        raise ValueError(f"columnar position {j - offset} outside 1..{len(boxes)}")
-    return boxes[j - offset - 1]
-
 
 def plucker_of_module(
     k: int, n: int, v: Permutation, w_word: Sequence[int], j: int
@@ -267,14 +259,45 @@ def plucker_of_module(
         raise ValueError(f"position {j} outside the word")
     i_j = w_word[j - 1]
     if data.v_rows[j - 1] != frozenset(data.v_inv[:i_j]):
-        raise ValueError(
-            "generalized minor rows are not v^{-1}([l]); "
-            "input word is not standard for a skew pair"
-        )
+        raise ValueError("generalized minor rows are not v^{-1}([l]); "
+                         "input word is not standard for a skew pair")
     result = pluecker.project_minor(v, k, i_j, data.w_rows[j - 1])
     if result is None:
         raise ValueError("generalized minor does not project to a single Pluecker coordinate")
     return result
+
+
+@dataclass(frozen=True)
+class TiltingModule:
+    """The cluster-tilting module U of a skew pair ``(v, x v)``: its standard
+    word, lambda_x as ``shape``, and at each index m the summand U_j at
+    position ``j = positions[m] = l(v) + 1 + m`` with its box (the m-th of
+    lambda_x in columnar order), diagram, Pluecker label and frozen flag
+    (projective-injective exactly at the last occurrence of its letter)."""
+
+    word: permmod.ReducedWord
+    shape: shapes.Partition
+    positions: tuple[int, ...]
+    boxes: tuple[shapes.Box, ...]
+    summands: tuple[DiagramModule, ...]
+    labels: tuple[frozenset[int], ...]
+    frozen: tuple[bool, ...]
+
+
+def tilting_module(k: int, n: int, v: Permutation, x: Permutation) -> TiltingModule:
+    """The cluster-tilting module of the skew pair ``(v, x v)``."""
+    word = permmod.standard_reduced_expression(x, v, k)  # checks the skew pair
+    shape = shapes.from_vert_ne(tuple(x)[:k], k, n)
+    data = _word_data(n, tuple(v), word)
+    offset = len(data.pds)
+    positions = tuple(data.summands)
+    if positions != tuple(range(offset + 1, len(word) + 1)):
+        raise ValueError(f"summand positions {positions} are not {offset + 1}..{len(word)}")
+    return TiltingModule(
+        word, shape, positions, tuple(shapes.boxes(shape)), tuple(data.summands.values()),
+        tuple(plucker_of_module(k, n, v, word, j) for j in positions),
+        tuple(word[j - 1] not in word[j:] for j in positions),
+    )
 
 
 def morphism_arrows(lam: shapes.Partition) -> tuple[tuple[shapes.Box, shapes.Box], ...]:
@@ -282,39 +305,20 @@ def morphism_arrows(lam: shapes.Partition) -> tuple[tuple[shapes.Box, shapes.Box
     ``Rect(b_j)`` is obtained from ``Rect(b_i)`` by removing a row, removing a
     column, or adding a hook.  At most one arrow per ordered pair."""
     boxes = set(shapes.boxes(lam))
-    arrows = []
-    for (r, c) in sorted(boxes):
-        for target in ((r - 1, c), (r, c - 1), (r + 1, c + 1)):
-            if target in boxes:
-                arrows.append(((r, c), target))
-    return tuple(arrows)
+    return tuple(((r, c), t) for r, c in sorted(boxes)
+                 for t in ((r - 1, c), (r, c - 1), (r + 1, c + 1)) if t in boxes)
 
 
 def endomorphism_quiver(k: int, n: int, v: Permutation, x: Permutation):
-    """Quiver of the canonical cluster-tilting module for the pair
-    ``(v, x v)``: vertices are the boxes of ``lambda_x``, frozen exactly at
-    the projective-injective summands (the boxes on the southeast boundary),
-    arrows by the hook/row/column rules with frozen-frozen arrows dropped.
-    Returns ``(quiver, labels)`` with labels the Pluecker column sets: the
-    summand U_j at position j of the standard word sits at
-    ``box_of_position(lambda_x, j, l(v))`` and carries
-    ``plucker_of_module(k, n, v, word, j)``."""
+    """``(quiver, labels)`` of the canonical cluster-tilting module for the
+    pair ``(v, x v)``, read off :func:`tilting_module`: one vertex per box of
+    lambda_x, frozen at the projective-injective summands, arrows by the
+    hook/row/column rules with frozen-frozen arrows dropped, and each box
+    labelled by its summand's Pluecker column set."""
     from positroids.seeds import Quiver
 
-    word = permmod.standard_reduced_expression(x, v, k)  # checks the skew pair
-    lam = shapes.from_vert_ne(tuple(x)[:k], k, n)
-    offset = permmod.coxeter_length(v)
-    positions = permmod.summand_index_set(v, word)
-    if positions != tuple(range(offset + 1, len(word) + 1)):
-        raise ValueError(f"summand positions {positions} are not {offset + 1}..{len(word)}")
-    labels = {box_of_position(lam, j, offset): plucker_of_module(k, n, v, word, j)
-              for j in positions}
-    frozen = {b: shapes.is_lambda_frozen(lam, b) for b in labels}
-    arrows = tuple(
-        (s, t) for s, t in morphism_arrows(lam) if not (frozen[s] and frozen[t])
-    )
-    return Quiver(frozen, arrows), labels
-
-
-def projective_injective_boxes(lam: shapes.Partition) -> frozenset[shapes.Box]:
-    return frozenset(b for b in shapes.boxes(lam) if shapes.is_lambda_frozen(lam, b))
+    U = tilting_module(k, n, v, x)
+    frozen = dict(zip(U.boxes, U.frozen))
+    arrows = tuple((s, t) for s, t in morphism_arrows(U.shape)
+                   if not (frozen[s] and frozen[t]))
+    return Quiver(frozen, arrows), dict(zip(U.boxes, U.labels))

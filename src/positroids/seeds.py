@@ -73,8 +73,8 @@ def mutate_quiver(Q: Quiver, q: Hashable) -> Quiver:
     of :func:`_mutate_b` on the quiver's skew-symmetric matrix, with arrows
     between frozen vertices dropped.  Arrows come out sorted by
     ``(str(source), str(target))``."""
-    if q not in Q.frozen or Q.frozen[q]:
-        raise ValueError(f"cannot mutate at {q!r}")
+    if q not in Q.frozen or Q.frozen[q]:  # a Pluecker label is named as a sorted list
+        raise ValueError(f"cannot mutate at {(sorted(q) if isinstance(q, frozenset) else q)!r}")
     verts = list(Q.frozen)
     B = _b_matrix(Q, verts)
     return _quiver_from_b(verts, Q.frozen, _mutate_b(B, verts.index(q)))

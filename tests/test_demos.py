@@ -1,5 +1,8 @@
-"""Each demo script runs to completion against the library in ``src``."""
+"""Each demo script runs to completion against the library in ``src`` and
+prints the bytes recorded, by sha256, in ``testdata/demo_stdout_sha256.json``."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,12 +12,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+STDOUT_SHA256 = json.loads((ROOT / "tests" / "testdata" / "demo_stdout_sha256.json").read_text())
+
+
+def test_every_demo_has_a_recorded_stdout():
+    assert sorted(STDOUT_SHA256) == [p.name for p in DEMOS]
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(script)], env=env, capture_output=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[script.name]

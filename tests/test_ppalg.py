@@ -189,27 +189,33 @@ def test_frozen_labels_detect_frozen_boxes():
     k, n, v = running_pair()
     w = perm.apply_word(RUNNING_WORD, n)
     x = perm.multiply(w, perm.inverse(v))
-    lam = shapes.from_vert_ne(x[:k], k, n)
-    J = perm.summand_index_set(v, RUNNING_WORD)
+    U = ppalg.tilting_module(k, n, v, x)
     offset = perm.coxeter_length(v)
     xi = perm.inverse(x)
-    for j in J:
-        r, c = ppalg.box_of_position(lam, j, offset)
-        if shapes.is_lambda_frozen(lam, (r, c)):
+    for j, (r, c), frozen in zip(U.positions, U.boxes, U.frozen):
+        if frozen:
             ell = k + c - r
             prefix = RUNNING_WORD[offset:j]
             w_b = perm.apply_word(tuple(reversed(prefix)), n)
             assert frozenset(w_b[:ell]) == frozenset(xi[:ell])
 
 
-def test_box_of_position_rejects_positions_outside_the_shape():
-    assert ppalg.box_of_position((2, 1), 1, 0) == (1, 1)
-    assert ppalg.box_of_position((2, 1), 13, 10) == list(shapes.boxes((2, 1)))[-1]
-    for j in (0, 4, -1):
-        with pytest.raises(ValueError, match="outside"):
-            ppalg.box_of_position((2, 1), j, 0)
-    with pytest.raises(ValueError, match="outside"):
-        ppalg.box_of_position((2, 1), 10, 10)
+def test_tilting_module_matches_the_per_position_functions_and_the_box_rule():
+    # its summands and labels are the per-position ones, and its frozen flags
+    # (last occurrences of the letters) are the southeast-boundary boxes
+    summands = 0
+    for n in range(2, 7):
+        for k, v, x in skew_pairs(n):
+            U = ppalg.tilting_module(k, n, v, x)
+            assert U.word == perm.standard_reduced_expression(x, v, k)
+            assert U.positions == perm.summand_index_set(v, U.word)
+            assert len(U.boxes) == len(U.summands) == len(U.labels) == len(U.frozen)
+            for j, M, P in zip(U.positions, U.summands, U.labels):
+                assert M == ppalg.tilting_summand(k, n, v, U.word, j)
+                assert P == ppalg.plucker_of_module(k, n, v, U.word, j)
+            assert U.frozen == tuple(shapes.is_lambda_frozen(U.shape, b) for b in U.boxes)
+            summands += len(U.boxes)
+    assert summands > 1000
 
 
 def test_region_module_zero():
@@ -255,13 +261,13 @@ def test_endomorphism_quiver_running_example():
                 expect.add(((r, c), tgt))
     assert arrows == expect
     assert len(arrows) == 17
-    pi_boxes = ppalg.projective_injective_boxes(lam)
+    quiver, _ = ppalg.endomorphism_quiver(k, n, v, x)
     # U13, U15, U16, U18, U19, U20 <-> columnar positions 3, 5, 6, 8, 9, 10
-    offset = perm.coxeter_length(v)
-    expected_boxes = {
-        ppalg.box_of_position(lam, j, offset) for j in (13, 15, 16, 18, 19, 20)
-    }
-    assert pi_boxes == expected_boxes
+    U = ppalg.tilting_module(k, n, v, x)
+    box_of = dict(zip(U.positions, U.boxes))
+    frozen = {b for b, f in quiver.frozen.items() if f}
+    assert frozen == {box_of[j] for j in (13, 15, 16, 18, 19, 20)}
+    assert set(quiver.arrows) == {(s, t) for s, t in arrows if not {s, t} <= frozen}
 
 
 def test_endomorphism_quiver_matches_rectangles_seed():
@@ -282,8 +288,9 @@ def test_endomorphism_quiver_needs_summands_after_v(monkeypatch):
     x = perm.multiply(w, perm.inverse(v))
     monkeypatch.setattr(perm, "standard_reduced_expression",
                         lambda x, v, k: perm.any_reduced_word(w))
-    with pytest.raises(ValueError, match="summand positions"):
-        ppalg.endomorphism_quiver(k, n, v, x)
+    for build in (ppalg.tilting_module, ppalg.endomorphism_quiver):
+        with pytest.raises(ValueError, match="summand positions"):
+            build(k, n, v, x)
 
 
 def test_endomorphism_quiver_checks_the_skew_pair_once(monkeypatch):

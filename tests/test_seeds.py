@@ -70,7 +70,17 @@ def test_mutate_seed_at_a_missing_or_frozen_label_raises_value_error(q):
     assert q not in S.labels or S.quiver.frozen[q]
     with pytest.raises(ValueError) as info:
         seeds.mutate_seed(S, q)
-    assert str(info.value) == f"cannot mutate at {q!r}"
+    assert str(info.value) == f"cannot mutate at {sorted(q)}"
+
+
+@pytest.mark.parametrize("q, shown", (
+    (frozenset(), "[]"), (frozenset({4, 1}), "[1, 4]"), (2, "2"), ((1, 1), "(1, 1)"), ("a", "'a'"),
+), ids=str)
+def test_mutate_quiver_names_the_vertex_a_label_as_a_sorted_list(q, shown):
+    Q = seeds.Quiver({2: True, (1, 1): True, "a": True, frozenset({1, 4}): True, 3: False}, ())
+    with pytest.raises(ValueError) as info:
+        seeds.mutate_quiver(Q, q)
+    assert str(info.value) == f"cannot mutate at {shown}"
 
 
 def test_expressions_agree_checks_every_sample():

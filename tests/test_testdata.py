@@ -49,11 +49,12 @@ def test_lediag_golden_files():
 def test_running_modules_golden_file():
     k, n = 3, 7
     v = perm.multiply(perm.parabolic_longest(k, n), perm.simple_reflection(3, n))
-    word = (3, 4, 5, 6, 4, 5, 4, 1, 2, 1, 3, 2, 1, 4, 3, 2, 5, 4, 6, 5)
+    x = (3, 6, 7, 1, 2, 4, 5)
     stored = load("modules_running_example.json")
-    for j in perm.summand_index_set(v, word):
-        M = ppalg.tilting_summand(k, n, v, word, j).normalized()
-        assert sorted(map(list, M.cells)) == stored[str(j)]["cells"]
+    U = ppalg.tilting_module(k, n, v, x)
+    assert [str(j) for j in U.positions] == sorted(stored, key=int)
+    for j, M in zip(U.positions, U.summands):
+        assert sorted(map(list, M.normalized().cells)) == stored[str(j)]["cells"]
         assert M.n == stored[str(j)]["n"]
 
 
