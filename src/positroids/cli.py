@@ -157,15 +157,15 @@ def perm_bounded_affine(args) -> str:
 _MAX_BRIDGE_N = 24
 
 
-def check_bridge_n(n: int) -> None:
-    if n > _MAX_BRIDGE_N:
-        raise UsageError(f"--n must be at most {_MAX_BRIDGE_N} for a bridge graph")
+def check_n(n: int, cap: int, what: str) -> None:
+    if n > cap:
+        raise UsageError(f"--n must be at most {cap} for {what}")
 
 
 def plabic_bridge(args) -> dict:
     from positroids import plabic
 
-    check_bridge_n(args.n)
+    check_n(args.n, _MAX_BRIDGE_N, "a bridge graph")
     x = parse_perm(args.x, args.k, args.n)
     return plabic.to_json(plabic.bridge_graph(args.k, args.n, x))
 
@@ -228,10 +228,9 @@ def seed_rectangles(args) -> dict:
 
 
 def seed_classify(args) -> str:
-    from positroids import seeds, shapes
+    from positroids import seeds
 
-    lam = shapes.normalize(int(t) for t in args.lam.replace(",", " ").split())
-    return seeds.classify_mutable_shape(lam)
+    return seeds.classify_mutable_shape(int(t) for t in args.lam.replace(",", " ").split())
 
 
 def seed_from_graph(args) -> dict:
@@ -273,7 +272,7 @@ def seed_verify_exchange(args) -> dict:
         raise UsageError(f"--samples must be between 1 and {_MAX_SAMPLES}")
     if not 1 <= args.steps <= _MAX_STEPS:
         raise UsageError(f"--steps must be between 1 and {_MAX_STEPS}")
-    check_bridge_n(args.n)
+    check_n(args.n, _MAX_BRIDGE_N, "a bridge graph")
     rng = random.Random(args.rng_seed)
     v, x = parse_pair(args)
     perm.check_skew_pair(v, x, args.k)
@@ -319,18 +318,27 @@ def le_skew(args) -> str:
     return lediag.skew_oplus(args.k, args.n, x, v).render()
 
 
-def le_leify(args) -> str:
-    from positroids import lediag
+# on a side x side diagram the slowest fillings tried (checkerboard,
+# antidiagonal) take 0.3 s to Le-ify at side 10 and 0.9-1.7 s at side 12,
+# about as side^7 (one CPU of a shared 2-CPU Xeon, Python 3.11)
+_MAX_LEIFY_SIDE = 12
 
-    return lediag.leify(lediag.parse(read_input(args))).render()
+
+def le_leify(args) -> str:
+    from positroids import lediag, shapes
+
+    O = lediag.parse(read_input(args))
+    if not shapes.fits(O.shape, _MAX_LEIFY_SIDE, 2 * _MAX_LEIFY_SIDE):
+        raise UsageError(f"le leify takes at most {_MAX_LEIFY_SIDE} rows and columns")
+    return lediag.leify(O).render()
 
 
 def le_read(args) -> str:
     from positroids import lediag
 
-    O = lediag.parse(read_input(args))
     if args.k is None or args.n is None:
         raise UsageError("le read needs --k and --n")
+    O = lediag.parse(read_input(args))
     return " ".join(str(i) for i in lediag.reading_word(O, args.k, args.n))
 
 
@@ -338,9 +346,15 @@ def le_read(args) -> str:
 # ppalg subcommands
 # ---------------------------------------------------------------------------
 
+# `ppalg module` and `quiver` with k = n/2, the full shape and v = wK take
+# 0.2-0.4 s at n = 40 and 0.9 s at n = 60 (as subprocesses), about as n^4.5
+_MAX_PPALG_N = 40
+
+
 def ppalg_module(args) -> str:
     from positroids import ppalg
 
+    check_n(args.n, _MAX_PPALG_N, "ppalg module and quiver")
     v, x = parse_pair(args)
     word = perm.standard_reduced_expression(x, v, args.k)
     return ppalg.tilting_summand(args.k, args.n, v, word, args.j).render()
@@ -349,6 +363,7 @@ def ppalg_module(args) -> str:
 def ppalg_quiver(args) -> dict:
     from positroids import ppalg, seeds
 
+    check_n(args.n, _MAX_PPALG_N, "ppalg module and quiver")
     quiver, labels = ppalg.endomorphism_quiver(args.k, args.n, *parse_pair(args))
     S = seeds.LabeledSeed(quiver, {b: seeds.PluckerSymbol(l) for b, l in labels.items()})
     return seeds.seed_to_json(S)
@@ -488,10 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
     kn(command(g, "read", le_read, reads=True, writes=True), required=False)
 
     g = groups.add_parser("ppalg").add_subparsers(dest="sub", required=True)
+    ppalg_n = f"at most {_MAX_PPALG_N}"
     p = command(g, "module", ppalg_module)
-    pair(p)
+    pair(p, n_help=ppalg_n)
     p.add_argument("--j", type=int, required=True)
-    pair(command(g, "quiver", ppalg_quiver, writes=True))
+    pair(command(g, "quiver", ppalg_quiver, writes=True), n_help=ppalg_n)
     p = command(g, "crosscheck", ppalg_crosscheck, writes=True)
     p.add_argument("--n", type=int, required=True,
                    help=f"check every skew pair with n at most this, 2 to {_CROSSCHECK_MAX_N} "

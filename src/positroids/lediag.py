@@ -111,33 +111,32 @@ def sample_reading_orders(shape: Partition, rng: random.Random, count: int) -> I
 MoveSite = tuple[Box, Box]  # (northwest corner a, southeast corner b)
 
 
+def _is_move_site(O: OplusDiagram, site: MoveSite) -> bool:
+    """Whether site is a rectangle of O with + in its northeast and southwest
+    corners and 0 everywhere else but possibly its northwest corner."""
+    (r1, c1), (r2, c2) = site
+    return (1 <= r1 < r2 <= len(O.shape) and 1 <= c1 < c2 <= O.shape[r2 - 1]
+            and (r2, c2) not in O.plus and (r1, c2) in O.plus and (r2, c1) in O.plus
+            and all((r, c) in ((r1, c1), (r1, c2), (r2, c1)) or (r, c) not in O.plus
+                    for r in range(r1, r2 + 1) for c in range(c1, c2 + 1)))
+
+
 def le_moves_applicable(O: OplusDiagram) -> tuple[MoveSite, ...]:
-    """Rectangles with + in the northeast and southwest corners, 0 everywhere
-    else except possibly the northwest corner, and 0 in the southeast corner."""
-    sites = []
+    """Every Le-move site of O, rows of the northwest corner first."""
     rows = len(O.shape)
-    for r1 in range(1, rows + 1):
-        for r2 in range(r1 + 1, rows + 1):
-            for c1 in range(1, O.shape[r2 - 1] + 1):
-                for c2 in range(c1 + 1, O.shape[r2 - 1] + 1):
-                    if (r2, c2) in O.plus:
-                        continue
-                    if (r1, c2) not in O.plus or (r2, c1) not in O.plus:
-                        continue
-                    interior_ok = all(
-                        (r, c) in ((r1, c1), (r1, c2), (r2, c1), (r2, c2))
-                        or (r, c) not in O.plus
-                        for r in range(r1, r2 + 1)
-                        for c in range(c1, c2 + 1)
-                    )
-                    if interior_ok:
-                        sites.append(((r1, c1), (r2, c2)))
-    return tuple(sites)
+    return tuple(
+        ((r1, c1), (r2, c2))
+        for r1 in range(1, rows + 1)
+        for r2 in range(r1 + 1, rows + 1)
+        for c1 in range(1, O.shape[r2 - 1] + 1)
+        for c2 in range(c1 + 1, O.shape[r2 - 1] + 1)
+        if _is_move_site(O, ((r1, c1), (r2, c2)))
+    )
 
 
 def apply_le_move(O: OplusDiagram, site: MoveSite) -> OplusDiagram:
     """Set the southeast corner to + and toggle the northwest corner."""
-    if site not in le_moves_applicable(O):
+    if not _is_move_site(O, site):
         raise ValueError(f"move {site} does not apply")
     a, b = site
     return OplusDiagram(O.shape, (O.plus | {b}) ^ {a})
@@ -152,14 +151,13 @@ def leify(O: OplusDiagram, rng: random.Random | None = None) -> OplusDiagram:
     box earlier in the columnar order, so the 2-adic weight of the + set over
     the columnar order strictly increases and is bounded.
     """
-    current = O
-    while not is_le_diagram(current):
-        sites = le_moves_applicable(current)
+    while not is_le_diagram(O):
+        sites = le_moves_applicable(O)
         if not sites:
             raise RuntimeError("not a Le-diagram but no move applies")
         site = sites[0] if rng is None else sites[rng.randrange(len(sites))]
-        current = apply_le_move(current, site)
-    return current
+        O = apply_le_move(O, site)
+    return O
 
 
 # ---------------------------------------------------------------------------

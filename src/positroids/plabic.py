@@ -92,22 +92,6 @@ class PlabicGraph:
     def is_boundary(self, v: int) -> bool:
         return v < 0
 
-    def incident(self, v: int) -> tuple[int, ...]:
-        if self.is_boundary(v):
-            return self._boundary_edges.get(v, ())
-        return self.rot[v]
-
-    @cached_property
-    def _boundary_edges(self) -> dict[int, tuple[int, ...]]:
-        """Boundary vertex -> its edges in edge-id order, built on first use
-        (a graph's edges never change after construction)."""
-        found: dict[int, list[int]] = {}
-        for eid, ends in sorted(self.edges.items()):
-            for v in set(ends):
-                if self.is_boundary(v):
-                    found.setdefault(v, []).append(eid)
-        return {v: tuple(eids) for v, eids in found.items()}
-
     # -- derived data, computed on first use (see the module docstring) ----
 
     @cached_property
@@ -142,10 +126,7 @@ class PlabicGraph:
         raise PlabicError(f"vertex {v} not on edge {eid}")
 
     def pendant_edge(self, bd: int) -> int:
-        inc = self.incident(bd)
-        if len(inc) != 1:
-            raise PlabicError(f"boundary vertex {bd} has degree {len(inc)}")
-        return inc[0]
+        return self._darts.eids[self._darts.pendant[bd] >> 1]
 
     def validate(self) -> None:
         n = self.n
@@ -185,6 +166,7 @@ class _Darts(NamedTuple):
     head: list[int]  # dart -> the vertex it enters
     face_next: list[int]  # dart -> next dart of the face on its left
     trip_next: list[int]  # dart -> next dart of its trip; -1 into the boundary
+    pendant: dict[int, int]  # boundary vertex -> the dart leaving it
 
 
 def _number_darts(G: PlabicGraph) -> _Darts:
@@ -196,10 +178,15 @@ def _number_darts(G: PlabicGraph) -> _Darts:
     eids = tuple(sorted(G.edges))
     head: list[int] = []
     number: dict[int, int] = {}
+    leave: dict[int, list[int]] = {bd: [] for bd in G.boundary_order}  # boundary darts
     for eid in eids:
         a, b = G.edges[eid]
-        number[eid] = len(head)
+        number[eid] = d = len(head)
         head += (b, a)
+        if a in leave:
+            leave[a].append(d)
+        if b in leave:
+            leave[b].append(d + 1)
     arcs = len(head)
     for p in range(n):
         head += (G.boundary_order[(p + 1) % n], G.boundary_order[p])
@@ -223,12 +210,14 @@ def _number_darts(G: PlabicGraph) -> _Darts:
             face_next[d ^ 1] = f
             trip_next[d ^ 1] = t
     for p, bd in enumerate(G.boundary_order):
+        if len(leave[bd]) != 1:
+            raise PlabicError(f"boundary vertex {bd} has degree {len(leave[bd])}")
         # bd's rotation: clockwise arc p, counterclockwise arc p - 1, pendant
-        cw, ccw, d = arcs + 2 * p, arcs + 2 * ((p - 1) % n) + 1, leaving(bd, G.pendant_edge(bd))
+        cw, ccw, d = arcs + 2 * p, arcs + 2 * ((p - 1) % n) + 1, leave[bd][0]
         face_next[cw ^ 1], face_next[ccw ^ 1], face_next[d ^ 1] = d, cw, ccw
     if -1 in face_next:
         raise PlabicError("the rotations do not list every dart")
-    return _Darts(eids, head, face_next, trip_next)
+    return _Darts(eids, head, face_next, trip_next, {bd: out[0] for bd, out in leave.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +325,12 @@ def trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
 def _find_trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
     darts = G._darts
     head, nxt = darts.head, darts.trip_next
-    arcs = 2 * len(G.edges)
-    limit = arcs + 2
+    limit = 2 * len(G.edges) + 2
     out = []
     images = {}
     white = set()
-    for p, bd in enumerate(G.boundary_order):
-        d = darts.face_next[arcs + 2 * p + 1]  # after the arc dart into bd: bd's pendant dart
+    for bd in G.boundary_order:
+        d = darts.pendant[bd]
         walk = [d]
         while head[d] >= 0:
             d = nxt[d]

@@ -256,6 +256,12 @@ def _canonical_label(B: ExchangeMatrix, colour: Sequence) -> tuple[int, ...]:
     return best[0]
 
 
+def _coloured_form(B: ExchangeMatrix, colour: Sequence) -> tuple:
+    """The sorted colours and :func:`_canonical_label`: equal for two
+    coloured matrices exactly when they are isomorphic."""
+    return tuple(sorted(colour)), _canonical_label(B, colour)
+
+
 # ---------------------------------------------------------------------------
 # Cluster expressions
 # ---------------------------------------------------------------------------
@@ -373,34 +379,20 @@ def mutate_seed(S: LabeledSeed, q: Hashable) -> LabeledSeed:
     return LabeledSeed(quiver, labels)
 
 
-def seeds_equal(S1: LabeledSeed, S2: LabeledSeed, up_to_arrow_reversal: bool = False) -> bool:
-    """Label-preserving quiver isomorphism that keeps frozen flags.  Labels
-    match as data: Pluecker symbols by column set, other labels by identity.
+def seeds_equal(S1: LabeledSeed, S2: LabeledSeed) -> bool:
+    """Label-preserving quiver isomorphism that keeps frozen flags: equal
+    :func:`_coloured_form` with vertices coloured by frozen flag and label,
+    Pluecker symbols by column set and other labels by identity."""
 
-    Each vertex is coloured by (frozen flag, label key); the seeds are equal
-    when the colour multisets agree and the coloured exchange matrices have
-    the same canonical form (:func:`_canonical_label`), or, with
-    ``up_to_arrow_reversal``, when S1's form equals that of ``-B2``."""
-
-    def coloured(S: LabeledSeed) -> tuple[ExchangeMatrix, list]:
-        verts = list(S.quiver.frozen)
+    def form(S: LabeledSeed) -> tuple:
         colour = []
-        for v in verts:
+        for v, flag in S.quiver.frozen.items():
             lab = S.labels[v]
             key = (0, tuple(sorted(lab.columns))) if isinstance(lab, PluckerSymbol) else (1, id(lab))
-            colour.append((S.quiver.frozen[v], key))
-        return _b_matrix(S.quiver, verts), colour
+            colour.append((flag, key))
+        return _coloured_form(_b_matrix(S.quiver, list(S.quiver.frozen)), colour)
 
-    B1, c1 = coloured(S1)
-    B2, c2 = coloured(S2)
-    if sorted(c1) != sorted(c2):
-        return False
-    form = _canonical_label(B1, c1)
-    if form == _canonical_label(B2, c2):
-        return True
-    if not up_to_arrow_reversal:
-        return False
-    return form == _canonical_label(tuple(tuple(-b for b in row) for row in B2), c2)
+    return form(S1) == form(S2)
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +484,20 @@ def classify_finite_type(lam: shapes.Partition) -> str:
     >>> classify_finite_type((4, 4, 4))
     'E6'
     """
-    lam = shapes.normalize(lam)
-    mut = shapes.mutable_part(lam)
-    return classify_mutable_shape(mut)
+    return classify_mutable_shape(shapes.mutable_part(shapes.normalize(lam)))
 
 
 def classify_mutable_shape(mut: shapes.Partition) -> str:
-    """Classification from the mutable-part shape itself."""
+    """Classification from the mutable-part shape itself.  Only a shape with
+    two columns or at most 8 boxes can match by its transpose (types D, E)."""
     mut = shapes.normalize(mut)
     m = shapes.size(mut)
     if len(mut) < 2 or mut[1] < 2:
         return f"A{m}"
-    t = shapes.transpose(mut)
-    for cand in (mut, t):
-        if len(cand) == 2 and cand[1] == 2 and cand[0] >= 2:
+    t = shapes.transpose(mut) if mut[0] == 2 or m <= 8 else ()
+    for cand in (mut, t):  # no shape of type D is also of type E
+        if len(cand) == 2 and cand[1] == 2:
             return f"D{m}"
-    for cand in (mut, t):
         if cand in _EXCEPTIONAL:
             return _EXCEPTIONAL[cand]
     return "Infinite"
@@ -521,13 +511,9 @@ def mutable_grid_quiver(mut: shapes.Partition) -> Quiver:
 
 def canonical_form(Q: Quiver) -> tuple:
     """Canonical invariant of a quiver up to isomorphism respecting frozen
-    flags: the sorted frozen flags and the canonical relabelling of Q's
-    exchange matrix (:func:`_canonical_label`), frozen flags being the
-    initial colours.  Equal for two quivers exactly when they are
-    isomorphic."""
-    verts = list(Q.frozen)
-    flags = [Q.frozen[v] for v in verts]
-    return tuple(sorted(flags)), _canonical_label(_b_matrix(Q, verts), flags)
+    flags: the :func:`_coloured_form` of its exchange matrix, coloured by the
+    frozen flags.  Equal for two quivers exactly when they are isomorphic."""
+    return _coloured_form(_b_matrix(Q, list(Q.frozen)), list(Q.frozen.values()))
 
 
 @dataclass(frozen=True)
@@ -593,8 +579,8 @@ def mutation_class_explore(
         )
     n = len(Q0.frozen)
     B0 = _b_matrix(Q0, list(Q0.frozen))
-    flags = (False,) * n  # keys are canonical_form values: (flags, label)
-    seen = {(flags, _canonical_label(B0, flags))}
+    flags = (False,) * n  # keys are canonical_form values
+    seen = {_coloured_form(B0, flags)}
     labelled = 1
     # (matrix, vertex it was reached by): mutating there again gives its parent
     frontier = [(B0, -1)]
@@ -612,7 +598,7 @@ def mutation_class_explore(
                 code = made.setdefault(hash(new), f * n + q)
                 if code != f * n + q and _mutate_b(frontier[code // n][0], code % n) == new:
                     continue
-                key = (flags, _canonical_label(new, flags))
+                key = _coloured_form(new, flags)
                 labelled += 1
                 if key in seen:
                     continue

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from positroids import perm, plabic, pluecker, shapes
+from positroids import perm, plabic, pluecker, seeds, shapes
 
 
 def golden_gr25_graph() -> plabic.PlabicGraph:
@@ -70,6 +70,12 @@ def dart_name(G: plabic.PlabicGraph, d: int) -> tuple:
     ``plabic`` module docstring)."""
     i, E = d >> 1, len(G.edges)
     return (("arc", i - E) if i >= E else sorted(G.edges)[i], d & 1)
+
+
+def reversed_seed(S: seeds.LabeledSeed) -> seeds.LabeledSeed:
+    """S with every arrow reversed: the same vertices, flags and labels."""
+    arrows = tuple((t, s) for s, t in S.quiver.arrows)
+    return seeds.LabeledSeed(seeds.Quiver(S.quiver.frozen, arrows), S.labels)
 
 
 def exact_type(x) -> type:

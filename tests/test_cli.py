@@ -6,12 +6,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from positroids import cli, perm, plabic, pluecker, shapes
+from positroids import cli, lediag, perm, plabic, pluecker, shapes
 from positroids.cli import main
 from conftest import skew_pairs
 
@@ -633,6 +634,71 @@ def test_seed_classify_malformed_lambda_exits_2(lam, monkeypatch, capsys):
 
 def test_seed_classify_trailing_zeros_still_read():
     assert main(["seed", "classify", "--lambda", "2 2 0"]) == 0
+
+
+def test_seed_classify_decides_wide_shapes_without_their_transpose(capsys):
+    t0 = time.perf_counter()
+    assert main(["seed", "classify", "--lambda", "1000000000 1000000000"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out == "Infinite\n"
+
+
+class FailingStdin:
+    def read(self, *args):
+        raise AssertionError("stdin read before the options were checked")
+
+
+def test_le_read_checks_its_options_before_reading(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", FailingStdin())
+    assert main(["le", "read"]) == 2
+    assert capsys.readouterr() == ("", "error: le read needs --k and --n\n")
+
+
+@pytest.mark.parametrize("rows, cols", ((13, 1), (1, 13), (13, 13)))
+def test_le_leify_beyond_its_cap_exits_2(rows, cols, monkeypatch, capsys):
+    def no_leifying(*args):
+        raise AssertionError("Le-ified beyond the cap")
+
+    monkeypatch.setattr(lediag, "leify", no_leifying)
+    diagram = "\n".join(["+ " * cols] * rows)
+    assert_usage_error(["le", "leify"], monkeypatch, capsys, stdin_text=diagram)
+
+
+def test_le_leify_at_its_cap_runs(monkeypatch, capsys):
+    side = cli._MAX_LEIFY_SIDE
+    # a + on the antidiagonal, among the slowest fillings of the square
+    diagram = "\n".join(" ".join("+" if r + c == side - 1 else "0" for c in range(side))
+                        for r in range(side))
+    code, out, _ = run_main_on(["le", "leify"], diagram, monkeypatch, capsys)
+    assert code == 0
+    assert lediag.is_le_diagram(lediag.parse(out))
+
+
+def ppalg_argv(command, n):
+    """argv of ``ppalg command`` on the pair of :func:`bridge_argv` with v = wK;
+    ``module`` asks for the last summand."""
+    argv = bridge_argv(["ppalg", command], n) + ["--v", "wK"]
+    return argv + ["--j", str((n // 2) * (n - n // 2))] if command == "module" else argv
+
+
+@pytest.mark.parametrize("command", ("module", "quiver"))
+def test_ppalg_beyond_its_cap_exits_2(command, monkeypatch, capsys):
+    from positroids import ppalg
+
+    def no_building(*args):
+        raise AssertionError("module built beyond the cap")
+
+    for name in ("tilting_summand", "endomorphism_quiver"):
+        monkeypatch.setattr(ppalg, name, no_building)
+    assert_usage_error(ppalg_argv(command, cli._MAX_PPALG_N + 1), monkeypatch, capsys)
+    code, out, _ = run_cli(["ppalg", command, "--help"])
+    assert code == 0 and f"at most {cli._MAX_PPALG_N}" in out
+
+
+@pytest.mark.parametrize("command", ("module", "quiver"))
+def test_ppalg_at_its_cap_runs(command, monkeypatch, capsys):
+    code, out, _ = run_main_on(ppalg_argv(command, cli._MAX_PPALG_N), "", monkeypatch, capsys)
+    assert code == 0 and out.strip()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -83,6 +84,43 @@ def test_le_move_preserves_reading_word():
         r = lediag.reading_word(O, 3, 7)
         for site in lediag.le_moves_applicable(O):
             assert lediag.reading_word(lediag.apply_le_move(O, site), 3, 7) == r
+
+
+def reference_le_moves(O):
+    """Every Le-move site by a scan of all rectangles."""
+    sites = []
+    rows = len(O.shape)
+    for r1 in range(1, rows + 1):
+        for r2 in range(r1 + 1, rows + 1):
+            for c1 in range(1, O.shape[r2 - 1] + 1):
+                for c2 in range(c1 + 1, O.shape[r2 - 1] + 1):
+                    corners = ((r1, c1), (r1, c2), (r2, c1), (r2, c2))
+                    if ((r2, c2) not in O.plus and (r1, c2) in O.plus and (r2, c1) in O.plus
+                            and all((r, c) in corners or (r, c) not in O.plus
+                                    for r in range(r1, r2 + 1) for c in range(c1, c2 + 1))):
+                        sites.append(((r1, c1), (r2, c2)))
+    return tuple(sites)
+
+
+def test_apply_le_move_raises_exactly_off_the_listed_sites():
+    rng = random.Random(9)
+    shape = (4, 4, 2)
+    near = [(r, c) for r in range(0, 5) for c in range(0, 6)]  # the shape and a rim around it
+    moved = 0
+    for _ in range(40):
+        O = lediag.OplusDiagram(shape, frozenset(b for b in shapes.boxes(shape)
+                                                 if rng.random() < 0.5))
+        sites = lediag.le_moves_applicable(O)
+        assert sites == reference_le_moves(O)
+        for site in itertools.product(near, near):
+            if site in sites:
+                a, b = site
+                assert lediag.apply_le_move(O, site).plus == (O.plus | {b}) ^ {a}
+                moved += 1
+            else:
+                with pytest.raises(ValueError, match="does not apply"):
+                    lediag.apply_le_move(O, site)
+    assert moved >= 20
 
 
 def test_leify_idempotent_and_fixed_on_le():

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import json
 import random
@@ -9,7 +8,7 @@ from typing import NamedTuple
 import pytest
 
 from positroids import perm, plabic, pluecker, seeds, shapes
-from conftest import dart_name, golden_gr25_graph, random_skew_pair
+from conftest import dart_name, golden_gr25_graph, random_skew_pair, reversed_seed
 
 
 def label_names(labels):
@@ -216,8 +215,8 @@ def test_mirror_involution_and_labels():
 def test_mirror_reverses_dual_quiver(gr25_graph):
     S = seeds.seed_from_graph(gr25_graph, "target")
     SM = seeds.seed_from_graph(plabic.mirror(gr25_graph), "source")
-    assert seeds.seeds_equal(S, SM, up_to_arrow_reversal=True)
-    assert not seeds.seeds_equal(S, SM, up_to_arrow_reversal=False)
+    assert seeds.seeds_equal(S, reversed_seed(SM))
+    assert not seeds.seeds_equal(S, SM)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +713,13 @@ def ref_rotation_at(G, v):
     if not G.is_boundary(v):
         return G.rot[v]
     p = G.boundary_order.index(v)
-    return (ref_arc(G, p), ref_arc(G, p - 1), G.pendant_edge(v))
+    return (ref_arc(G, p), ref_arc(G, p - 1), ref_pendant_edge(G, v))
+
+
+def ref_pendant_edge(G, bd):
+    """The one edge at boundary vertex bd, by a scan of every edge."""
+    (eid,) = [e for e, ends in sorted(G.edges.items()) if bd in ends]
+    return eid
 
 
 def ref_dart_from(G, v, eid):
@@ -815,7 +820,7 @@ def reference_trips(G):
     permutation."""
     out, images, white = [], {}, set()
     for bd in G.boundary_order:
-        d = ref_dart_from(G, bd, G.pendant_edge(bd))
+        d = ref_dart_from(G, bd, ref_pendant_edge(G, bd))
         walk = [d]
         while not G.is_boundary(ref_dart_head(G, d)):
             d = ref_trip_next(G, d)
@@ -1225,18 +1230,16 @@ def test_add_bridge_reads_positions_not_labels():
             G = plabic.add_bridge(G, i, i + 1)
 
 
-def test_bridge_graph_builds_one_boundary_map_per_bridge(monkeypatch):
-    # add_bridge reads the trips of the graph it is given, so a bridge builds
-    # the boundary map of that one graph and of no relabelled copy
+def test_bridge_graph_numbers_darts_once_per_bridge(monkeypatch):
+    # add_bridge reads the trips and pendant edges of the graph it is given,
+    # so a bridge numbers the darts of that one graph and of no relabelled copy
     built = []
-    scan = plabic.PlabicGraph._boundary_edges.func
-    counted = functools.cached_property(lambda G: built.append(G) or scan(G))
-    counted.__set_name__(plabic.PlabicGraph, "_boundary_edges")
-    monkeypatch.setattr(plabic.PlabicGraph, "_boundary_edges", counted)
+    number = plabic._number_darts
+    monkeypatch.setattr(plabic, "_number_darts", lambda G: built.append(G) or number(G))
     x = perm.grassmannian_from_image(range(13, 25), 12, 24)
     plabic.bridge_graph(12, 24, x)
     assert len(perm.columnar_expression(x, 12)) == 144
-    assert len(built) == 144
+    assert len(built) == len(set(map(id, built))) == 144
 
 
 def test_bridge_graphs_pass_reducedness_checks():
@@ -1296,25 +1299,27 @@ def test_validate_messages_in_check_order(gr25_graph):
         f"boundary vertex {G.boundary_order[0]} must have degree exactly 1")
 
 
-def test_boundary_incident_matches_edge_scan():
-    # the boundary map, built once per graph, lists what a scan of every edge
-    # finds, in edge-id order
+def test_pendant_edge_matches_edge_scan():
+    # the pendant edge, read off the dart numbering, is the one edge a scan
+    # of every edge finds at the boundary vertex
     for G in square_walk_graphs(seed=8, walks=20, steps=4):
         for bd in G.boundary_order:
             scan = tuple(e for e, (a, b) in sorted(G.edges.items()) if bd in (a, b))
-            assert G.incident(bd) == scan
-            assert G.pendant_edge(bd) == scan[0]
+            assert scan == (G.pendant_edge(bd),)
 
 
 def test_pendant_edge_needs_degree_one():
     G = plabic.lollipop_graph(1, 2)
-    # edge 2 moved from boundary vertex -2 to -1: degrees 2 and 0
-    bad = plabic.PlabicGraph(G.boundary_order, G.labels, G.colors,
-                             {2: (2, -1), 1: (-1, 1)}, G.rot)
-    assert bad.incident(-1) == (1, 2) and bad.incident(-2) == ()
-    for bd, degree in ((-1, 2), (-2, 0)):
-        with pytest.raises(plabic.PlabicError, match=f"boundary vertex {bd} has degree {degree}"):
-            bad.pendant_edge(bd)
+    # edge 2 moved from boundary vertex -2 to -1: degrees 2 and 0; the error
+    # names the first such vertex in boundary order
+    edges = {2: (2, -1), 1: (-1, 1)}
+    for order, bd, degree in (((-1, -2), -1, 2), ((-2, -1), -2, 0)):
+        bad = plabic.PlabicGraph(order, G.labels, G.colors, edges, G.rot)
+        for call in (lambda: bad.pendant_edge(-1), lambda: bad.pendant_edge(-2),
+                     lambda: plabic.trips(bad), lambda: plabic.faces(bad)):
+            with pytest.raises(plabic.PlabicError,
+                               match=f"boundary vertex {bd} has degree {degree}"):
+                call()
 
 
 def test_json_roundtrip(gr25_graph, gr37_graph):

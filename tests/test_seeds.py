@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from positroids import perm, plabic, pluecker, seeds, shapes
-from conftest import exact_type, random_skew_pair
+from conftest import exact_type, random_skew_pair, reversed_seed
 
 
 def linear_a3():
@@ -345,6 +345,7 @@ def test_all_graph_variants_give_rectangles_seed():
     B = plabic.bridge_graph(k, n, x)
     vi, wi = perm.inverse(v), perm.inverse(w)
     cell = frozenset(vi[:k])
+    S_reversed = reversed_seed(S_rect)
     variants = [
         (plabic.relabel_boundary(B, vi), "target", False),
         (plabic.mirror(plabic.relabel_boundary(B, vi)), "source", True),
@@ -353,8 +354,9 @@ def test_all_graph_variants_give_rectangles_seed():
     ]
     for G, mode, mirrored in variants:
         S = seeds.seed_from_graph(G, mode, delete_label=cell)
-        assert seeds.seeds_equal(S, S_rect, up_to_arrow_reversal=True)
-        assert seeds.seeds_equal(S, S_rect, up_to_arrow_reversal=False) == (not mirrored)
+        # a mirrored variant gives the rectangles seed with its arrows reversed
+        assert seeds.seeds_equal(S, S_rect) == (not mirrored)
+        assert seeds.seeds_equal(S, S_reversed) == mirrored
 
 
 def test_seeds_equal_basics():
@@ -377,6 +379,30 @@ def test_classify_finite_type_goldens():
     assert seeds.classify_mutable_shape((4, 2)) == "D6"
     assert seeds.classify_mutable_shape((2, 2, 1)) == "D5"  # transpose of (3, 2)
     assert seeds.classify_mutable_shape((4, 2, 2)) == "E8"  # transpose of (3, 3, 1, 1)
+
+
+def reference_classify_mutable_shape(mut):
+    """The classification with the transpose always built."""
+    mut = shapes.normalize(mut)
+    m = shapes.size(mut)
+    if len(mut) < 2 or mut[1] < 2:
+        return f"A{m}"
+    t = shapes.transpose(mut)
+    for cand in (mut, t):
+        if len(cand) == 2 and cand[1] == 2 and cand[0] >= 2:
+            return f"D{m}"
+    for cand in (mut, t):
+        if cand in seeds._EXCEPTIONAL:
+            return seeds._EXCEPTIONAL[cand]
+    return "Infinite"
+
+
+def test_classify_mutable_shape_matches_the_transposing_rule():
+    shapes_seen = 0
+    for mut in shapes.partitions_in_box(8, 8):
+        assert seeds.classify_mutable_shape(mut) == reference_classify_mutable_shape(mut), mut
+        shapes_seen += 1
+    assert shapes_seen == 12870
 
 
 def test_classify_via_lambda():
@@ -578,7 +604,8 @@ def test_seeds_equal_matches_brute_force():
             S2 = seeds.LabeledSeed(Q2, dict(zip(Q2.frozen, S1.labels.values())))
         S2 = relabel_seed(S2, rng, reverse=rng.random() < 0.5)
         for reversal in (False, True):
-            got = seeds.seeds_equal(S1, S2, up_to_arrow_reversal=reversal)
+            # up to reversal: equal to S2 or to S2 with its arrows reversed
+            got = seeds.seeds_equal(S1, S2) or reversal and seeds.seeds_equal(S1, reversed_seed(S2))
             assert got == reference_seeds_equal(S1, S2, reversal), (S1, S2, reversal)
             outcomes[reversal, got] = outcomes.get((reversal, got), 0) + 1
             compared += 1
