@@ -138,7 +138,7 @@ def _mutate_b(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return tuple(out)
 
 
-def _canonical_label(B: ExchangeMatrix, colour: Sequence) -> tuple[int, ...]:
+def _canonical_label(B: ExchangeMatrix, colour: Sequence) -> tuple[tuple[int, ...], list[int]]:
     """Canonical form of a vertex-coloured symmetric or skew-symmetric integer
     matrix: the lexicographically least ``B[L[p]][L[q]]``, flattened row by
     row, over the leaves L of an individualization-refinement search tree
@@ -153,7 +153,11 @@ def _canonical_label(B: ExchangeMatrix, colour: Sequence) -> tuple[int, ...]:
     part, and children in one orbit of the automorphisms fixing the node's
     path are searched once.  Cell order starts from the sort order of
     ``colour``, so a leaf's position p always has the p-th least colour and
-    the form is complete for colour multisets that agree."""
+    the form is complete for colour multisets that agree.
+
+    Returns the form and its leaf: ``leaf[p]`` is the vertex at canonical
+    position p, so two matrices with equal forms are isomorphic by
+    ``leaf_a[p] -> leaf_b[p]``."""
     n = len(B)
     nbrs = [[(j, b) for j, b in enumerate(row) if b] for row in B]
 
@@ -253,13 +257,13 @@ def _canonical_label(B: ExchangeMatrix, colour: Sequence) -> tuple[int, ...]:
     for pos, c in enumerate(sorted(colour)):
         start.setdefault(c, pos)
     search([start[c] for c in colour], [])
-    return best[0]
+    return best[0], best[1]
 
 
 def _coloured_form(B: ExchangeMatrix, colour: Sequence) -> tuple:
     """The sorted colours and :func:`_canonical_label`: equal for two
     coloured matrices exactly when they are isomorphic."""
-    return tuple(sorted(colour)), _canonical_label(B, colour)
+    return tuple(sorted(colour)), _canonical_label(B, colour)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +533,9 @@ class MutationClassReport:
     frontier_sizes: tuple[int, ...]
     # canonical labelings computed, the start's included
     labelled: int
+    # mutations skipped because they lead back to a class already seen; a
+    # closed search has labelled - 1 + skipped == class_size * (vertex count)
+    skipped: int = 0
 
     @property
     def verdict(self) -> str:
@@ -558,14 +565,14 @@ def mutation_class_explore(
     so ``canonical_form(R.restrict_mutable()) in report.classes`` asks whether
     the search reached R's class.
 
-    A mutated matrix equal, entry for entry, to one already made in the same
-    level is skipped before it is labelled: its class is already seen.  Such
-    repeats are common, since mutations at two vertices with ``b_qr = 0``
-    commute.  Each level keeps only ``hash(matrix)`` and where the matrix was
-    made (frontier index and vertex); on a hash hit the earlier matrix is made
-    again and compared, so a collision is never taken for a repeat.  A set of
-    the matrices themselves would hold a level's worth of them in memory
-    (6% more peak RSS on the mutation-class benchmark)."""
+    Each edge of the exchange graph is labelled once, from the end expanded
+    first.  A class waiting in the frontier carries a done-mask of vertices
+    whose mutation leads back to a class already seen: the vertex it was
+    reached by, and the reverse of every later edge into it.  When
+    ``mu_q(cur)`` labels to a waiting class D, the isomorphism ``phi`` read
+    off the two canonical leaves gives ``mu_phi(q)(D) ~ cur``, so D's bit
+    ``phi(q)`` is set; a set bit skips the mutation as well as its label,
+    and ``skipped`` counts them."""
     Q0 = Q.restrict_mutable()
     # Individualization-refinement has exponential worst cases.  Up to 12
     # vertices the most symmetric quivers tried (no arrows, oriented cycles,
@@ -579,38 +586,45 @@ def mutation_class_explore(
         )
     n = len(Q0.frozen)
     B0 = _b_matrix(Q0, list(Q0.frozen))
-    flags = (False,) * n  # keys are canonical_form values
-    seen = {_coloured_form(B0, flags)}
-    labelled = 1
-    # (matrix, vertex it was reached by): mutating there again gives its parent
-    frontier = [(B0, -1)]
+    flags = (False,) * n  # (flags, form) is a canonical_form value
+    form, leaf = _canonical_label(B0, flags)
+    seen = {(flags, form)}
+    labelled, skipped = 1, 0
+    # class key -> [matrix, done-mask, leaf] for each class not yet expanded
+    pending = {(flags, form): [B0, 0, leaf]}
+    frontier = [(flags, form)]
     frontier_sizes = []
     saw_multiple = _max_multiplicity(B0) >= 2
     bound_hit = False
     while frontier and not (saw_multiple and stop_on_multiple_arrow):
         nxt = []
-        made: dict[int, int] = {}  # hash of a matrix made in this level -> f * n + q
-        for f, (cur, via) in enumerate(frontier):
+        for cur_key in frontier:
+            entry = pending[cur_key]
+            cur = entry[0]
             for q in range(n):
-                if q == via:
+                if entry[1] >> q & 1:
+                    skipped += 1
                     continue
                 new = _mutate_b(cur, q)
-                code = made.setdefault(hash(new), f * n + q)
-                if code != f * n + q and _mutate_b(frontier[code // n][0], code % n) == new:
-                    continue
-                key = _coloured_form(new, flags)
+                form, leaf = _canonical_label(new, flags)
                 labelled += 1
+                key = (flags, form)
                 if key in seen:
+                    hit = pending.get(key)
+                    if hit is not None:
+                        hit[1] |= 1 << hit[2][leaf.index(q)]
                     continue
                 seen.add(key)
                 if _max_multiplicity(new) >= 2:
                     saw_multiple = True
-                nxt.append((new, q))
+                pending[key] = [new, 1 << q, leaf]
+                nxt.append(key)
                 if len(seen) > MAX_CLASS_SIZE:
                     bound_hit = True
                     break
             if bound_hit:
                 break
+            del pending[cur_key]
         if nxt:
             frontier_sizes.append(len(nxt))
         if bound_hit:
@@ -621,7 +635,7 @@ def mutation_class_explore(
         closed = False
     return MutationClassReport(
         closed, len(seen), bound_hit, saw_multiple, seen,
-        tuple(frontier_sizes), labelled,
+        tuple(frontier_sizes), labelled, skipped,
     )
 
 

@@ -654,6 +654,26 @@ def test_le_read_checks_its_options_before_reading(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: le read needs --k and --n\n")
 
 
+def test_le_read_beyond_its_cap_exits_2(monkeypatch, capsys):
+    def no_reading(*args):
+        raise AssertionError("reading word built beyond the cap")
+
+    monkeypatch.setattr(lediag, "reading_word", no_reading)
+    monkeypatch.setattr(sys, "stdin", FailingStdin())
+    n = cli._MAX_LE_READ_N + 1
+    assert main(["le", "read", "--k", "1", "--n", str(n)]) == 2
+    assert capsys.readouterr() == ("", f"error: --n must be at most {cli._MAX_LE_READ_N} for le read\n")
+    code, out, _ = run_cli(["le", "read", "--help"])
+    assert code == 0 and f"at most {cli._MAX_LE_READ_N}" in out
+
+
+def test_le_read_at_its_cap_runs(monkeypatch, capsys):
+    n = cli._MAX_LE_READ_N
+    code, out, _ = run_main_on(["le", "read", "--k", "1", "--n", str(n)], "0 0\n", monkeypatch, capsys)
+    assert code == 0
+    assert sorted(map(int, out.split())) == list(range(1, n + 1))
+
+
 @pytest.mark.parametrize("rows, cols", ((13, 1), (1, 13), (13, 13)))
 def test_le_leify_beyond_its_cap_exits_2(rows, cols, monkeypatch, capsys):
     def no_leifying(*args):

@@ -743,9 +743,13 @@ def test_mutation_class_sizes_from_scrambled_starts(name, size):
     assert seeds.canonical_form(seeds.dynkin_quiver(name)) in rep.classes
     assert seeds.canonical_form(Q) in rep.classes
     assert 1 + sum(rep.frontier_sizes) == size and all(rep.frontier_sizes)
-    # every class mutates at each vertex, all but the start skipping the move
-    # back to its parent; the repeat filter labels fewer matrices than that
-    assert rep.labelled < size * len(Q.frozen) - (size - 1)
+    # every class mutates at each vertex, by a label or by a skip; each new
+    # class skips the move back to its parent, and the marks skip more
+    n = len(Q.frozen)
+    assert rep.labelled - 1 + rep.skipped == size * n
+    assert rep.skipped > size - 1
+    if name == "E8":
+        assert rep.labelled <= 6400
 
 
 def test_mutation_class_vertex_cap():
@@ -801,10 +805,10 @@ def reference_mutation_class_explore(Q, stop_on_multiple_arrow=True):
     )
 
 
-def assert_bfs_matches_reference(monkeypatch, starts):
-    """Every report field but ``labelled`` equals the reference's, ``classes``
-    included, with the real hash and with every hash colliding (then a repeat
-    is skipped only after the exact comparison).  Both stopping modes are run
+def assert_bfs_matches_reference(starts):
+    """Every report field but ``labelled`` and ``skipped`` equals the
+    reference's, ``classes`` included, and a closed search mutates every
+    class at every vertex, by a label or a skip.  Both stopping modes are run
     where they differ: a class without a double arrow is searched the same
     way in both."""
     for Q in starts:
@@ -812,14 +816,13 @@ def assert_bfs_matches_reference(monkeypatch, starts):
         if wants[False].saw_multiple_arrow:
             wants[True] = reference_mutation_class_explore(Q, stop_on_multiple_arrow=True)
         for stop, want in wants.items():
-            for colliding in (False, True):
-                with monkeypatch.context() as m:
-                    if colliding:
-                        m.setattr(seeds, "hash", lambda B: 0, raising=False)
-                    got = seeds.mutation_class_explore(Q, stop_on_multiple_arrow=stop)
-                assert got.labelled <= want.labelled
-                assert replace(got, labelled=want.labelled) == want, (Q, stop, colliding)
-                assert 1 + sum(got.frontier_sizes) == got.class_size
+            got = seeds.mutation_class_explore(Q, stop_on_multiple_arrow=stop)
+            assert got.labelled <= want.labelled
+            assert replace(got, labelled=want.labelled, skipped=want.skipped) == want, (Q, stop)
+            assert 1 + sum(got.frontier_sizes) == got.class_size
+            if got.closed:
+                n = len(Q.mutable_vertices())
+                assert got.labelled - 1 + got.skipped == got.class_size * n
 
 
 def scrambled_start(Q, rng):
@@ -830,7 +833,7 @@ def scrambled_start(Q, rng):
     return Q
 
 
-def test_mutation_class_repeat_filter_matches_reference_on_shapes(monkeypatch):
+def test_mutation_class_marks_match_reference_on_shapes():
     rng = random.Random(14)
     muts = [
         lam
@@ -839,10 +842,10 @@ def test_mutation_class_repeat_filter_matches_reference_on_shapes(monkeypatch):
         if shapes.size(lam) == m
     ] + [(5, 3), (4, 3, 1)]
     starts = [scrambled_start(seeds.mutable_grid_quiver(mut), rng) for mut in muts]
-    assert_bfs_matches_reference(monkeypatch, starts)
+    assert_bfs_matches_reference(starts)
 
 
-def test_mutation_class_repeat_filter_matches_reference_with_frozen_vertices(monkeypatch):
+def test_mutation_class_marks_match_reference_with_frozen_vertices(monkeypatch):
     # random quivers are mostly mutation-infinite, and their entries grow
     # fast under mutation: simple arrows, at least 4 mutable vertices and a
     # small bound keep the search shallow
@@ -853,7 +856,7 @@ def test_mutation_class_repeat_filter_matches_reference_with_frozen_vertices(mon
         Q = random_quiver(rng, rng.randint(6, 9))
         if any(Q.frozen.values()) and len(Q.mutable_vertices()) >= 4:
             starts.append(seeds.Quiver(Q.frozen, tuple(dict.fromkeys(Q.arrows))))
-    assert_bfs_matches_reference(monkeypatch, starts)
+    assert_bfs_matches_reference(starts)
 
 
 def test_mutation_class_of_minimal_infinite_shape_closes():
@@ -870,7 +873,7 @@ def test_mutation_class_bound_hit(monkeypatch):
     assert rep.bound_hit and rep.closed is False and rep.class_size == 101
     assert rep.verdict == "unknown"
     want = reference_mutation_class_explore(Q)
-    assert replace(rep, labelled=want.labelled) == want
+    assert replace(rep, labelled=want.labelled, skipped=want.skipped) == want
 
 
 def test_mutation_class_report_keeps_no_quivers(monkeypatch):
