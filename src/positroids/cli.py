@@ -318,19 +318,10 @@ def le_skew(args) -> str:
     return lediag.skew_oplus(args.k, args.n, x, v).render()
 
 
-# on a side x side diagram the slowest fillings tried (checkerboard,
-# antidiagonal) take 0.3 s to Le-ify at side 10 and 0.9-1.7 s at side 12,
-# about as side^7 (one CPU of a shared 2-CPU Xeon, Python 3.11)
-_MAX_LEIFY_SIDE = 12
-
-
 def le_leify(args) -> str:
-    from positroids import lediag, shapes
+    from positroids import lediag
 
-    O = lediag.parse(read_input(args))
-    if not shapes.fits(O.shape, _MAX_LEIFY_SIDE, 2 * _MAX_LEIFY_SIDE):
-        raise UsageError(f"le leify takes at most {_MAX_LEIFY_SIDE} rows and columns")
-    return lediag.leify(O).render()
+    return lediag.leify(lediag.parse(read_input(args))).render()
 
 
 # `le read` builds and prints a permutation of [n], about 100 bytes of memory

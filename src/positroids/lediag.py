@@ -1,5 +1,11 @@
 """Oplus-diagrams (0/+ fillings of Young diagrams), Le-moves, Le-ification,
-reading words, and the two-path diagrams of skew Schubert varieties."""
+reading words, and the two-path diagrams of skew Schubert varieties.
+
+Le-moves keep the reading word, so :func:`leify` reads the Le-diagram off it:
+its 0-boxes are the positive distinguished subexpression (PDS) of the reading
+word inside the columnar word of the shape.  :func:`le_moves_applicable` and
+:func:`apply_le_move` are the paper's moves; every order of playing them
+reaches that diagram."""
 
 from __future__ import annotations
 
@@ -135,29 +141,39 @@ def le_moves_applicable(O: OplusDiagram) -> tuple[MoveSite, ...]:
 
 
 def apply_le_move(O: OplusDiagram, site: MoveSite) -> OplusDiagram:
-    """Set the southeast corner to + and toggle the northwest corner."""
+    """Set the southeast corner to + and toggle the northwest corner.
+
+    Moves played until the Le-property holds terminate: a move turns a
+    strictly-southeast 0 into a + while toggling a box earlier in the columnar
+    order, so the 2-adic weight of the + set over the columnar order strictly
+    increases and is bounded.
+    """
     if not _is_move_site(O, site):
         raise ValueError(f"move {site} does not apply")
     a, b = site
     return OplusDiagram(O.shape, (O.plus | {b}) ^ {a})
 
 
-def leify(O: OplusDiagram, rng: random.Random | None = None) -> OplusDiagram:
-    """Apply Le-moves until the Le-property holds.  The result is independent
-    of the move order; by default the first applicable site in a fixed scan
-    order is used, a seeded ``rng`` picks sites at random instead.
+def leify(O: OplusDiagram) -> OplusDiagram:
+    """The Le-diagram that Le-moves reach from O, in time linear in its area.
 
-    Termination: a move turns a strictly-southeast 0 into a + while toggling a
-    box earlier in the columnar order, so the 2-adic weight of the + set over
-    the columnar order strictly increases and is bounded.
+    With k rows, n = k + lambda_1 and r the reading word of O, its 0-boxes
+    are the positions of the positive distinguished subexpression for r
+    inside the columnar word of the shape, and its other boxes are +.  Le-moves
+    keep r, and the Le-diagrams of a shape are exactly the PDS's in that
+    reduced word (Lam-Williams, arXiv:0710.2932, Section 5; Postnikov,
+    arXiv:math/0609764, Sections 19-20), so every order of moves ends here.
+
+    >>> print(leify(parse("+ +\\n+ 0")).render())
+    0 +
+    + +
     """
-    while not is_le_diagram(O):
-        sites = le_moves_applicable(O)
-        if not sites:
-            raise RuntimeError("not a Le-diagram but no move applies")
-        site = sites[0] if rng is None else sites[rng.randrange(len(sites))]
-        O = apply_le_move(O, site)
-    return O
+    k = len(O.shape)
+    n = k + max(O.shape, default=0)
+    boxes = tuple(shapes.boxes(O.shape))
+    zeros = permmod.positive_distinguished_subexpression(
+        reading_word(O, k, n), [k + c - r for r, c in boxes])
+    return OplusDiagram(O.shape, frozenset(b for j, b in enumerate(boxes, start=1) if j not in zeros))
 
 
 # ---------------------------------------------------------------------------

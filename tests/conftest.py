@@ -1,6 +1,6 @@
 """Shared fixtures: hand-built golden graphs with known trips, labels and
-quivers, samplers for length-additive pairs, and a counter of the minors
-computed."""
+quivers, samplers for length-additive pairs, a counter of the minors
+computed, and Le-ification by played Le-moves."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from positroids import perm, plabic, pluecker, seeds, shapes
+from positroids import lediag, perm, plabic, pluecker, seeds, shapes
 
 
 def golden_gr25_graph() -> plabic.PlabicGraph:
@@ -134,3 +134,16 @@ def random_skew_pair(n: int, rng: random.Random, min_boxes: int = 0):
         x = perm.grassmannian_from_image(shapes.vert_ne(lam_x, k, n), k, n)
         return k, v, x
     raise RuntimeError(f"no shape with {min_boxes} boxes fits n={n}")
+
+
+def play_le_moves(O: lediag.OplusDiagram, rng: random.Random | None = None) -> lediag.OplusDiagram:
+    """Le-ification by the paper's moves, the reference for ``lediag.leify``:
+    play a Le-move until the Le-property holds, the first listed site when
+    ``rng`` is None and a random one otherwise.  Fails the test when no move
+    applies to a diagram without the Le-property."""
+    while not lediag.is_le_diagram(O):
+        sites = lediag.le_moves_applicable(O)
+        if not sites:
+            pytest.fail(f"no Le-move applies to\n{O.render()}")
+        O = lediag.apply_le_move(O, sites[0] if rng is None else sites[rng.randrange(len(sites))])
+    return O

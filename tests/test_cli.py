@@ -674,24 +674,21 @@ def test_le_read_at_its_cap_runs(monkeypatch, capsys):
     assert sorted(map(int, out.split())) == list(range(1, n + 1))
 
 
-@pytest.mark.parametrize("rows, cols", ((13, 1), (1, 13), (13, 13)))
-def test_le_leify_beyond_its_cap_exits_2(rows, cols, monkeypatch, capsys):
-    def no_leifying(*args):
-        raise AssertionError("Le-ified beyond the cap")
+@pytest.mark.parametrize("side", (13, 200))
+@pytest.mark.parametrize("pattern", ("checkerboard", "antidiagonal"))
+def test_le_leify_takes_any_side(side, pattern, monkeypatch, capsys):
+    # the slowest fillings for a search over Le-move sites; Le-ification is
+    # linear in the area, so le leify has no side cap
+    def plus(r, c):
+        return (r + c) % 2 == 0 if pattern == "checkerboard" else r + c == side - 1
 
-    monkeypatch.setattr(lediag, "leify", no_leifying)
-    diagram = "\n".join(["+ " * cols] * rows)
-    assert_usage_error(["le", "leify"], monkeypatch, capsys, stdin_text=diagram)
-
-
-def test_le_leify_at_its_cap_runs(monkeypatch, capsys):
-    side = cli._MAX_LEIFY_SIDE
-    # a + on the antidiagonal, among the slowest fillings of the square
-    diagram = "\n".join(" ".join("+" if r + c == side - 1 else "0" for c in range(side))
+    diagram = "\n".join(" ".join("+" if plus(r, c) else "0" for c in range(side))
                         for r in range(side))
-    code, out, _ = run_main_on(["le", "leify"], diagram, monkeypatch, capsys)
-    assert code == 0
-    assert lediag.is_le_diagram(lediag.parse(out))
+    code, out, err = run_main_on(["le", "leify"], diagram, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    O, M = lediag.parse(diagram), lediag.parse(out)
+    assert M.shape == O.shape and lediag.is_le_diagram(M)
+    assert lediag.reading_word(M, side, 2 * side) == lediag.reading_word(O, side, 2 * side)
 
 
 def ppalg_argv(command, n):
@@ -889,13 +886,22 @@ def test_each_command_loads_only_its_modules(argv, modules):
 # CI commands, of every subcommand and of ten seeded draws of each
 # perfbench.workloads.cli_command kind, recorded from `python -m
 # positroids.cli` in fresh interpreters; an entry's "source" says where its
-# argv comes from, and stdout over 4 kB is kept as its sha256
+# argv comes from, and stdout over 4 kB is kept as its sha256.  Each entry
+# records its test id, so adding an entry renames no other: entries older
+# than the "id" field keep the id pytest gave their joined argv (with its
+# numeric suffixes), later ones take "<source>: <joined argv>"
 # ---------------------------------------------------------------------------
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "testdata" / "cli_golden.json").read_text())
 
 
-@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"]))
+def test_cli_golden_ids_are_unique():
+    # pytest would suffix a repeated id, renaming the entries that carry it
+    ids = [e["id"] for e in GOLDEN]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: e["id"])
 def test_cli_golden_corpus(entry, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # so `--in missing.json` names no file
     code, out, err = run_main_on(entry["argv"], entry["stdin"], monkeypatch, capsys)
