@@ -9,12 +9,11 @@ are verified here with exact rational arithmetic, no floating point anywhere.
 
 import random
 
-from positroids import perm, pluecker, seeds, shapes
+from positroids import perm, pluecker, seeds
 
 k, n = 3, 7
 lam = (4, 3, 2)
-v = perm.max_rep_from_image(shapes.vert_sw(lam, k, n), k, n)
-x = perm.grassmannian_from_image(shapes.vert_ne(lam, k, n), k, n)
+v, x = perm.skew_pair(k, n, lam, lam)
 print("Schubert data: lambda =", lam, " v =", v, " x =", x)
 
 S = seeds.rectangles_seed(k, n, v, x)

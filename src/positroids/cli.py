@@ -369,11 +369,10 @@ def ppalg_quiver(args) -> dict:
 def _crosscheck_instance(task) -> dict:
     # imported here too: a pool worker that does not fork starts from this
     # module alone
-    from positroids import ppalg, shapes
+    from positroids import ppalg
 
     n, k, lam_v, lam_x = task
-    v = perm.max_rep_from_image(shapes.vert_sw(lam_v, k, n), k, n)
-    x = perm.grassmannian_from_image(shapes.vert_ne(lam_x, k, n), k, n)
+    v, x = perm.skew_pair(k, n, lam_v, lam_x)
     U = ppalg.tilting_module(k, n, v, x)
     ok = all(M.normalized() == ppalg.region_module(k, n, v, P)
              for M, P in zip(U.summands, U.labels))

@@ -183,10 +183,7 @@ def leify(O: OplusDiagram) -> OplusDiagram:
 def skew_oplus(k: int, n: int, x: Permutation, v: Permutation) -> OplusDiagram:
     """The diagram of shape ``lambda_v`` with + exactly on ``lambda_x``, for a
     length-additive pair (x in ^K W, v in W^K_max)."""
-    permmod.check_skew_pair(v, x, k)
-    lam_x = shapes.from_vert_ne(x[:k], k, n)
-    vi = permmod.inverse(v)
-    lam_v = shapes.from_vert_sw(vi[:k], k, n)
+    lam_v, lam_x = permmod.check_skew_pair(v, x, k)
     return OplusDiagram(lam_v, frozenset(shapes.boxes(lam_x)))
 
 

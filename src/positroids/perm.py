@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
 ReducedWord = tuple[int, ...]
+Partition = tuple[int, ...]  # as in shapes
 
 
 def is_permutation(w: Sequence[int]) -> bool:
@@ -171,11 +172,17 @@ def is_max_rep(v: Permutation, k: int) -> bool:
     return all(vi[i - 1] > vi[i] for i in range(1, n) if i != k)
 
 
-def check_skew_pair(v: Permutation, x: Permutation, k: int) -> int:
+def check_skew_pair(v: Permutation, x: Permutation, k: int) -> tuple[Partition, Partition]:
     """Raise ValueError unless ``(v, w = x v)`` is a length-additive skew
     pair: v and x in S_n with ``0 < k < n``, v in W^K_max, x in ^K W and
-    ``l(x v) = l(x) + l(v)``.  Returns ``l(x v)``.
+    ``l(x v) = l(x) + l(v)``; return its shapes ``(lambda_v, lambda_x)``
+    (``v^{-1}([k])`` read by ``vert_sw``, ``x([k])`` by ``vert_ne``), which
+    :func:`skew_pair` inverts.  In these cosets the lengths add iff lambda_x
+    lies in lambda_v, the path of x above that of v (arXiv:1902.00807); the
+    paper's figure:
 
+    >>> check_skew_pair((8, 3, 2, 7, 6, 5, 4, 1), (1, 3, 6, 2, 4, 5, 7, 8), 3)
+    ((4, 4), (3, 1))
     >>> check_skew_pair((2, 1), (2, 1), 1)
     Traceback (most recent call last):
     ...
@@ -188,10 +195,30 @@ def check_skew_pair(v: Permutation, x: Permutation, k: int) -> int:
         raise ValueError(f"{v} is not in W^K_max")
     if not is_grassmannian(x, k):
         raise ValueError(f"{x} is not in ^K W")
-    length = coxeter_length(multiply(x, v))
-    if length != coxeter_length(x) + coxeter_length(v):
+    from positroids import shapes
+
+    lam_v = shapes.from_vert_sw(inverse(v)[:k], k, n)
+    lam_x = shapes.from_vert_ne(x[:k], k, n)
+    if not shapes.contains(lam_v, lam_x):
         raise ValueError("factorization x*v is not length-additive")
-    return length
+    return lam_v, lam_x
+
+
+def skew_pair(k: int, n: int, lam_v: Partition, lam_x: Partition) -> tuple[Permutation, Permutation]:
+    """The skew pair ``(v, x)`` of the shapes ``(lambda_v, lambda_x)``, the
+    inverse of :func:`check_skew_pair`: ValueError unless ``0 < k < n`` and
+    lambda_x is contained in lambda_v, both in the ``k x (n-k)`` box.
+
+    >>> skew_pair(3, 8, (4, 4), (3, 1))
+    ((8, 3, 2, 7, 6, 5, 4, 1), (1, 3, 6, 2, 4, 5, 7, 8))
+    """
+    from positroids import shapes
+
+    if not (0 < k < n and shapes.contains(lam_v, lam_x)):
+        raise ValueError(f"need 0 < k < n and {lam_x} inside {lam_v}; got k={k}, n={n}")
+    v = max_rep_from_image(shapes.vert_sw(lam_v, k, n), k, n)
+    x = grassmannian_from_image(shapes.vert_ne(lam_x, k, n), k, n)
+    return v, x
 
 
 def grassmannian_from_image(image: Iterable[int], k: int, n: int) -> Permutation:
@@ -262,11 +289,11 @@ def standard_reduced_expression(x: Permutation, v: Permutation, k: int) -> Reduc
     part of ``v = w_K v'``.
     """
     n = len(x)
-    length = check_skew_pair(v, x, k)
+    check_skew_pair(v, x, k)
     w_K = parabolic_longest(k, n)
     v_prime = multiply(w_K, v)  # w_K^{-1} v, as w_K is an involution
     word = min_rep_expression(v_prime, k) + parabolic_longest_word(k, n) + columnar_expression(x, k)
-    assert len(word) == length
+    assert len(word) == coxeter_length(multiply(x, v))
     return word
 
 

@@ -425,8 +425,7 @@ def rectangles_seed(k: int, n: int, v: Permutation, x: Permutation) -> LabeledSe
     """The rectangles seed for the pair (v, w = x v): one vertex per box b of
     ``lambda = shape of x([k])``, labeled by the Pluecker coordinate on the
     column set ``v^{-1}(vert_ne(Rect(b)))``."""
-    permmod.check_skew_pair(v, x, k)
-    lam = shapes.from_vert_ne(x[:k], k, n)
+    _, lam = permmod.check_skew_pair(v, x, k)
     vi = permmod.inverse(v)
     quiver = rectangles_quiver(lam)
     labels = {}

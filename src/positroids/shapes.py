@@ -10,9 +10,8 @@ northeast corner, the south steps form ``vert_sw``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
 Box = tuple[int, int]  # (row, col), 1-based
@@ -35,7 +34,8 @@ def size(lam: Partition) -> int:
 
 
 def fits(lam: Partition, k: int, n: int) -> bool:
-    return len(lam) <= k and (not lam or lam[0] <= n - k)
+    """lam fits in a ``k x (n-k)`` rectangle, which needs ``0 <= k <= n``."""
+    return 0 <= k <= n and len(lam) <= k and (not lam or lam[0] <= n - k)
 
 
 def boxes(lam: Partition) -> Iterator[Box]:
@@ -144,109 +144,6 @@ def is_lambda_frozen(lam: Partition, b: Box) -> bool:
 def mutable_part(lam: Partition) -> Partition:
     """Boxes left after deleting every box on the southeast boundary."""
     return normalize(max(part - 1, 0) for part in lam[1:])
-
-
-# ---------------------------------------------------------------------------
-# Lattice paths and the length-additive bijection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LatticePath:
-    """A path across the ``k x (n-k)`` rectangle.
-
-    ``steps`` has one tag per unit step, ``True`` for vertical; a path with
-    orientation ``"NE"`` runs east/north from the southwest corner, one with
-    ``"SW"`` runs west/south from the northeast corner.
-    """
-
-    steps: tuple[bool, ...]
-    orientation: str  # "NE" | "SW"
-
-    def __post_init__(self) -> None:
-        if self.orientation not in ("NE", "SW"):
-            raise ValueError(f"bad orientation {self.orientation!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.steps)
-
-    @property
-    def k(self) -> int:
-        return sum(self.steps)
-
-    def vertical_labels(self) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self.steps, start=1) if v)
-
-    def reversed(self) -> "LatticePath":
-        other = "SW" if self.orientation == "NE" else "NE"
-        return LatticePath(tuple(reversed(self.steps)), other)
-
-    def as_ne(self) -> "LatticePath":
-        return self if self.orientation == "NE" else self.reversed()
-
-    def shape(self) -> Partition:
-        """The partition northwest of the path."""
-        ne = self.as_ne()
-        return from_vert_ne(ne.vertical_labels(), ne.k, ne.n)
-
-
-def path_ne(labels: Iterable[int], k: int, n: int) -> LatticePath:
-    labs = frozenset(labels)
-    if len(labs) != k:
-        raise ValueError(f"need a {k}-subset")
-    return LatticePath(tuple(i in labs for i in range(1, n + 1)), "NE")
-
-
-def path_sw(labels: Iterable[int], k: int, n: int) -> LatticePath:
-    labs = frozenset(labels)
-    return LatticePath(tuple(i in labs for i in range(1, n + 1)), "SW")
-
-
-def path_leq(J: LatticePath, L: LatticePath) -> bool:
-    """J lies above L: componentwise comparison of vertical-step labels of the
-    northeast-normalized paths.
-
-    >>> path_leq(path_ne({1, 3, 6}, 3, 8), path_sw({2, 3, 8}, 3, 8).as_ne())
-    True
-    """
-    a, b = J.as_ne(), L.as_ne()
-    if (a.n, a.k) != (b.n, b.k):
-        raise ValueError("paths live in different rectangles")
-    return all(x <= y for x, y in zip(sorted(a.vertical_labels()), sorted(b.vertical_labels())))
-
-
-def lengthadditive_from_paths(
-    J: LatticePath, L: LatticePath, k: int, n: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inverse of ``(v, xv) -> (P_ne(x([k])), P_sw(v^{-1}([k])))``.
-
-    Returns ``(v, w)`` with v in W^K_max and ``w = x v`` length-additive.
-
-    >>> v, w = lengthadditive_from_paths(
-    ...     path_ne({1, 3, 6}, 3, 8), path_sw({2, 3, 8}, 3, 8), 3, 8)
-    >>> v
-    (8, 3, 2, 7, 6, 5, 4, 1)
-    """
-    from positroids import perm
-
-    if not path_leq(J, L):
-        raise ValueError("J does not lie above L")
-    x = perm.grassmannian_from_image(J.as_ne().vertical_labels(), k, n)
-    L_sw = L if L.orientation == "SW" else L.reversed()
-    v = perm.max_rep_from_image(L_sw.vertical_labels(), k, n)
-    return v, perm.multiply(x, v)
-
-
-def paths_from_lengthadditive(
-    v: Sequence[int], w: Sequence[int], k: int, n: int
-) -> tuple[LatticePath, LatticePath]:
-    """Forward direction of the bijection: ``(v, w) -> (J, L)``."""
-    from positroids import perm
-
-    v, w = tuple(v), tuple(w)
-    x = perm.multiply(w, perm.inverse(v))
-    vi = perm.inverse(v)
-    return path_ne(x[:k], k, n), path_sw(vi[:k], k, n)
 
 
 # ---------------------------------------------------------------------------

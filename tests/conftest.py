@@ -113,10 +113,8 @@ def skew_pairs(n: int):
     via nested partition pairs."""
     for k in range(1, n):
         for lam_v in shapes.partitions_in_box(k, n - k):
-            v = perm.max_rep_from_image(shapes.vert_sw(lam_v, k, n), k, n)
             for lam_x in shapes.subpartitions(lam_v):
-                x = perm.grassmannian_from_image(shapes.vert_ne(lam_x, k, n), k, n)
-                yield k, v, x
+                yield (k, *perm.skew_pair(k, n, lam_v, lam_x))
 
 
 def random_skew_pair(n: int, rng: random.Random, min_boxes: int = 0):
@@ -130,9 +128,7 @@ def random_skew_pair(n: int, rng: random.Random, min_boxes: int = 0):
         if not subs:
             continue
         lam_x = subs[rng.randrange(len(subs))]
-        v = perm.max_rep_from_image(shapes.vert_sw(lam_v, k, n), k, n)
-        x = perm.grassmannian_from_image(shapes.vert_ne(lam_x, k, n), k, n)
-        return k, v, x
+        return (k, *perm.skew_pair(k, n, lam_v, lam_x))
     raise RuntimeError(f"no shape with {min_boxes} boxes fits n={n}")
 
 

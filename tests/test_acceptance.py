@@ -167,8 +167,7 @@ def test_criterion_06_exchange_verification():
     t0 = time.time()
     k, n = 3, 7
     lam = (4, 3, 2)
-    v = perm.max_rep_from_image(shapes.vert_sw(lam, k, n), k, n)
-    x = perm.grassmannian_from_image(shapes.vert_ne(lam, k, n), k, n)
+    v, x = perm.skew_pair(k, n, lam, lam)
     assert perm.multiply(x, v) == perm.longest_element(n)
     rng = random.Random(777)
     vi = perm.inverse(v)
@@ -536,14 +535,10 @@ def test_criterion_15_path_bijection():
         pair_count = 0
         for k in range(1, n):
             for lam_v in shapes.partitions_in_box(k, n - k):
-                L = shapes.path_sw(shapes.vert_sw(lam_v, k, n), k, n)
                 for lam_x in shapes.subpartitions(lam_v):
-                    J = shapes.path_ne(shapes.vert_ne(lam_x, k, n), k, n)
-                    assert shapes.path_leq(J, L)
-                    v, w = shapes.lengthadditive_from_paths(J, L, k, n)
-                    J2, L2 = shapes.paths_from_lengthadditive(v, w, k, n)
-                    assert J2.as_ne().vertical_labels() == J.as_ne().vertical_labels()
-                    assert L2.as_ne().vertical_labels() == L.as_ne().vertical_labels()
+                    v, x = perm.skew_pair(k, n, lam_v, lam_x)
+                    assert perm.is_length_additive(x, v)
+                    assert perm.check_skew_pair(v, x, k) == (lam_v, lam_x)
                     pair_count += 1
         direct = 0
         for k in range(1, n):

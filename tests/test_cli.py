@@ -674,6 +674,14 @@ def test_le_read_at_its_cap_runs(monkeypatch, capsys):
     assert sorted(map(int, out.split())) == list(range(1, n + 1))
 
 
+@pytest.mark.parametrize("k", ("5", "-1"))
+def test_le_read_with_k_outside_0_to_n_exits_2(k, monkeypatch, capsys):
+    # k = 5 > n = 3 leaves no box; the empty diagram once read as 1 2 3
+    code, out, err = run_main_on(["le", "read", "--k", k, "--n", "3"], "", monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: shape () does not fit {k} x {3 - int(k)}\n"
+
+
 @pytest.mark.parametrize("side", (13, 200))
 @pytest.mark.parametrize("pattern", ("checkerboard", "antidiagonal"))
 def test_le_leify_takes_any_side(side, pattern, monkeypatch, capsys):
@@ -749,8 +757,7 @@ def cli_argv(draw) -> tuple[list[str], str]:
         if 1 <= k < n and draw(st.integers(0, 3)):
             lam_v = shapes.from_vert_sw(draw(st.permutations(range(1, n + 1)))[:k], k, n)
             lam_x = draw(st.sampled_from(sorted(shapes.subpartitions(lam_v))))
-            v = perm.max_rep_from_image(shapes.vert_sw(lam_v, k, n), k, n)
-            x = perm.grassmannian_from_image(shapes.vert_ne(lam_x, k, n), k, n)
+            v, x = perm.skew_pair(k, n, lam_v, lam_x)
             return ["--v", _fmt(v), "--x", _fmt(x)]
         return ["--v", perm_text(), "--x", perm_text()]
 

@@ -324,3 +324,78 @@ def test_check_skew_pair_raises_each_reason():
         with pytest.raises(ValueError, match="0 < k < n"):
             perm.check_skew_pair(perm.longest_element(4), perm.identity(4), bad_k)
     perm.check_skew_pair(wK, (3, 4, 1, 2), k)
+
+
+def test_skew_pair_figure():
+    # the paper's figure: lambda_v = (4, 4) and lambda_x = (3, 1) in the 3 x 5 box
+    v, x = perm.skew_pair(3, 8, (4, 4), (3, 1))
+    assert v == (8, 3, 2, 7, 6, 5, 4, 1)
+    assert x == (1, 3, 6, 2, 4, 5, 7, 8)
+    assert perm.is_length_additive(x, v)
+    assert perm.check_skew_pair(v, x, 3) == ((4, 4), (3, 1))
+
+
+def test_skew_pair_rejects_a_non_nested_pair():
+    lam_v, lam_x = (4, 4), (3, 1)
+    for lam in (lam_v, lam_x):
+        perm.check_skew_pair(*perm.skew_pair(3, 8, lam, lam), 3)
+    with pytest.raises(ValueError, match="\\(4, 4\\) inside \\(3, 1\\)"):
+        perm.skew_pair(3, 8, lam_x, lam_v)
+    with pytest.raises(ValueError, match="does not fit"):
+        perm.skew_pair(3, 8, (6,), (1,))
+    with pytest.raises(ValueError, match="does not fit"):
+        perm.skew_pair(2, 8, (4, 4, 4), (1,))
+    for bad_k in (0, 8):
+        with pytest.raises(ValueError, match="0 < k < n"):
+            perm.skew_pair(bad_k, 8, (), ())
+
+
+def test_skew_pair_roundtrip_exhaustive():
+    # for n <= 6: shapes -> (v, x) -> shapes is the identity, and every
+    # length-additive pair arises exactly once
+    from itertools import permutations
+
+    for n in range(2, 7):
+        count = 0
+        for k in range(1, n):
+            for lam_v in shapes.partitions_in_box(k, n - k):
+                for lam_x in shapes.subpartitions(lam_v):
+                    v, x = perm.skew_pair(k, n, lam_v, lam_x)
+                    assert perm.is_max_rep(v, k) and perm.is_grassmannian(x, k)
+                    assert perm.is_length_additive(x, v)
+                    assert perm.check_skew_pair(v, x, k) == (lam_v, lam_x)
+                    count += 1
+        direct = 0
+        for k in range(1, n):
+            for v in permutations(range(1, n + 1)):
+                if not perm.is_max_rep(v, k):
+                    continue
+                for x in permutations(range(1, n + 1)):
+                    if perm.is_grassmannian(x, k) and perm.is_length_additive(x, v):
+                        direct += 1
+        assert count == direct
+
+
+def test_check_skew_pair_containment_matches_lengths():
+    # the containment test against the lengths, on every v in W^K_max and
+    # x in ^K W with n <= 8 (17,560 pairs)
+    from itertools import combinations
+
+    pairs = additive = 0
+    for n in range(2, 9):
+        for k in range(1, n):
+            subsets = list(combinations(range(1, n + 1), k))
+            for image_v in subsets:
+                v = perm.max_rep_from_image(image_v, k, n)
+                for image_x in subsets:
+                    x = perm.grassmannian_from_image(image_x, k, n)
+                    pairs += 1
+                    if perm.is_length_additive(x, v):
+                        additive += 1
+                        assert perm.check_skew_pair(v, x, k) == (
+                            shapes.from_vert_sw(image_v, k, n), shapes.from_vert_ne(image_x, k, n))
+                    else:
+                        with pytest.raises(ValueError, match="not length-additive"):
+                            perm.check_skew_pair(v, x, k)
+    assert pairs == 17_560
+    assert 0 < additive < pairs

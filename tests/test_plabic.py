@@ -433,8 +433,7 @@ def test_one_face_labeling_per_square_call(monkeypatch):
 def relabelled_bridge_graph(k, n, lam):
     """The bridge graph of the skew pair of shape lam, boundary relabelled by
     v^-1 (as in criterion 6)."""
-    v = perm.max_rep_from_image(shapes.vert_sw(lam, k, n), k, n)
-    x = perm.grassmannian_from_image(shapes.vert_ne(lam, k, n), k, n)
+    v, x = perm.skew_pair(k, n, lam, lam)
     return plabic.relabel_boundary(plabic.bridge_graph(k, n, x), perm.inverse(v))
 
 

@@ -324,8 +324,7 @@ def test_modules_equal_up_to_shift_only_once_normalized():
 
 def test_endomorphism_quiver_single_box():
     k, n = 2, 4
-    v = perm.parabolic_longest(k, n)
-    x = perm.grassmannian_from_image(shapes.vert_ne((1,), k, n), k, n)
+    v, x = perm.skew_pair(k, n, (n - k,) * k, (1,))
     quiver, labels = ppalg.endomorphism_quiver(k, n, v, x)
     assert len(quiver.vertices) == 1
     assert not quiver.arrows

@@ -98,8 +98,7 @@ def test_expressions_agree_checks_every_sample():
 def walk_instance(k, n, lam, rng, count=5):
     """Samples of the Schubert cell and the relabelled bridge graph of the
     skew pair of shape lam, as the exchange walk builds them."""
-    v = perm.max_rep_from_image(shapes.vert_sw(lam, k, n), k, n)
-    x = perm.grassmannian_from_image(shapes.vert_ne(lam, k, n), k, n)
+    v, x = perm.skew_pair(k, n, lam, lam)
     vi = perm.inverse(v)
     necklace = perm.grassmann_necklace(perm.positroid_decoration(v, perm.multiply(x, v), k))
     samples = [
@@ -309,8 +308,7 @@ def test_rectangles_seed_golden():
 
 def test_rectangles_seed_single_row():
     k, n = 2, 6
-    v = perm.parabolic_longest(k, n)
-    x = perm.grassmannian_from_image(shapes.vert_ne((3,), k, n), k, n)
+    v, x = perm.skew_pair(k, n, (n - k,) * k, (3,))
     S = seeds.rectangles_seed(k, n, v, x)
     assert len(S.quiver.vertices) == 3
     assert not S.quiver.mutable_vertices()
@@ -903,8 +901,7 @@ def test_gr2n_labels_stay_plucker():
     from itertools import combinations
 
     for k, n, top in ((2, 5, (3, 3)), (2, 6, (4, 4))):
-        v = perm.parabolic_longest(k, n)
-        x = perm.grassmannian_from_image(shapes.vert_ne(top, k, n), k, n)
+        v, x = perm.skew_pair(k, n, top, top)
         S0 = seeds.rectangles_seed(k, n, v, x)
         rng = random.Random(17)
         samples = [

@@ -1,6 +1,6 @@
 import pytest
 
-from positroids import perm, shapes
+from positroids import shapes
 
 
 def test_vert_ne():
@@ -14,6 +14,16 @@ def test_vert_sw():
     assert shapes.vert_sw((4, 3, 2), 3, 7) == frozenset({1, 3, 5})
     assert shapes.vert_sw((), 3, 7) == frozenset({5, 6, 7})
     assert shapes.vert_sw((4, 4, 4), 3, 7) == frozenset({1, 2, 3})
+
+
+@pytest.mark.parametrize("k", (-1, 5))
+def test_vert_ne_and_vert_sw_reject_k_outside_0_to_n(k):
+    # the k x (n - k) box needs 0 <= k <= n: at k = 5, n = 3 the empty shape
+    # would have labels outside [n]
+    assert not shapes.fits((), k, 3)
+    for vert in (shapes.vert_ne, shapes.vert_sw):
+        with pytest.raises(ValueError, match="does not fit"):
+            vert((), k, 3)
 
 
 def test_vert_ne_vert_sw_mutually_recoverable():
@@ -56,71 +66,6 @@ def test_is_lambda_frozen():
     lam = (2, 2)
     assert not shapes.is_lambda_frozen(lam, (1, 1))
     assert all(shapes.is_lambda_frozen(lam, b) for b in shapes.boxes(lam) if b != (1, 1))
-
-
-def test_path_leq():
-    J = shapes.path_ne({1, 3, 6}, 3, 8)
-    L = shapes.path_sw({2, 3, 8}, 3, 8)
-    assert shapes.path_leq(J, J)
-    assert shapes.path_leq(J, L)
-    assert not shapes.path_leq(L, J)
-
-
-def test_lengthadditive_from_paths_figure():
-    J = shapes.path_ne({1, 3, 6}, 3, 8)
-    L = shapes.path_sw({2, 3, 8}, 3, 8)
-    v, w = shapes.lengthadditive_from_paths(J, L, 3, 8)
-    assert v == (8, 3, 2, 7, 6, 5, 4, 1)
-    x = perm.multiply(w, perm.inverse(v))
-    assert x == (1, 3, 6, 2, 4, 5, 7, 8)
-    assert perm.is_length_additive(x, v)
-
-
-def test_lengthadditive_roundtrip_exhaustive():
-    # bijection property for n <= 6: paths -> (v, w) -> paths is the identity,
-    # and every length-additive pair arises
-    for n in range(2, 7):
-        count = 0
-        for k in range(1, n):
-            for lam_v in shapes.partitions_in_box(k, n - k):
-                L = shapes.path_sw(shapes.vert_sw(lam_v, k, n), k, n)
-                for lam_x in shapes.subpartitions(lam_v):
-                    J = shapes.path_ne(shapes.vert_ne(lam_x, k, n), k, n)
-                    v, w = shapes.lengthadditive_from_paths(J, L, k, n)
-                    assert perm.is_max_rep(v, k)
-                    x = perm.multiply(w, perm.inverse(v))
-                    assert perm.is_length_additive(x, v)
-                    J2, L2 = shapes.paths_from_lengthadditive(v, w, k, n)
-                    assert J2.as_ne().vertical_labels() == J.vertical_labels()
-                    assert L2.as_ne().shape() == lam_v
-                    count += 1
-        # forward direction hits every pair exactly once per k
-        direct = 0
-        from itertools import permutations
-
-        for k in range(1, n):
-            for v in permutations(range(1, n + 1)):
-                if not perm.is_max_rep(v, k):
-                    continue
-                for x in permutations(range(1, n + 1)):
-                    if perm.is_grassmannian(x, k) and perm.is_length_additive(x, v):
-                        direct += 1
-        assert count == direct
-
-
-def test_forward_direction_path_leq():
-    # for all length-additive (v, xv): the x-path lies above the v-path
-    n = 6
-    import itertools
-
-    for k in (2, 3):
-        for v in itertools.permutations(range(1, n + 1)):
-            if not perm.is_max_rep(v, k):
-                continue
-            for lam_x in shapes.partitions_in_box(k, n - k):
-                x = perm.grassmannian_from_image(shapes.vert_ne(lam_x, k, n), k, n)
-                J, L = shapes.paths_from_lengthadditive(v, perm.multiply(x, v), k, n)
-                assert perm.is_length_additive(x, v) == shapes.path_leq(J, L)
 
 
 def test_mutable_part():
