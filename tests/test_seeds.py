@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -650,6 +651,217 @@ def test_matrix_mutation_is_involution():
         B = seeds._b_matrix(Q, list(Q.frozen))
         for k in range(len(B)):
             assert seeds._mutate_b(seeds._mutate_b(B, k), k) == B
+
+
+def random_exchange_matrix(rng, n):
+    """A random skew-symmetric n x n matrix with entries in -3..3 (so
+    multiple arrows), each entry above the diagonal nonzero with a random
+    density drawn per matrix."""
+    B = [[0] * n for _ in range(n)]
+    density = rng.random()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                B[i][j] = rng.choice((-1, 1)) * rng.randint(1, 3)
+                B[j][i] = -B[i][j]
+    return tuple(map(tuple, B))
+
+
+def reference_mutate_b(B, k):
+    """Fomin-Zelevinsky matrix mutation, entry by entry."""
+    n = len(B)
+    return tuple(
+        tuple(
+            -B[i][j] if k in (i, j)
+            else B[i][j] + (abs(B[i][k]) * B[k][j] + B[i][k] * abs(B[k][j])) // 2
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def test_matrix_mutation_matches_dense_rule_and_shares_rows():
+    rng = random.Random(26)
+    multiple = 0
+    for _ in range(300):
+        B = random_exchange_matrix(rng, rng.randint(1, 9))
+        multiple += seeds._max_multiplicity(B) >= 2
+        for k in range(len(B)):
+            out = seeds._mutate_b(B, k)
+            assert out == reference_mutate_b(B, k), (B, k)
+            # a row with b_ik = 0 is the input's row, not a copy
+            for i, row in enumerate(B):
+                if i != k and row[k] == 0:
+                    assert out[i] is row
+    assert multiple > 150
+
+
+def reference_canonical_label(B, colour, nodes):
+    """seeds._canonical_label in its plain form: every label runs the search
+    from the unrefined root, and every round reads neighbour lists built per
+    label.  Appends the path of each search-tree node it visits to
+    ``nodes``."""
+    n = len(B)
+    nbrs = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+
+    def refine(col):
+        cells = len(set(col))
+        while True:
+            sig = [(col[i], sorted([n * b + col[j] for j, b in nbrs[i]])) for i in range(n)]
+            order = sorted(range(n), key=sig.__getitem__)
+            new = [0] * n
+            start, count, prev = 0, 0, None
+            for pos, i in enumerate(order):
+                if sig[i] != prev:
+                    start, prev = pos, sig[i]
+                    count += 1
+                new[i] = start
+            if count == cells or count == n:
+                return new
+            col, cells = new, count
+
+    first = best = None
+    gens = []
+
+    def parting_depth(path_a, path_b):
+        d = 0
+        while path_a[d] == path_b[d]:
+            d += 1
+        return d
+
+    def orbit_roots(path):
+        root = list(range(n))
+
+        def find(v):
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        for g in gens:
+            if all(g[p] == p for p in path):
+                for v in range(n):
+                    a, b = find(v), find(g[v])
+                    if a != b:
+                        root[max(a, b)] = min(a, b)
+        return [find(v) for v in range(n)]
+
+    def search(col, path):
+        nonlocal first, best
+        nodes.append(path)
+        col = refine(col)
+        depth = len(path)
+        size = [0] * n
+        for c in col:
+            size[c] += 1
+        open_cells = [(m, s) for s, m in enumerate(size) if m > 1]
+        if not open_cells:
+            leaf = [0] * n
+            for v, c in enumerate(col):
+                leaf[c] = v
+            form = tuple([B[i][j] for i in leaf for j in leaf])
+            if first is None:
+                first = best = (form, leaf, path)
+                return depth
+            for known in (first, best):
+                if form == known[0]:
+                    g = [0] * n
+                    for u, v in zip(known[1], leaf):
+                        g[u] = v
+                    gens.append(g)
+                    return parting_depth(known[2], path)
+            if form < best[0]:
+                best = (form, leaf, path)
+            return depth
+        s = min(open_cells)[1]
+        cell = [v for v in range(n) if col[v] == s]
+        tried = []
+        roots, seen_gens = None, -1
+        for v in cell:
+            if tried and gens:
+                if seen_gens != len(gens):
+                    roots, seen_gens = orbit_roots(path), len(gens)
+                if any(roots[u] == roots[v] for u in tried):
+                    continue
+            tried.append(v)
+            child = col[:]
+            for u in cell:
+                child[u] = s + 1
+            child[v] = s
+            back = search(child, path + [v])
+            if back < depth:
+                return back
+        return depth
+
+    start = {}
+    for pos, c in enumerate(sorted(colour)):
+        start.setdefault(c, pos)
+    search([start[c] for c in colour], [])
+    return best[0], best[1]
+
+
+def label_and_search_calls(B, colour):
+    """seeds._canonical_label(B, colour) and the number of calls it made to
+    its search closure."""
+    code = next(c for c in seeds._canonical_label.__code__.co_consts
+                if getattr(c, "co_name", None) == "search")
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = seeds._canonical_label(B, colour)
+    finally:
+        sys.setprofile(old)
+    return out, calls
+
+
+def test_canonical_label_matches_reference():
+    rng = random.Random(27)
+    cases = []
+    for _ in range(1500):
+        n = rng.randint(1, 10)
+        B = random_exchange_matrix(rng, n)
+        if rng.random() < 0.5:  # the symmetric |B|
+            B = tuple(tuple(map(abs, row)) for row in B)
+        colours = rng.randint(1, 3)
+        cases.append((B, [rng.randrange(colours) for _ in range(n)]))
+
+    # families with many automorphisms, each relabelled and coloured
+    def matrix(n, arrows):
+        B = [[0] * n for _ in range(n)]
+        for s, t in arrows:
+            B[s][t], B[t][s] = B[s][t] + 1, B[t][s] - 1
+        return B
+
+    families = [matrix(m, [(i, (i + 1) % m) for i in range(m)]) for m in range(3, 11)]
+    families += [matrix(3 * c, [(3 * t + i, 3 * t + (i + 1) % 3) for t in range(c) for i in range(3)])
+                 for c in (2, 3)]
+    families += [matrix(6, [(i, j) for i in range(3) for j in range(3, 6)])]
+    families += [matrix(m, []) for m in range(1, 11)]
+    for B in families:
+        n = len(B)
+        for colours in (1, 1, 2, 3):
+            p = list(range(n))
+            rng.shuffle(p)
+            R = tuple(tuple(B[p[i]][p[j]] for j in range(n)) for i in range(n))
+            cases.append((R, [rng.randrange(colours) for _ in range(n)]))
+
+    discrete_root = set()
+    for B, colour in cases:
+        nodes = []
+        want = reference_canonical_label(B, colour, nodes)
+        got, calls = label_and_search_calls(B, colour)
+        assert got == want, (B, colour)
+        # the root is the tree's only node exactly when no search runs
+        assert (calls == 0) == (nodes == [[]]), (B, colour)
+        discrete_root.add(calls == 0)
+    assert discrete_root == {True, False}
 
 
 def test_canonical_form_matches_networkx_isomorphism():
