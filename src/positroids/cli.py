@@ -237,7 +237,7 @@ def seed_from_graph(args) -> dict:
     from positroids import seeds
 
     G = read_graph(args)
-    delete = parse_subset(args.delete) if args.delete else None
+    delete = parse_subset(args.delete) if args.delete is not None else None
     return seeds.seed_to_json(seeds.seed_from_graph(G, args.mode, delete))
 
 
@@ -253,9 +253,9 @@ def seed_mutate(args) -> dict:
 # the walk evaluates every exchange at every sample, and each sample keeps the
 # minors it was asked, so time and memory grow with --samples x --steps (one
 # CPU of a shared 2-CPU Xeon, Python 3.11, no bytecode cache; ranges over
-# repeated runs): on Gr(4,8), 1,000 samples x 1,000 steps take 7-9 s and
-# peak at 23 MB; on Gr(8,16) 33 s and 43 MB; on Gr(12,24), 1,000 samples
-# x 100 steps take 24 s and peak at 35 MB
+# repeated runs): on Gr(4,8), 1,000 samples x 1,000 steps take 4.5-5 s and
+# peak at 23 MB; on Gr(8,16) 24 s and 53 MB; on Gr(12,24), 1,000 samples
+# x 100 steps take 17 s and peak at 35 MB
 _MAX_SAMPLES = 1000
 _MAX_STEPS = 1000
 

@@ -5,10 +5,9 @@ counterclockwise cyclic order of its incident edges.  Boundary vertices sit on
 a clockwise cycle of the disk and have degree one into the graph; for face
 tracing the boundary arcs between consecutive boundary vertices are treated as
 virtual edges, and a boundary vertex's implicit rotation is
-``(arc to next position, arc to previous position, pendant edge)``.
-
-Vertex ids are positive integers for internal vertices and negative integers
-for boundary vertices, and edge ids are positive integers.
+``(arc to next position, arc to previous position, pendant edge)``.  Vertex
+ids are positive for internal vertices and negative for boundary vertices,
+and edge ids are positive.
 
 The graph is a combinatorial map (Lando-Zvonkin, *Graphs on Surfaces and
 Their Applications*, 2004).  Its 2(E + n) darts are numbered once, and a dart
@@ -29,19 +28,17 @@ these numbers carry the embedding:
   boundary.
 
 A trip ``i -> j`` puts ``j`` (target) or ``i`` (source) in the label of every
-face on its left.  Both labelings come from one sweep over the dual graph:
-crossing an edge changes sides only for the trips through it.  A face reached
-twice with different sides, or a trip dart without its trip on the left,
-makes a trip ambiguous, and :class:`AmbiguousSide` reports the first such trip.
-``Face.darts`` and ``Trip.darts`` list dart numbers, and ``Faces.face_of``
-maps each dart number to its face.
+face on its left; both labelings come from one sweep over the dual graph
+(:func:`_label_faces`).  ``Face.darts`` and ``Trip.darts`` list dart numbers,
+and ``Faces.face_of`` maps each dart number to its face.
 
 A graph is immutable after construction: local moves, relabeling and the
 mirror build new graphs.  So its dart permutations, faces, trips, face
 labelings and full contraction are computed once, on first use, kept on the
 graph and shared by every caller; callers must not mutate what they get back
 (in particular a ``Faces.face_of`` list).  A call that raises keeps nothing
-and raises again.
+and raises again.  A square move's output is built knowing that it is its own
+full contraction, and inherits its face labelings from the moved graph.
 """
 
 from __future__ import annotations
@@ -129,8 +126,7 @@ class PlabicGraph:
         return self._darts.eids[self._darts.pendant[bd] >> 1]
 
     def validate(self) -> None:
-        n = self.n
-        if sorted(self.labels.values()) != list(range(1, n + 1)):
+        if sorted(self.labels.values()) != list(range(1, self.n + 1)):
             raise PlabicError("boundary labels are not a permutation of [n]")
         incident: dict[int, list[int]] = {}  # vertex -> its edges
         for eid, (a, b) in self.edges.items():
@@ -149,10 +145,8 @@ class PlabicGraph:
             if len(incident.get(b, ())) != 1:
                 raise PlabicError(f"boundary vertex {b} must have degree exactly 1")
         for v in self.colors:
-            if len(self.rot[v]) == 1:
-                nbr = self.other_end(self.rot[v][0], v)
-                if not self.is_boundary(nbr):
-                    raise PlabicError(f"internal leaf {v} not adjacent to the boundary")
+            if len(self.rot[v]) == 1 and not self.is_boundary(self.other_end(self.rot[v][0], v)):
+                raise PlabicError(f"internal leaf {v} not adjacent to the boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +193,14 @@ def _number_darts(G: PlabicGraph) -> _Darts:
             return d + 1
         raise PlabicError(f"vertex {v} not on edge {eid}")
 
-    face_next = [-1] * len(head)
-    trip_next = [-1] * len(head)
+    face_next, trip_next = [-1] * len(head), [-1] * len(head)
     for v, order in G.rot.items():
         out = [leaving(v, eid) for eid in order]
         before = out[-1:] + out[:-1]
         after = out[1:] + out[:1] if G.colors[v] == BLACK else before
         # backwards, so that an edge listed twice turns at its first place
         for d, f, t in zip(out[::-1], before[::-1], after[::-1]):
-            face_next[d ^ 1] = f
-            trip_next[d ^ 1] = t
+            face_next[d ^ 1], trip_next[d ^ 1] = f, t
     for p, bd in enumerate(G.boundary_order):
         if len(leave[bd]) != 1:
             raise PlabicError(f"boundary vertex {bd} has degree {len(leave[bd])}")
@@ -243,11 +235,9 @@ class Faces:
 
 
 def faces(G: PlabicGraph) -> Faces:
-    """All interior faces (the outer face is identified and dropped).
-
-    Raises :class:`PlabicError` when the orbit count violates Euler's formula,
-    which signals an inconsistent rotation system.
-    """
+    """All interior faces (the outer face is identified and dropped).  Raises
+    :class:`PlabicError` when the orbit count violates Euler's formula, which
+    signals an inconsistent rotation system."""
     return G._faces
 
 
@@ -255,10 +245,10 @@ def _find_faces(G: PlabicGraph) -> Faces:
     darts = G._darts
     arcs = 2 * len(G.edges)
     if G.n == 1:
-        # The one boundary arc is a loop, which dart tracing cannot follow.  A
-        # graph on one boundary vertex has one face exactly when it is a tree,
-        # and the only tree validate() accepts there is the lollipop: any
-        # other leaf would be an internal leaf away from the boundary.
+        # The one boundary arc is a loop, which dart tracing cannot follow.
+        # Such a graph has one face exactly when it is a tree, and the only
+        # tree validate() accepts there is the lollipop (any other has a leaf
+        # away from the boundary).
         if len(G.colors) != 1 or len(G.edges) != 1:
             raise PlabicError(
                 f"Euler check failed: V={len(G.colors) + 1} E={len(G.edges)}, but on one "
@@ -283,8 +273,7 @@ def _find_faces(G: PlabicGraph) -> Faces:
             d = nxt[d]
         orbits.append(orbit)
 
-    V = len(G.colors) + G.n
-    E = len(G.edges) + G.n
+    V, E = len(G.colors) + G.n, len(G.edges) + G.n
     if V - E + len(orbits) != 2:
         raise PlabicError(
             f"Euler check failed: V={V} E={E} F={len(orbits)} (disconnected embedding data?)"
@@ -325,17 +314,14 @@ def trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
 def _find_trips(G: PlabicGraph) -> tuple[tuple[Trip, ...], DecoratedPermutation]:
     darts = G._darts
     head, nxt = darts.head, darts.trip_next
-    limit = 2 * len(G.edges) + 2
-    out = []
-    images = {}
-    white = set()
+    out, images, white = [], {}, set()
     for bd in G.boundary_order:
         d = darts.pendant[bd]
         walk = [d]
         while head[d] >= 0:
             d = nxt[d]
             walk.append(d)
-            if len(walk) > limit:
+            if len(walk) > 2 * len(G.edges) + 2:
                 raise PlabicError("trip failed to terminate; malformed rotation system")
         i, j = G.labels[bd], G.labels[head[d]]
         out.append(Trip(i, j, tuple(walk)))
@@ -361,9 +347,8 @@ class FaceLabeling:
 
     def index_of(self, label: Iterable[int]) -> int:
         lab = frozenset(label)
-        for i, l in enumerate(self.labels):
-            if l == lab:
-                return i
+        if lab in self.labels:
+            return self.labels.index(lab)
         raise KeyError(f"no face labeled {sorted(lab)}")
 
 
@@ -382,16 +367,14 @@ def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
 
     Crossing an edge puts a face on the other side of the trips through the
     edge's two darts and of no other trip (Postnikov, arXiv:math/0609764).
-    So a breadth-first sweep over the interior faces gives each face, as a
-    bitmask over the trips that are not round trips, the trips whose side
-    differs from face 0's; the first dart of each trip, which has the trip
-    on its left, fixes face 0's own side.  A trip is ambiguous when a face is
-    reached twice with masks that differ in its bit, or when one of its
-    darts does not have the trip on its left (as when the trip runs along an
-    edge with one face on both sides); :class:`AmbiguousSide` reports the
-    first ambiguous trip in trip order.  A round trip marks every face when
-    its lollipop is white and none when it is black.
-    """
+    So a breadth-first sweep gives each interior face, as a bitmask over the
+    trips that are not round trips, the trips whose side differs from face
+    0's; the first dart of each trip, which has the trip on its left, fixes
+    face 0's own side.  A trip is ambiguous when a face is reached twice with
+    masks that differ in its bit, or when one of its darts does not have it
+    on its left (as along an edge with one face on both sides);
+    :class:`AmbiguousSide` reports the first ambiguous trip in trip order.  A
+    round trip marks every face when its lollipop is white, none when black."""
     fc = faces(G)
     all_trips, sigma = trips(G)
     face = fc.face_of
@@ -402,8 +385,7 @@ def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
         for d in t.darts:
             bit[d] = 1 << i
     mask: list[int | None] = [None] * len(fc.faces)
-    ambiguous = 0
-    roots = 0
+    ambiguous = roots = 0
     for root in range(len(fc.faces)):
         if mask[root] is not None:
             continue
@@ -606,10 +588,8 @@ def add_bridge(G: PlabicGraph, a: int, b: int) -> PlabicGraph:
     satisfies ``f(a) > f(b)``, every boundary position strictly between a and b
     is a lollipop, and a lollipop at a (resp. b) is white (resp. black).
     Lollipop leaves at the endpoints are reused as bridge vertices; degree-2
-    vertices are inserted if bipartiteness requires them.
-    """
-    n = G.n
-    if not 1 <= a < b <= n:
+    vertices are inserted if bipartiteness requires them."""
+    if not 1 <= a < b <= G.n:
         raise InvalidBridge(f"need 1 <= a < b <= n, got ({a}, {b})")
     # the trip permutation on boundary positions, independent of the labels;
     # G's trips run one per position, in position order
@@ -639,14 +619,13 @@ def add_bridge(G: PlabicGraph, a: int, b: int) -> PlabicGraph:
     def attach(p: int, color: str) -> int:
         """Bridge vertex at position p: the lollipop leaf there, or a new
         vertex on the pendant edge."""
-        bd = G.boundary_order[p - 1]
-        e_pend = G.pendant_edge(bd)
-        t = G.other_end(e_pend, bd)
-        if len(G.rot[t]) == 1:
+        if (t := leaf_at(p)) is not None:
             return t
-        v_new = ed.subdivide(e_pend, bd, color)
-        if G.colors[t] == color:  # bipartite fix: degree-2 buffer on the inner edge
-            ed.subdivide(ed.rot[v_new][1], v_new, _OTHER[color])
+        bd = G.boundary_order[p - 1]
+        v_new = ed.subdivide(G.pendant_edge(bd), bd, color)
+        inner = ed.rot[v_new][1]  # from v_new to the old inner end
+        if ed.colors[ed.other_end(inner, v_new)] == color:  # bipartite fix: a degree-2 buffer
+            ed.subdivide(inner, v_new, _OTHER[color])
         return v_new
 
     w_new = attach(a, WHITE)
@@ -679,18 +658,14 @@ def relabel_boundary(G: PlabicGraph, u: Permutation) -> PlabicGraph:
     """Replace each boundary label l by u(l); the embedding is unchanged."""
     if len(u) != G.n:
         raise ValueError("permutation size does not match the boundary")
-    labels = {bd: u[lab - 1] for bd, lab in G.labels.items()}
-    return replace(G, labels=labels)
+    return replace(G, labels={bd: u[lab - 1] for bd, lab in G.labels.items()})
 
 
 def mirror(G: PlabicGraph) -> PlabicGraph:
     """Reflect the disk: all rotations reverse and the boundary cycle reverses.
     Trips reverse, so source labels of the mirror equal target labels of G."""
-    return replace(
-        G,
-        boundary_order=tuple(reversed(G.boundary_order)),
-        rot={v: tuple(reversed(r)) for v, r in G.rot.items()},
-    )
+    return replace(G, boundary_order=tuple(reversed(G.boundary_order)),
+                   rot={v: tuple(reversed(r)) for v, r in G.rot.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +699,7 @@ def insert_degree2_pair(G: PlabicGraph, eid: int) -> PlabicGraph:
 
 def full_contract(G: PlabicGraph) -> PlabicGraph:
     """Contract every eligible degree-2 vertex, smallest id first."""
-    H = G._contracted
-    return G if H is None else H
+    return G._contracted or G
 
 
 def _square_defect(G: PlabicGraph, i: int) -> str | None:
@@ -733,8 +707,7 @@ def _square_defect(G: PlabicGraph, i: int) -> str | None:
     or None when one does: the face must be an interior quadrilateral whose
     four corners are distinct internal vertices of degree at least 3.  (Its
     corner colors alternate because G is bipartite.)"""
-    fc = faces(G)
-    face = fc.faces[i]
+    face = faces(G).faces[i]
     if face.boundary or len(face.darts) != 4:
         return "is not an interior quadrilateral"
     head = G._darts.head
@@ -753,8 +726,8 @@ def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
     degree > 3 so the face has four trivalent corners, switches the four
     colors, inserts degree-2 vertices on the legs wherever bipartiteness
     needs repair and contracts again; its one build validates the result and
-    records it as its own full contraction.  The trip permutation is unchanged.
-    """
+    records it as its own full contraction.  The trip permutation is unchanged,
+    and the result inherits G's face labelings (:func:`_carry_labelings`)."""
     label = frozenset(label)
     G = full_contract(G)
     i = face_labeling(G, "target").index_of(label)
@@ -781,7 +754,50 @@ def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
         if z > 0 and ed.colors[z] == ed.colors[c]:
             ed.subdivide(leg, c, _OTHER[ed.colors[c]])
     ed.contract()
-    return ed.build()
+    return _carry_labelings(G, ed.build(), i)
+
+
+def _carry_labelings(G: PlabicGraph, H: PlabicGraph, i: int) -> PlabicGraph:
+    """H, which a square move at face i of G built, with both labelings stored.
+    An edge that H keeps from G keeps its id and end order, so each face of H
+    has the label of G's face left of its first dart.  The moved face crosses
+    its first dart d as in the sweep: the label across d, less the end (source
+    mode: start) of H's trip through d ^ 1, plus that of its trip through d.
+    H keeps none, to be swept on first use, if a face does not map, if those
+    trips are one, do not run boundary to boundary or have a dart without its
+    trip on the left (the sweep's ambiguity), or if the label is not G's
+    exchange: its neighbours' union less the old label outside their meet."""
+    hd, fc, gf, trips, carried = H._darts, H._faces, G._faces.face_of, [], {}
+    left = dict(zip(G._darts.eids, zip(gf[::2], gf[1::2])))  # edge id -> G's faces by end
+    old = [left.get(hd.eids[f.darts[0] >> 1], (-1, -1))[f.darts[0] & 1] for f in fc.faces]
+    if sorted(old) != list(range(len(G._faces))):
+        return H
+    j = old.index(i)
+    d = fc.faces[j].darts[0]
+    prev = dict(zip(hd.trip_next, range(len(hd.head))))  # dart -> the one before it on its trip
+    for x in (d, d ^ 1):  # no trip from boundary to boundary is longer than len(hd.head)
+        back, on = [x], [x]
+        while hd.head[back[-1] ^ 1] >= 0 and len(back) <= len(hd.head):
+            back.append(prev[back[-1]])
+        while hd.head[on[-1]] >= 0 and len(on) <= len(hd.head):
+            on.append(hd.trip_next[on[-1]])
+        trips.append((H.labels.get(hd.head[back[-1] ^ 1]), H.labels.get(hd.head[on[-1]]), back + on))
+    (sa, a, _), (sb, b, _) = trips
+    if None in (sa, a, sb, b) or a == b:
+        return H
+    for mode, put, take in (("source", sa, sb), ("target", a, b)):
+        was = G._labelings[mode].labels
+        labels = list(map(was.__getitem__, old))
+        labels[j] = labels[fc.face_of[d ^ 1]] - {take} | {put}
+        near = [labels[fc.face_of[e ^ 1]] for e in fc.faces[j].darts]
+        if labels[j] != near[0].union(*near) - (was[i] - near[0].intersection(*near)):
+            return H
+        carried[mode] = FaceLabeling(mode, fc, tuple(labels))
+    if any(t not in labels[fc.face_of[x]] or t in labels[fc.face_of[x ^ 1]]  # target labels
+           for s, t, walk in trips if s != t for x in walk):
+        return H
+    H.__dict__["_labelings"] = carried
+    return H
 
 
 def square_eligible_labels(G: PlabicGraph) -> tuple[frozenset[int], ...]:
@@ -817,12 +833,8 @@ class ReducednessReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.round_trips == 0
-            and not self.self_intersecting_trips
-            and not self.parallel_trip_pairs
-            and not self.r1_applicable
-        )
+        return not (self.round_trips or self.self_intersecting_trips
+                    or self.parallel_trip_pairs or self.r1_applicable)
 
 
 def reducedness_witness_checks(G: PlabicGraph) -> ReducednessReport:
@@ -847,31 +859,21 @@ def reducedness_witness_checks(G: PlabicGraph) -> ReducednessReport:
         round_trips += 1
 
     # a dart's edge is d >> 1 (its edge's place in id order)
-    selfint = tuple(
-        t.start for t in all_trips
-        if t.start != t.end and len({d >> 1 for d in t.darts}) < len(t.darts)
-    )
+    selfint = tuple(t.start for t in all_trips
+                    if t.start != t.end and len({d >> 1 for d in t.darts}) < len(t.darts))
 
     parallel = []
     for i, t1 in enumerate(all_trips):
         order1 = {d >> 1: p for p, d in enumerate(t1.darts)}
         for t2 in all_trips[i + 1:]:
-            # shared edges in t2's traversal order; flag a pair t1 also
-            # traverses in that order
-            shared = [d >> 1 for d in t2.darts if d >> 1 in order1]
-            if any(
-                order1[shared[ei]] < order1[shared[ej]]
-                for ei in range(len(shared))
-                for ej in range(ei + 1, len(shared))
-            ):
+            # t1's places of the edges t2 shares, in t2's order: flag the pair
+            # when t1 also runs two of them in that order (then two in a row)
+            shared = [order1[d >> 1] for d in t2.darts if d >> 1 in order1]
+            if any(p < q for p, q in zip(shared, shared[1:])):
                 parallel.append((t1.start, t2.start))
 
-    return ReducednessReport(
-        round_trips,
-        selfint,
-        tuple(sorted(set(parallel))),
-        parallel_edge_reduction_applicable(G) is not None,
-    )
+    return ReducednessReport(round_trips, selfint, tuple(sorted(set(parallel))),
+                             parallel_edge_reduction_applicable(G) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -891,9 +893,7 @@ def to_json(G: PlabicGraph) -> dict:
         "boundary_labels": list(G.boundary_labels),
         "vertices": [{"id": v, "color": G.colors[v]} for v in sorted(G.colors)],
         "edges": [[vid(a), vid(b)] for _, (a, b) in sorted(G.edges.items())],
-        "rotations": {
-            str(v): [vid(G.other_end(e, v)) for e in G.rot[v]] for v in sorted(G.rot)
-        },
+        "rotations": {str(v): [vid(G.other_end(e, v)) for e in G.rot[v]] for v in sorted(G.rot)},
     }
 
 

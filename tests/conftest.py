@@ -72,6 +72,15 @@ def dart_name(G: plabic.PlabicGraph, d: int) -> tuple:
     return (("arc", i - E) if i >= E else sorted(G.edges)[i], d & 1)
 
 
+def assert_carried_labelings(H: plabic.PlabicGraph, where: str = "") -> None:
+    """H, the output of a square move, holds both face labelings before any
+    sweep, and they equal the sweep's on a copy built from H's JSON."""
+    assert "_labelings" in vars(H), where
+    fresh = plabic.from_json(plabic.to_json(H))
+    for mode in ("source", "target"):
+        assert plabic.face_labeling(H, mode) == plabic.face_labeling(fresh, mode), (mode, where)
+
+
 def reversed_seed(S: seeds.LabeledSeed) -> seeds.LabeledSeed:
     """S with every arrow reversed: the same vertices, flags and labels."""
     arrows = tuple((t, s) for s, t in S.quiver.arrows)

@@ -7,8 +7,8 @@ from collections import Counter
 from itertools import combinations
 
 from positroids import lediag, perm, plabic, pluecker, ppalg, seeds, shapes
-from conftest import (dart_name, golden_gr25_graph, golden_gr37_graph, play_le_moves, random_skew_pair,
-                      skew_pairs)
+from conftest import (assert_carried_labelings, dart_name, golden_gr25_graph, golden_gr37_graph,
+                      play_le_moves, random_skew_pair, skew_pairs)
 
 
 def announce(num, elapsed=None):
@@ -191,6 +191,7 @@ def test_criterion_06_exchange_verification():
             S = seeds.seed_from_graph(G, "target")
             mutated = seeds.mutate_seed(S, lab)
             H = plabic.square_move(G, lab)
+            assert_carried_labelings(H, sorted(lab))
             new_label = next(
                 iter(set(plabic.face_labeling(H, "target").labels) - set(S.labels))
             )

@@ -461,6 +461,16 @@ def test_missing_face_error_prints_its_message(monkeypatch, capsys):
     assert (code, out, err) == (2, "", "error: no face labeled [1]\n")
 
 
+@pytest.mark.parametrize("argv", (["seed", "from-graph", "--mode", "target", "--delete", ""],
+                                  ["plabic", "move", "square", "--face", ""]),
+                         ids=("delete", "face"))
+def test_empty_face_names_no_face(argv, monkeypatch, capsys):
+    # the empty set is a set like any other: no face carries it
+    G = plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))
+    got = run_main_on(argv, json.dumps(plabic.to_json(G)), monkeypatch, capsys)
+    assert got == (2, "", "error: no face labeled []\n")
+
+
 # (k, n, v, x) that are not length-additive skew pairs
 BAD_SKEW_PAIRS = (
     (2, 4, "1 2 3 4", "3 4 1 2"),  # v not in W^K_max

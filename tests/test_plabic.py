@@ -1,14 +1,17 @@
+import gc
 import itertools
 import json
 import random
 import re
+import weakref
 from collections import Counter
 from typing import NamedTuple
 
 import pytest
 
 from positroids import perm, plabic, pluecker, seeds, shapes
-from conftest import dart_name, golden_gr25_graph, random_skew_pair, reversed_seed
+from conftest import (assert_carried_labelings, dart_name, golden_gr25_graph, random_skew_pair,
+                      reversed_seed)
 
 
 def label_names(labels):
@@ -650,18 +653,105 @@ def test_derived_data_is_kept_on_the_graph():
 
 
 def test_walk_step_finds_faces_once(monkeypatch):
-    # one exchange-walk step on an already labelled graph traces the faces
-    # of the moved graph only
+    # exchange-walk steps from an already labelled graph trace the faces of
+    # each moved graph only, and neither sweep a graph nor find its trips:
+    # each move hands the graph it builds its labelings, and the second
+    # step moves such a graph
     G = plabic.full_contract(relabelled_bridge_graph(3, 7, (4, 3, 2)))
     plabic.face_labeling(G, "target")
-    traced = []
-    real = plabic._find_faces
-    monkeypatch.setattr(plabic, "_find_faces", lambda H: traced.append(H) or real(H))
+    calls = {name: [] for name in ("_find_faces", "_label_faces", "_find_trips")}
+    for name, log in calls.items():
+        monkeypatch.setattr(plabic, name, lambda K, _real=getattr(plabic, name), _log=log:
+                            _log.append(K) or _real(K))
+    moved = []
+    for _ in range(2):
+        lab = plabic.square_eligible_labels(G)[0]
+        seeds.seed_from_graph(G, "target")
+        G = plabic.square_move(G, lab)
+        plabic.face_labeling(G, "target")
+        plabic.face_labeling(G, "source")
+        moved.append(G)
+    plabic.square_eligible_labels(G)
+    assert calls == {"_find_faces": moved, "_label_faces": [], "_find_trips": []}
+
+
+def test_square_moves_carry_their_labelings():
+    # every move at every eligible face of the graphs of seeded walks, of
+    # their mirrors (whose source and target labels swap) and of the graphs
+    # with an (M3) insertion, which a move first contracts
+    moves = 0
+    for G in itertools.chain(square_walk_graphs(seed=12, walks=60, steps=5),
+                             exchange_walk_graphs(steps=20)):
+        inner = next(e for e, ends in sorted(G.edges.items()) if min(ends) > 0)
+        for K in (G, plabic.mirror(G), plabic.insert_degree2_pair(G, inner)):
+            for lab in plabic.square_eligible_labels(K):
+                assert_carried_labelings(plabic.square_move(K, lab), sorted(lab))
+                moves += 1
+    assert moves >= 1500, moves
+
+
+def test_moved_graph_does_not_keep_the_graph_it_moved():
+    G = plabic.full_contract(relabelled_bridge_graph(3, 7, (4, 3, 2)))
+    H = plabic.square_move(G, plabic.square_eligible_labels(G)[0])
+    assert "_labelings" in vars(H)
+    moved = weakref.ref(G)
+    del G
+    gc.collect()
+    assert moved() is None
+
+
+def test_square_move_output_with_a_two_sided_trip_is_swept():
+    # a graph that is not reduced (trips 1->3 and 1->4 run in parallel, and
+    # edges 7 and 16 both join 1 and 5) labels its faces, but after the
+    # square move at its face [] faces lie on both sides of the trip 1->2;
+    # the moved graph keeps no labeling, so labelling it raises as the sweep
+    # does on any graph
+    W, B = plabic.WHITE, plabic.BLACK
+    G = plabic.PlabicGraph(
+        (-1, -2, -3, -4), {-1: 2, -2: 1, -3: 4, -4: 3},
+        {1: W, 2: W, 3: B, 4: B, 5: B, 6: W, 7: W, 8: B, 9: B},
+        {1: (-1, 1), 2: (-2, 7), 3: (-3, 8), 4: (-4, 4), 5: (2, 3), 6: (5, 2), 7: (1, 5), 8: (6, 3),
+         9: (6, 4), 10: (7, 5), 11: (8, 6), 12: (7, 8), 13: (7, 9), 14: (9, 1), 15: (2, 4), 16: (5, 1)},
+        {1: (7, 14, 1, 16), 2: (5, 6, 15), 3: (8, 5), 4: (4, 9, 15), 5: (10, 7, 16, 6), 6: (9, 11, 8),
+         7: (12, 2, 13, 10), 8: (3, 12, 11), 9: (13, 14)},
+    )
+    G.validate()
+    assert plabic.square_eligible_labels(G) == (frozenset(),)
+    H = plabic.square_move(G, ())
+    assert "_labelings" not in vars(H)
+    for mode in ("source", "target"):
+        with pytest.raises(plabic.AmbiguousSide, match="both sides of the trip 1->2"):
+            plabic.face_labeling(H, mode)
+
+
+@pytest.mark.parametrize("mode", ("source", "target"))
+def test_square_move_falls_back_to_the_sweep(monkeypatch, mode):
+    # the moved graph keeps no labeling when the moved face's label is not
+    # the exchange of the old one: here the old one is falsified, so that the
+    # exchange check fails; the sweep then labels the moved graph on first
+    # use, as it would a graph built any other way
+    G = plabic.full_contract(relabelled_bridge_graph(3, 7, (4, 3, 2)))
     lab = plabic.square_eligible_labels(G)[0]
-    seeds.seed_from_graph(G, "target")
-    H = plabic.square_move(G, lab)
-    plabic.face_labeling(H, "target")
-    assert traced == [H]
+    carried = plabic.square_move(G, lab)
+    assert "_labelings" in vars(carried)
+    K = plabic.from_json(plabic.to_json(G))
+    target = plabic.face_labeling(K, "target")
+    i = target.index_of(lab)
+    labelings = dict(K._labelings)
+    labels = list(labelings[mode].labels)
+    # the union of the moved face's neighbours: a set no face carries
+    labels[i] = frozenset().union(*(labels[target.faces.face_of[d ^ 1]]
+                                    for d in target.faces.faces[i].darts))
+    labelings[mode] = plabic.FaceLabeling(mode, target.faces, tuple(labels))
+    K.__dict__["_labelings"] = labelings
+    swept = []
+    real = plabic._label_faces
+    monkeypatch.setattr(plabic, "_label_faces", lambda H: swept.append(H) or real(H))
+    H = plabic.square_move(K, labels[i] if mode == "target" else lab)
+    assert "_labelings" not in vars(H)
+    for m in ("source", "target"):
+        assert plabic.face_labeling(H, m) == plabic.face_labeling(carried, m), m
+    assert swept == [H]
 
 
 def doubled_edge(G, e):
