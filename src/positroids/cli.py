@@ -88,9 +88,9 @@ def read_input(args) -> str:
 
 
 def read_graph(args):
-    from positroids import plabic
+    from positroids import plabic_json
 
-    return plabic.from_json(json.loads(read_input(args)))
+    return plabic_json.from_json(json.loads(read_input(args)))
 
 
 def fmt_word(word) -> str:
@@ -163,11 +163,11 @@ def check_n(n: int, cap: int, what: str) -> None:
 
 
 def plabic_bridge(args) -> dict:
-    from positroids import plabic
+    from positroids import plabic, plabic_json
 
     check_n(args.n, _MAX_BRIDGE_N, "a bridge graph")
     x = parse_perm(args.x, args.k, args.n)
-    return plabic.to_json(plabic.bridge_graph(args.k, args.n, x))
+    return plabic_json.to_json(plabic.bridge_graph(args.k, args.n, x))
 
 
 def plabic_trips(args) -> str:
@@ -191,23 +191,23 @@ def plabic_faces(args) -> str:
 
 
 def plabic_relabel(args) -> dict:
-    from positroids import plabic
+    from positroids import plabic, plabic_json
 
     G = read_graph(args)
-    return plabic.to_json(plabic.relabel_boundary(G, parse_perm(args.perm, None, G.n)))
+    return plabic_json.to_json(plabic.relabel_boundary(G, parse_perm(args.perm, None, G.n)))
 
 
 def plabic_mirror(args) -> dict:
-    from positroids import plabic
+    from positroids import plabic, plabic_json
 
-    return plabic.to_json(plabic.mirror(read_graph(args)))
+    return plabic_json.to_json(plabic.mirror(read_graph(args)))
 
 
 def plabic_move(args) -> dict:
-    from positroids import plabic
+    from positroids import plabic, plabic_json
 
     G = read_graph(args)
-    return plabic.to_json(plabic.square_move(G, parse_subset(args.face)))
+    return plabic_json.to_json(plabic.square_move(G, parse_subset(args.face)))
 
 
 def plabic_dualquiver(args) -> str | dict:

@@ -10,12 +10,19 @@ ids are positive for internal vertices and negative for boundary vertices,
 and edge ids are positive.
 
 The graph is a combinatorial map (Lando-Zvonkin, *Graphs on Surfaces and
-Their Applications*, 2004).  Its 2(E + n) darts are numbered once, and a dart
-is only ever its number: the i-th edge in id order has darts 2i and 2i + 1,
-dart 2i + end running from ``edges[eid][end]`` to ``edges[eid][1 - end]``,
-and the arc from boundary position p to p + 1 has darts 2(E + p) (clockwise)
-and 2(E + p) + 1.  Dart d reverses to ``d ^ 1``.  Two integer permutations on
-these numbers carry the embedding:
+Their Applications*, 2004).  A dart is only ever its number.  Each edge and
+each boundary arc holds a slot s, with darts 2s and 2s + 1: dart 2s + end of
+edge eid runs from ``edges[eid][end]`` to ``edges[eid][1 - end]``, and the arc
+from boundary position p to p + 1 has slot arc0 + p, its clockwise dart even.
+Dart d reverses to ``d ^ 1``.  A graph built from its fields gives its edges
+slots 0 .. E - 1 in id order and the arcs the n after them.  A square move's
+output keeps its input's slots instead: a deleted edge frees its slot, a new
+edge takes a free one, and only when none is free does the move add a slot
+past the last; so the dart arrays hold 2(E + n) darts plus those of the free
+slots, however many moves a walk makes.  Whatever the slots, a face's darts
+start at its first dart in (edge id, end) order, with the arcs last, and the
+faces are listed in the order of their first darts.  Two integer
+permutations on the dart numbers carry the embedding:
 
 - ``face_next`` takes d to the dart leaving head(d) along the predecessor of
   d's edge in the ccw rotation.  Faces are its cycles; every face lies to the
@@ -38,7 +45,9 @@ labelings and full contraction are computed once, on first use, kept on the
 graph and shared by every caller; callers must not mutate what they get back
 (in particular a ``Faces.face_of`` list).  A call that raises keeps nothing
 and raises again.  A square move's output is built knowing that it is its own
-full contraction, and inherits its face labelings from the moved graph.
+full contraction, and inherits its darts, faces and face labelings from the
+moved graph: only the darts at the vertices the move touched turn anew, and
+only the faces through them are traced again.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from math import inf
 from typing import Iterable, NamedTuple
 
 from positroids import perm as permmod
@@ -156,60 +166,73 @@ class PlabicGraph:
 class _Darts(NamedTuple):
     """A graph's darts by number (see the module docstring)."""
 
-    eids: tuple[int, ...]  # edge ids in id order: dart d lies on edge eids[d >> 1]
-    head: list[int]  # dart -> the vertex it enters
+    eids: list[int]  # slot -> edge id, 0 on an arc or a free slot: dart d is on slot d >> 1
+    slot: dict[int, int]  # edge id -> slot
+    arc0: int  # the slot of the arc from boundary position 0; arc p has slot arc0 + p
+    free: list[int]  # the slots that hold neither an edge nor an arc
+    head: list[int]  # dart -> the vertex it enters (0 on a free slot)
     face_next: list[int]  # dart -> next dart of the face on its left
     trip_next: list[int]  # dart -> next dart of its trip; -1 into the boundary
     pendant: dict[int, int]  # boundary vertex -> the dart leaving it
 
 
 def _number_darts(G: PlabicGraph) -> _Darts:
-    """Number the darts and read both permutations off the rotations: at a
-    vertex with darts o_0 .. o_{m-1} leaving it in ccw order, the dart
-    entering along o_i's edge is ``o_i ^ 1``, its face goes on along
-    o_{i-1} and its trip along o_{i+1} (black) or o_{i-1} (white)."""
-    n = G.n
-    eids = tuple(sorted(G.edges))
+    """Number the darts, the edges' slots in id order and the arcs' after
+    them, and read both permutations off the rotations (:func:`_turn`)."""
+    n, eids = G.n, sorted(G.edges)
     head: list[int] = []
-    number: dict[int, int] = {}
     leave: dict[int, list[int]] = {bd: [] for bd in G.boundary_order}  # boundary darts
     for eid in eids:
         a, b = G.edges[eid]
-        number[eid] = d = len(head)
-        head += (b, a)
         if a in leave:
-            leave[a].append(d)
+            leave[a].append(len(head))
         if b in leave:
-            leave[b].append(d + 1)
-    arcs = len(head)
+            leave[b].append(len(head) + 1)
+        head += (b, a)
     for p in range(n):
         head += (G.boundary_order[(p + 1) % n], G.boundary_order[p])
-
-    def leaving(v: int, eid: int) -> int:
-        d = number[eid]
-        if head[d + 1] == v:
-            return d
-        if head[d] == v:
-            return d + 1
-        raise PlabicError(f"vertex {v} not on edge {eid}")
-
-    face_next, trip_next = [-1] * len(head), [-1] * len(head)
-    for v, order in G.rot.items():
-        out = [leaving(v, eid) for eid in order]
-        before = out[-1:] + out[:-1]
-        after = out[1:] + out[:1] if G.colors[v] == BLACK else before
-        # backwards, so that an edge listed twice turns at its first place
-        for d, f, t in zip(out[::-1], before[::-1], after[::-1]):
-            face_next[d ^ 1], trip_next[d ^ 1] = f, t
-    for p, bd in enumerate(G.boundary_order):
-        if len(leave[bd]) != 1:
-            raise PlabicError(f"boundary vertex {bd} has degree {len(leave[bd])}")
-        # bd's rotation: clockwise arc p, counterclockwise arc p - 1, pendant
-        cw, ccw, d = arcs + 2 * p, arcs + 2 * ((p - 1) % n) + 1, leave[bd][0]
-        face_next[cw ^ 1], face_next[ccw ^ 1], face_next[d ^ 1] = d, cw, ccw
-    if -1 in face_next:
+    dt = _Darts(eids + [0] * n, {eid: s for s, eid in enumerate(eids)}, len(eids), [],
+                head, [-1] * len(head), [-1] * len(head), {})
+    for v in G.rot:
+        _turn(G, dt, v)
+    for p, (bd, out) in enumerate(leave.items()):
+        if len(out) != 1:
+            raise PlabicError(f"boundary vertex {bd} has degree {len(out)}")
+        dt.pendant[bd] = out[0]
+        _turn(G, dt, bd, p)
+    if -1 in dt.face_next:
         raise PlabicError("the rotations do not list every dart")
-    return _Darts(eids, head, face_next, trip_next, {bd: out[0] for bd, out in leave.items()})
+    return dt
+
+
+def _turn(G: PlabicGraph, dt: _Darts, v: int, p: int = -1) -> list[int]:
+    """Set head, face_next and trip_next on the darts entering v, and return
+    them.  At an internal vertex with darts o_0 .. o_{m-1} leaving it in ccw
+    order, the dart entering along o_i's edge is ``o_i ^ 1``, its face goes
+    on along o_{i-1} and its trip along o_{i+1} (black) or o_{i-1} (white).
+    Boundary vertex v at position p turns as its rotation (clockwise arc p,
+    counterclockwise arc p - 1, pendant); the darts returned there are the
+    two whose face is interior."""
+    head, face_next, trip_next, edges, slot = dt.head, dt.face_next, dt.trip_next, G.edges, dt.slot
+    if v < 0:
+        cw, ccw, d = 2 * (dt.arc0 + p), 2 * (dt.arc0 + (p - 1) % G.n) + 1, dt.pendant[v]
+        face_next[cw ^ 1], face_next[ccw ^ 1], face_next[d ^ 1] = d, cw, ccw
+        head[d ^ 1], trip_next[d ^ 1] = v, -1
+        return [cw ^ 1, d ^ 1]
+    entered = []
+    for eid in G.rot[v]:
+        a, b = edges[eid]
+        if v != a and v != b:
+            raise PlabicError(f"vertex {v} not on edge {eid}")
+        entered.append(2 * slot[eid] + (a == v))
+    m, black = len(entered), G.colors[v] == BLACK
+    # backwards, so that an edge listed twice turns at its first place
+    for i in range(m - 1, -1, -1):
+        x = entered[i]
+        head[x] = v
+        face_next[x] = entered[i - 1] ^ 1
+        trip_next[x] = entered[i + 1 - m] ^ 1 if black else entered[i - 1] ^ 1
+    return entered
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +248,7 @@ class Face:
 @dataclass(frozen=True)
 class Faces:
     """The interior faces, and ``face_of``: dart number -> index of its face
-    (-1 on the outer face)."""
+    (-1 on the outer face and on a free slot)."""
 
     faces: tuple[Face, ...]
     face_of: list[int] = field(repr=False, compare=False)
@@ -242,8 +265,11 @@ def faces(G: PlabicGraph) -> Faces:
 
 
 def _find_faces(G: PlabicGraph) -> Faces:
+    """Trace every face of a freshly numbered graph, whose dart numbers run in
+    (edge id, end) order with the arcs last: so the orbits, traced from each
+    dart in turn, come out in face order, each from its first dart."""
     darts = G._darts
-    arcs = 2 * len(G.edges)
+    arcs = 2 * darts.arc0
     if G.n == 1:
         # The one boundary arc is a loop, which dart tracing cannot follow.
         # Such a graph has one face exactly when it is a tree, and the only
@@ -258,21 +284,7 @@ def _find_faces(G: PlabicGraph) -> Faces:
 
     nxt = darts.face_next
     seen = [False] * len(nxt)
-    orbits: list[list[int]] = []
-    for d0 in range(len(nxt)):
-        if seen[d0]:
-            continue
-        orbit = [d0]
-        seen[d0] = True
-        d = nxt[d0]
-        while d != d0:
-            if seen[d]:
-                raise PlabicError("face tracing revisited a dart; rotation system inconsistent")
-            orbit.append(d)
-            seen[d] = True
-            d = nxt[d]
-        orbits.append(orbit)
-
+    orbits = [_orbit(nxt, d0, seen) for d0 in range(len(nxt)) if not seen[d0]]
     V, E = len(G.colors) + G.n, len(G.edges) + G.n
     if V - E + len(orbits) != 2:
         raise PlabicError(
@@ -280,18 +292,97 @@ def _find_faces(G: PlabicGraph) -> Faces:
         )
     if not G.n:
         raise PlabicError("a graph without boundary vertices has no outer face")
+    # the outer face is the orbit of the clockwise dart of arc 0
+    return _index_faces([Face(tuple(orbit), max(orbit) >= arcs)
+                         for orbit in orbits if orbit[0] != arcs], len(nxt))
 
-    # an orbit starts at its smallest dart, and the outer face at the
-    # clockwise dart of arc 0
-    interior = [orbit for orbit in orbits if orbit[0] != arcs]
-    face = [-1] * len(nxt)
-    for i, orbit in enumerate(interior):
-        for d in orbit:
+
+def _orbit(nxt: list[int], d0: int, seen: list[bool]) -> list[int]:
+    """The cycle of ``nxt`` from d0, marked in ``seen``."""
+    orbit, d = [d0], nxt[d0]
+    seen[d0] = True
+    while d != d0:
+        if seen[d]:
+            raise PlabicError("face tracing revisited a dart; rotation system inconsistent")
+        orbit.append(d)
+        seen[d] = True
+        d = nxt[d]
+    return orbit
+
+
+def _index_faces(interior: list[Face], size: int) -> Faces:
+    """The faces, in the order given, with ``face_of`` over ``size`` darts."""
+    face = [-1] * size
+    for i, f in enumerate(interior):
+        for d in f.darts:
             face[d] = i
     # the tuple is built from a list, at its final size: CPython shrinks a
     # tuple built from a generator from a guessed size, and freeing it then
     # fills the free list of the smaller size (up to 2,000 tuples a size)
-    return Faces(tuple([Face(tuple(orbit), max(orbit) >= arcs) for orbit in interior]), face)
+    return Faces(tuple(interior), face)
+
+
+def _carry_faces(ed: _Edit, H: PlabicGraph) -> None:
+    """Store on H, which the edit ed of a graph G built, G's darts and faces
+    patched where ed changed them.  H keeps G's slots: a deleted edge frees
+    its slot, and new edges, in id order, take the smallest free slots and
+    then slots past the last one.  The darts entering a vertex that ed
+    touched, or a boundary vertex on a new edge, turn anew (:func:`_turn`);
+    no other dart changes, as ed touches each vertex that gains an edge or
+    at which an edge lists its ends anew.  A face of G keeps its ``Face``
+    when each of its darts keeps its edge and its face_next; the faces
+    through the other darts are traced again, each from its first dart in
+    (edge id, end) order with the arcs last, and the faces are listed in the
+    order of their first darts."""
+    G = ed.G
+    dt = _Darts._make(x if isinstance(x, int) else x.copy() for x in G._darts)
+    eids, slot, _, free, head, face_next, trip_next, pendant = dt
+    for eid in G.edges.keys() - H.edges.keys():
+        s = slot.pop(eid)
+        eids[s] = head[2 * s] = head[2 * s + 1] = 0
+        face_next[2 * s] = face_next[2 * s + 1] = trip_next[2 * s] = trip_next[2 * s + 1] = -1
+        free.append(s)
+    free.sort(reverse=True)
+    turned = {v for v in ed.touched if v < 0 or v in H.rot}
+    changed = []  # the darts of H that are not on a face of G
+    for eid in sorted(H.edges.keys() - G.edges.keys()):
+        if not free:
+            free.append(len(eids))
+            eids.append(0)
+            head += (0, 0)
+            face_next += (-1, -1)
+            trip_next += (-1, -1)
+        s = free.pop()
+        eids[s], slot[eid] = eid, s
+        changed += (2 * s, 2 * s + 1)
+        for d, v in enumerate(H.edges[eid], start=2 * s):
+            if v < 0:
+                pendant[v] = d
+                turned.add(v)
+    was = G._darts.face_next
+    for v in turned:
+        p = -1
+        if v < 0:  # a new pendant edge, or one that lists its ends anew
+            eid, p = eids[pendant[v] >> 1], H.boundary_order.index(v)
+            pendant[v] = 2 * slot[eid] + (H.edges[eid][0] != v)
+        changed += [d for d in _turn(H, dt, v, p) if d >= len(was) or face_next[d] != was[d]]
+
+    gf = G._faces.face_of
+    stale = {gf[d] for d in changed if d < len(gf)}
+    faces = [f for i, f in enumerate(G._faces.faces) if i not in stale]
+    seen = [False] * len(head)
+    for d0 in changed:
+        if not seen[d0]:
+            orbit = _orbit(face_next, d0, seen)
+            ks = [eids[d >> 1] or inf for d in orbit]
+            i = ks.index(min(ks))
+            if orbit[i] & 1 and ks.count(ks[i]) > 1:  # both darts of one edge: end 0 first
+                i = ks.index(ks[i], i + 1)
+            faces.append(Face(tuple(orbit[i:] + orbit[:i]), inf in ks))
+    # an interior face's first dart is an edge's
+    faces.sort(key=lambda f: 2 * eids[f.darts[0] >> 1] + (f.darts[0] & 1))
+    H.__dict__["_darts"] = dt
+    H.__dict__["_faces"] = _index_faces(faces, len(head))
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +469,6 @@ def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
     fc = faces(G)
     all_trips, sigma = trips(G)
     face = fc.face_of
-    arcs = 2 * len(G.edges)
     paths = [t for t in all_trips if t.start != t.end]
     bit = [0] * len(face)
     for i, t in enumerate(paths):
@@ -394,10 +484,8 @@ def _label_faces(G: PlabicGraph) -> dict[str, FaceLabeling]:
         queue = [root]
         for f in queue:
             for d in fc.faces[f].darts:
-                if d >= arcs:  # a boundary arc: the outer face
-                    continue
                 g = face[d ^ 1]
-                if g == f:
+                if g == f or g < 0:  # the same face, or a boundary arc's outer face
                     continue
                 m = mask[f] ^ bit[d] ^ bit[d ^ 1]
                 if mask[g] is not None:
@@ -436,7 +524,7 @@ def dual_quiver_arrows(G: PlabicGraph, fc: Faces) -> list[tuple[int, int]]:
     must be ``faces(G)``."""
     head, face = G._darts.head, fc.face_of
     raw: Counter[tuple[int, int]] = Counter()
-    for d in range(0, 2 * len(G.edges), 2):  # edge by edge, in id order
+    for d in map((2).__mul__, G._darts.slot.values()):  # edge by edge
         b, a = head[d], head[d + 1]
         if a < 0 or b < 0:
             continue
@@ -480,7 +568,10 @@ class _Edit:
     """A mutable copy of a graph's colors, edges and rotations, for one local
     move or a run of them.  New vertex and edge ids count up from the largest
     ids in use, in the order they are asked for, so a move always numbers its
-    output the same way.  Only :meth:`build` validates."""
+    output the same way.  The methods note in ``touched`` each vertex whose
+    rotation or color they set, or at which an edge may list its ends anew,
+    for :func:`_carry_faces`; a caller that sets a rotation or color itself
+    notes the vertex there too.  Only :meth:`build` validates."""
 
     def __init__(self, G: PlabicGraph):
         self.G = G
@@ -490,11 +581,13 @@ class _Edit:
         self.next_v = max(G.colors, default=0) + 1
         self.next_e = max(G.edges, default=0) + 1
         self.contracted = False
+        self.touched: set[int] = set()  # vertices, some of them deleted since
 
     def new_vertex(self, color: str) -> int:
         v = self.next_v
         self.next_v += 1
         self.colors[v] = color
+        self.touched.add(v)
         return v
 
     def new_edge(self, a: int, b: int) -> int:
@@ -519,10 +612,12 @@ class _Edit:
         b = self.other_end(e, a)
         m = self.new_vertex(color)
         e_new = self.new_edge(m, b)
-        self.edges[e] = (a, m)
+        self.edges[e] = (a, m)  # which may list e's ends the other way round
         self.rot[m] = [e, e_new]
+        self.touched.add(a)
         if b > 0:
             self.rot[b] = [e_new if f == e else f for f in self.rot[b]]
+            self.touched.add(b)
         return m
 
     def expand(self, v: int, e_pair: tuple[int, int]) -> None:
@@ -543,6 +638,7 @@ class _Edit:
         self.rot[mid] = [e_v2mid, e_midv]
         # the connector takes the slot of the pair in v's rotation
         self.rot[v] = [e_midv if e == e_a else e for e in order if e != e_b]
+        self.touched.add(v)
 
     def contract(self) -> bool:
         """(M2) over and over, smallest eligible id first: delete a degree-2
@@ -571,6 +667,7 @@ class _Edit:
             ru = self.rot[u]
             j = ru.index(e1)
             self.rot[u] = ru[:j] + spliced + ru[j + 1:]
+            self.touched.add(u)
 
     def build(self) -> PlabicGraph:
         H = PlabicGraph(self.G.boundary_order, dict(self.G.labels), self.colors, self.edges,
@@ -727,7 +824,8 @@ def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
     colors, inserts degree-2 vertices on the legs wherever bipartiteness
     needs repair and contracts again; its one build validates the result and
     records it as its own full contraction.  The trip permutation is unchanged,
-    and the result inherits G's face labelings (:func:`_carry_labelings`)."""
+    and the result inherits G's darts and faces (:func:`_carry_faces`) and its
+    face labelings (:func:`_carry_labelings`)."""
     label = frozenset(label)
     G = full_contract(G)
     i = face_labeling(G, "target").index_of(label)
@@ -747,6 +845,7 @@ def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
     face_edges = {eid for eid, _ in darts}
     for c in corners:
         ed.colors[c] = _OTHER[ed.colors[c]]
+    ed.touched.update(corners)
     # corners alternate in color, so no leg between two corners is subdivided
     for c in corners:
         leg = next(e for e in ed.rot[c] if e not in face_edges)
@@ -754,34 +853,45 @@ def square_move(G: PlabicGraph, label: Iterable[int]) -> PlabicGraph:
         if z > 0 and ed.colors[z] == ed.colors[c]:
             ed.subdivide(leg, c, _OTHER[ed.colors[c]])
     ed.contract()
-    return _carry_labelings(G, ed.build(), i)
+    H = ed.build()
+    _carry_faces(ed, H)
+    return _carry_labelings(G, H, i)
 
 
 def _carry_labelings(G: PlabicGraph, H: PlabicGraph, i: int) -> PlabicGraph:
-    """H, which a square move at face i of G built, with both labelings stored.
-    An edge that H keeps from G keeps its id and end order, so each face of H
-    has the label of G's face left of its first dart.  The moved face crosses
+    """H, which a square move at face i of G built and :func:`_carry_faces`
+    gave G's darts, with both labelings stored.  An edge that H keeps from G
+    keeps its id, end order and slot, so each face of H has the label of G's
+    face left of its first dart.  The moved face crosses
     its first dart d as in the sweep: the label across d, less the end (source
     mode: start) of H's trip through d ^ 1, plus that of its trip through d.
     H keeps none, to be swept on first use, if a face does not map, if those
     trips are one, do not run boundary to boundary or have a dart without its
     trip on the left (the sweep's ambiguity), or if the label is not G's
     exchange: its neighbours' union less the old label outside their meet."""
-    hd, fc, gf, trips, carried = H._darts, H._faces, G._faces.face_of, [], {}
-    left = dict(zip(G._darts.eids, zip(gf[::2], gf[1::2])))  # edge id -> G's faces by end
-    old = [left.get(hd.eids[f.darts[0] >> 1], (-1, -1))[f.darts[0] & 1] for f in fc.faces]
+    hd, fc, gf, ge, trips, carried = H._darts, H._faces, G._faces.face_of, G._darts.eids, [], {}
+    head, fnext = hd.head, hd.face_next
+    old = [gf[d] if d >> 1 < len(ge) and ge[d >> 1] == hd.eids[d >> 1] else -1
+           for d in (f.darts[0] for f in fc.faces)]
     if sorted(old) != list(range(len(G._faces))):
         return H
     j = old.index(i)
     d = fc.faces[j].darts[0]
-    prev = dict(zip(hd.trip_next, range(len(hd.head))))  # dart -> the one before it on its trip
-    for x in (d, d ^ 1):  # no trip from boundary to boundary is longer than len(hd.head)
+    for x in (d, d ^ 1):  # no trip from boundary to boundary is longer than len(head)
         back, on = [x], [x]
-        while hd.head[back[-1] ^ 1] >= 0 and len(back) <= len(hd.head):
-            back.append(prev[back[-1]])
-        while hd.head[on[-1]] >= 0 and len(on) <= len(hd.head):
+        while (v := head[back[-1] ^ 1]) >= 0 and len(back) <= len(head):
+            # the dart before y = o_i on its trip enters along o_{i-1} at a
+            # black vertex and along o_{i+1} at a white one (see _turn)
+            y = z = back[-1]
+            if H.colors[v] == BLACK:
+                z = fnext[y ^ 1]
+            else:
+                while fnext[z ^ 1] != y:
+                    z = fnext[z ^ 1]
+            back.append(z ^ 1)
+        while head[on[-1]] >= 0 and len(on) <= len(head):
             on.append(hd.trip_next[on[-1]])
-        trips.append((H.labels.get(hd.head[back[-1] ^ 1]), H.labels.get(hd.head[on[-1]]), back + on))
+        trips.append((H.labels.get(head[back[-1] ^ 1]), H.labels.get(head[on[-1]]), back + on))
     (sa, a, _), (sb, b, _) = trips
     if None in (sa, a, sb, b) or a == b:
         return H
@@ -801,10 +911,13 @@ def _carry_labelings(G: PlabicGraph, H: PlabicGraph, i: int) -> PlabicGraph:
 
 
 def square_eligible_labels(G: PlabicGraph) -> tuple[frozenset[int], ...]:
-    """Target labels of the faces where a square move currently applies."""
+    """Target labels of the faces where a square move currently applies.  A
+    label that several faces carry (possible when G is not reduced) names
+    the first of them, as :meth:`FaceLabeling.index_of` does."""
     H = full_contract(G)
     labels = face_labeling(H, "target").labels
-    return tuple(lab for i, lab in enumerate(labels) if _square_defect(H, i) is None)
+    return tuple(lab for i, lab in enumerate(labels)
+                 if labels.index(lab) == i and _square_defect(H, i) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -842,11 +955,11 @@ def reducedness_witness_checks(G: PlabicGraph) -> ReducednessReport:
     using an edge in both directions, no two trips sharing two edges in the
     same relative order, and (R1) not directly applicable."""
     all_trips, _ = trips(G)
-    nxt = G._darts.trip_next
+    nxt, eids = G._darts.trip_next, G._darts.eids
     seen = {d for t in all_trips for d in t.darts}
     round_trips = 0
-    for d0 in range(2 * len(G.edges)):
-        if d0 in seen:
+    for d0 in range(2 * len(eids)):
+        if d0 in seen or not eids[d0 >> 1]:  # an arc, or a free slot
             continue
         d = d0
         while True:
@@ -858,7 +971,7 @@ def reducedness_witness_checks(G: PlabicGraph) -> ReducednessReport:
                 break
         round_trips += 1
 
-    # a dart's edge is d >> 1 (its edge's place in id order)
+    # a dart's edge is its slot, d >> 1
     selfint = tuple(t.start for t in all_trips
                     if t.start != t.end and len({d >> 1 for d in t.darts}) < len(t.darts))
 
@@ -874,93 +987,3 @@ def reducedness_witness_checks(G: PlabicGraph) -> ReducednessReport:
 
     return ReducednessReport(round_trips, selfint, tuple(sorted(set(parallel))),
                              parallel_edge_reduction_applicable(G) is not None)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def to_json(G: PlabicGraph) -> dict:
-    """Canonical JSON form: boundary vertex at clockwise position p becomes
-    id -p; rotations list neighbor ids counterclockwise."""
-    pos = {bd: -p for p, bd in enumerate(G.boundary_order, start=1)}
-
-    def vid(v: int) -> int:
-        return pos.get(v, v)
-
-    return {
-        "n": G.n,
-        "boundary_labels": list(G.boundary_labels),
-        "vertices": [{"id": v, "color": G.colors[v]} for v in sorted(G.colors)],
-        "edges": [[vid(a), vid(b)] for _, (a, b) in sorted(G.edges.items())],
-        "rotations": {str(v): [vid(G.other_end(e, v)) for e in G.rot[v]] for v in sorted(G.rot)},
-    }
-
-
-def _int_list(value, what: str, length: int | None = None) -> list[int]:
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
-        raise PlabicError(f"{what} must be a list of integers")
-    if length is not None and len(value) != length:
-        raise PlabicError(f"{what} must have {length} entries")
-    return value
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def from_json(data) -> PlabicGraph:
-    """Inverse of :func:`to_json`.  Data of the wrong shape or type,
-    rotations that do not match the edges, or a graph that :func:`faces`
-    cannot embed in the disk raise :class:`PlabicError`."""
-    if not isinstance(data, dict):
-        raise PlabicError("graph JSON must be an object")
-    missing = [key for key in ("n", "boundary_labels", "vertices", "edges", "rotations")
-               if key not in data]
-    if missing:
-        raise PlabicError(f"graph JSON lacks {', '.join(missing)}")
-    n = data["n"]
-    if not _is_int(n) or n < 0:
-        raise PlabicError("n must be a non-negative integer")
-    labels = {-p: lab for p, lab in enumerate(
-        _int_list(data["boundary_labels"], "boundary_labels", n), start=1)}
-    boundary = tuple(labels)
-    vertices = data["vertices"]
-    if not isinstance(vertices, list) or not all(
-        isinstance(v, dict) and _is_int(v.get("id")) and v["id"] > 0
-        and v.get("color") in (BLACK, WHITE) for v in vertices
-    ):
-        raise PlabicError('vertices must be a list of {"id": positive integer, "color": "b" or "w"}')
-    colors = {v["id"]: v["color"] for v in vertices}
-    if not isinstance(data["edges"], list):
-        raise PlabicError("edges must be a list")
-    edges = {}
-    for i, ends in enumerate(data["edges"], start=1):
-        a, b = _int_list(ends, "an edge", 2)
-        if not all(v in labels or v in colors for v in (a, b)):
-            raise PlabicError(f"edge {ends} uses an unknown vertex")
-        edges[i] = (a, b)
-    rotations = data["rotations"]
-    if not isinstance(rotations, dict) or sorted(rotations) != sorted(map(str, colors)):
-        raise PlabicError("rotations must map each vertex id, as a string, to its neighbors")
-    # rotations reference neighbors; recover edge ids, consuming parallel
-    # edges in listed order
-    incident: dict[int, dict[int, list[int]]] = {}
-    for eid, (a, b) in edges.items():
-        incident.setdefault(a, {}).setdefault(b, []).append(eid)
-        incident.setdefault(b, {}).setdefault(a, []).append(eid)
-    rot = {}
-    for v_str, nbrs in rotations.items():
-        v = int(v_str)
-        pools = {w: list(eids) for w, eids in incident.get(v, {}).items()}
-        order = []
-        for w in _int_list(nbrs, f"the rotation at {v}"):
-            if not pools.get(w):
-                raise PlabicError(f"the rotation at {v} lists {w} more often than an edge joins them")
-            order.append(pools[w].pop(0))
-        rot[v] = tuple(order)
-    G = PlabicGraph(boundary, labels, colors, edges, rot)
-    G.validate()
-    faces(G)
-    return G
-

@@ -66,19 +66,49 @@ def golden_gr37_graph() -> plabic.PlabicGraph:
 
 def dart_name(G: plabic.PlabicGraph, d: int) -> tuple:
     """Dart number d of G as ``(eid, end)``, with ``(("arc", p), end)`` for
-    the arc from boundary position p to p + 1 (the numbering of the
-    ``plabic`` module docstring)."""
-    i, E = d >> 1, len(G.edges)
-    return (("arc", i - E) if i >= E else sorted(G.edges)[i], d & 1)
+    the arc from boundary position p to p + 1, decoded through G's slot map
+    (the numbering of the ``plabic`` module docstring)."""
+    darts = G._darts
+    eid = darts.eids[d >> 1]
+    return (eid or ("arc", (d >> 1) - darts.arc0), d & 1)
+
+
+def named_darts(G: plabic.PlabicGraph) -> tuple:
+    """G's dart permutations, pendants and faces with every dart by name, so
+    that graphs with the same edge ids compare whatever their slots: each
+    live dart's head, face_next, trip_next and face index, the pendant dart
+    of each boundary vertex and each face's darts in order.  A free slot's
+    darts must be bare: head 0, both permutations -1, on no face."""
+    darts, fc = G._darts, plabic.faces(G)
+    free = {2 * s for s in darts.free} | {2 * s + 1 for s in darts.free}
+    # every slot holds one edge, one arc or nothing
+    assert sorted([*darts.slot.values(), *range(darts.arc0, darts.arc0 + G.n), *darts.free]) == list(
+        range(len(darts.eids)))
+    assert all(darts.eids[s] == e for e, s in darts.slot.items())
+    assert all((darts.eids[d >> 1], darts.head[d], darts.face_next[d], darts.trip_next[d],
+                fc.face_of[d]) == (0, 0, -1, -1, -1) for d in free)
+
+    def name(d):
+        return None if d < 0 else dart_name(G, d)
+
+    live = [d for d in range(len(darts.head)) if d not in free]
+    return ({name(d): (darts.head[d], name(darts.face_next[d]), name(darts.trip_next[d]),
+                       fc.face_of[d]) for d in live},
+            {bd: name(d) for bd, d in darts.pendant.items()},
+            tuple((tuple(map(name, f.darts)), f.boundary) for f in fc.faces))
 
 
 def assert_carried_labelings(H: plabic.PlabicGraph, where: str = "") -> None:
-    """H, the output of a square move, holds both face labelings before any
-    sweep, and they equal the sweep's on a copy built from H's JSON."""
-    assert "_labelings" in vars(H), where
-    fresh = plabic.from_json(plabic.to_json(H))
+    """H, the output of a square move, holds its darts, faces and both face
+    labelings before any numbering, tracing or sweep, and they equal those
+    of a copy built afresh from H's fields: the darts and faces by name, and
+    the labels of the faces in order."""
+    assert {"_darts", "_faces", "_labelings"} <= vars(H).keys(), where
+    fresh = plabic.PlabicGraph(H.boundary_order, H.labels, H.colors, H.edges, H.rot)
+    assert named_darts(H) == named_darts(fresh), where
     for mode in ("source", "target"):
-        assert plabic.face_labeling(H, mode) == plabic.face_labeling(fresh, mode), (mode, where)
+        assert (plabic.face_labeling(H, mode).labels
+                == plabic.face_labeling(fresh, mode).labels), (mode, where)
 
 
 def reversed_seed(S: seeds.LabeledSeed) -> seeds.LabeledSeed:

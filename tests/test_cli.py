@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from positroids import cli, lediag, perm, plabic, pluecker, shapes
+from positroids import cli, lediag, perm, plabic, plabic_json, pluecker, shapes
 from positroids.cli import main
 from conftest import skew_pairs
 
@@ -329,7 +329,7 @@ def test_ppalg_quiver_prints_the_rectangles_seed(monkeypatch, capsys):
 
 
 def malformed_graphs():
-    good = plabic.to_json(plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4)))
+    good = plabic_json.to_json(plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4)))
     cases = {"list": [1], "n not int": {"n": "x"}, "null": None}
     for key in good:
         cases[f"no {key}"] = {k: v for k, v in good.items() if k != key}
@@ -357,7 +357,7 @@ def malformed_graphs():
         return cycle
 
     cases["disconnected 4-cycle"] = with_4cycle(good)
-    cases["n 1 with a 4-cycle"] = with_4cycle(plabic.to_json(plabic.lollipop_graph(1, 1)))
+    cases["n 1 with a 4-cycle"] = with_4cycle(plabic_json.to_json(plabic.lollipop_graph(1, 1)))
     return cases
 
 
@@ -431,7 +431,7 @@ def test_plabic_move_square_ineligible_face_exits_2(monkeypatch, capsys):
     with pytest.raises(plabic.NotSquareEligible):
         plabic.square_move(G, face)
     argv = ["plabic", "move", "square", "--face", _fmt(sorted(face))]
-    assert_usage_error(argv, monkeypatch, capsys, json.dumps(plabic.to_json(G)))
+    assert_usage_error(argv, monkeypatch, capsys, json.dumps(plabic_json.to_json(G)))
 
 
 # a set given with a repeated entry is refused, not read as the set
@@ -450,14 +450,14 @@ REPEATED_ENTRIES = (
                          ids=[" ".join(argv) for argv, _ in REPEATED_ENTRIES])
 def test_repeated_subset_entry_is_a_usage_error(argv, message, monkeypatch, capsys):
     G = plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))
-    code, out, err = run_main_on(argv, json.dumps(plabic.to_json(G)), monkeypatch, capsys)
+    code, out, err = run_main_on(argv, json.dumps(plabic_json.to_json(G)), monkeypatch, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_missing_face_error_prints_its_message(monkeypatch, capsys):
     G = plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))
     code, out, err = run_main_on(["plabic", "move", "square", "--face", "1"],
-                                 json.dumps(plabic.to_json(G)), monkeypatch, capsys)
+                                 json.dumps(plabic_json.to_json(G)), monkeypatch, capsys)
     assert (code, out, err) == (2, "", "error: no face labeled [1]\n")
 
 
@@ -467,7 +467,7 @@ def test_missing_face_error_prints_its_message(monkeypatch, capsys):
 def test_empty_face_names_no_face(argv, monkeypatch, capsys):
     # the empty set is a set like any other: no face carries it
     G = plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))
-    got = run_main_on(argv, json.dumps(plabic.to_json(G)), monkeypatch, capsys)
+    got = run_main_on(argv, json.dumps(plabic_json.to_json(G)), monkeypatch, capsys)
     assert got == (2, "", "error: no face labeled []\n")
 
 
@@ -886,7 +886,7 @@ RUN_QUIETLY = (
 
 @pytest.mark.parametrize("argv, modules", (
     (["perm", "necklace", "--pi", "3 5 1 2 4"], "perm"),
-    (["plabic", "bridge", "--k", "2", "--n", "5", "--x", "3 5 1 2 4"], "perm plabic shapes"),
+    (["plabic", "bridge", "--k", "2", "--n", "5", "--x", "3 5 1 2 4"], "perm plabic plabic_json shapes"),
     (["seed", "classify", "--lambda", "2 2"], "perm pluecker seeds shapes"),
     (["le", "skew", "--k", "4", "--n", "8", "--x", "1 2 4 7 3 5 6 8",
       "--v", "4 3 8 2 7 6 1 5"], "lediag perm shapes"),
@@ -944,7 +944,7 @@ def declared(option: str) -> set[str]:
             for sub, p in subparsers(g) if option in p._option_string_actions}
 
 
-GR25_JSON = json.dumps(plabic.to_json(plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))))
+GR25_JSON = json.dumps(plabic_json.to_json(plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))))
 SKEW_ARGS = ["--k", "3", "--n", "7", "--v", "3 2 7 1 6 5 4", "--x", "3 6 7 1 2 4 5"]
 # every command that declares --out, with a stdin it reads
 OUT_COMMANDS = (

@@ -9,9 +9,9 @@ from typing import NamedTuple
 
 import pytest
 
-from positroids import perm, plabic, pluecker, seeds, shapes
-from conftest import (assert_carried_labelings, dart_name, golden_gr25_graph, random_skew_pair,
-                      reversed_seed)
+from positroids import perm, plabic, plabic_json, pluecker, seeds, shapes
+from conftest import (assert_carried_labelings, dart_name, golden_gr25_graph, named_darts,
+                      random_skew_pair, reversed_seed)
 
 
 def label_names(labels):
@@ -140,7 +140,7 @@ def test_single_white_lollipop_n1():
 
 def test_n1_graph_must_be_the_lollipop():
     # the lollipop is the only tree validate() accepts on one boundary vertex
-    G = plabic.from_json(plabic.to_json(plabic.lollipop_graph(1, 1)))
+    G = plabic_json.from_json(plabic_json.to_json(plabic.lollipop_graph(1, 1)))
     assert len(plabic.faces(G)) == 1
     # the lollipop plus a separate internal 4-cycle has two faces, and so
     # does a 4-cycle hanging off the boundary vertex
@@ -254,7 +254,7 @@ def test_insert_degree2_pair_contracts_back():
     # up to the order of the edge list (the rejoined edge has a new id)
     G = golden_gr25_graph()
     assert plabic.full_contract(G) is G
-    want = plabic.to_json(G)
+    want = plabic_json.to_json(G)
     for eid, (a, b) in sorted(G.edges.items()):
         H = plabic.insert_degree2_pair(G, eid)
         assert len(H.colors) == len(G.colors) + 2
@@ -263,7 +263,7 @@ def test_insert_degree2_pair_contracts_back():
         assert len(back.colors) == len(G.colors)
         assert plabic.face_labeling(back, "target").labels == plabic.face_labeling(G, "target").labels
         if a > 0 and b > 0:
-            got = plabic.to_json(back)
+            got = plabic_json.to_json(back)
             assert sorted(got.pop("edges")) == sorted(want["edges"]), eid
             assert got == {key: value for key, value in want.items() if key != "edges"}, eid
 
@@ -451,7 +451,7 @@ def test_square_move_walk_matches_fresh_graphs(k, n, lam, seed):
     size = len(plabic.face_labeling(G, "target").labels)
     for step in range(12):
         where = f"seed={seed} step={step}"
-        fresh = plabic.from_json(plabic.to_json(G))
+        fresh = plabic_json.from_json(plabic_json.to_json(G))
         for mode in ("source", "target"):
             assert (plabic.face_labeling(G, mode).labels
                     == plabic.face_labeling(fresh, mode).labels), where
@@ -567,7 +567,7 @@ def move_outcome(move, *args):
     """The JSON text of the graph a move returns, or the type and message of
     what it raises."""
     try:
-        return json.dumps(plabic.to_json(move(*args)))
+        return json.dumps(plabic_json.to_json(move(*args)))
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -586,7 +586,7 @@ def test_square_move_matches_one_build_per_stage(monkeypatch):
         for lab in labels + (frozenset(range(1, G.n + 1)),):  # the last one labels no face
             expansions.clear()
             got = move_outcome(plabic.square_move, G, lab)
-            assert got == move_outcome(ref_square_move, G, lab), (plabic.to_json(G), sorted(lab))
+            assert got == move_outcome(ref_square_move, G, lab), (plabic_json.to_json(G), sorted(lab))
             outcomes["expanded" if expansions else got[0] if isinstance(got, tuple) else "moved"] += 1
     assert outcomes["moved"] >= 120 and outcomes["expanded"] >= 400, outcomes
     assert outcomes[plabic.NotSquareEligible] >= 1200 and outcomes[KeyError] >= 200, outcomes
@@ -653,26 +653,25 @@ def test_derived_data_is_kept_on_the_graph():
 
 
 def test_walk_step_finds_faces_once(monkeypatch):
-    # exchange-walk steps from an already labelled graph trace the faces of
-    # each moved graph only, and neither sweep a graph nor find its trips:
-    # each move hands the graph it builds its labelings, and the second
-    # step moves such a graph
+    # exchange-walk steps from an already labelled graph neither number the
+    # darts of a moved graph, trace its faces, sweep it nor find its trips:
+    # each move hands the graph it builds its darts, faces and labelings,
+    # and the second step moves such a graph
     G = plabic.full_contract(relabelled_bridge_graph(3, 7, (4, 3, 2)))
     plabic.face_labeling(G, "target")
-    calls = {name: [] for name in ("_find_faces", "_label_faces", "_find_trips")}
+    calls = {name: [] for name in ("_number_darts", "_find_faces", "_label_faces", "_find_trips")}
     for name, log in calls.items():
         monkeypatch.setattr(plabic, name, lambda K, _real=getattr(plabic, name), _log=log:
                             _log.append(K) or _real(K))
-    moved = []
     for _ in range(2):
         lab = plabic.square_eligible_labels(G)[0]
         seeds.seed_from_graph(G, "target")
         G = plabic.square_move(G, lab)
         plabic.face_labeling(G, "target")
         plabic.face_labeling(G, "source")
-        moved.append(G)
     plabic.square_eligible_labels(G)
-    assert calls == {"_find_faces": moved, "_label_faces": [], "_find_trips": []}
+    seeds.seed_from_graph(G, "target")
+    assert calls == {name: [] for name in calls}
 
 
 def test_square_moves_carry_their_labelings():
@@ -688,6 +687,69 @@ def test_square_moves_carry_their_labelings():
                 assert_carried_labelings(plabic.square_move(K, lab), sorted(lab))
                 moves += 1
     assert moves >= 1500, moves
+
+
+def test_long_walk_keeps_its_dart_arrays_bounded():
+    # 1,000 moves on Gr(4,8), each handing its darts on: a freed slot is
+    # reused, so the edges hold as many slots as the most edges a graph of
+    # the walk had, and the arrays stay within 2(E + n) plus the free slots,
+    # while edge ids run far past E
+    rng = random.Random(0)
+    G = plabic.full_contract(relabelled_bridge_graph(4, 8, (4, 4, 4, 4)))
+    most = len(G.edges)
+    for _ in range(1000):
+        eligible = plabic.square_eligible_labels(G)
+        G = plabic.square_move(G, eligible[rng.randrange(len(eligible))])
+        most = max(most, len(G.edges))
+        darts = G._darts
+        assert len(darts.head) == 2 * (len(G.edges) + G.n + len(darts.free))
+        assert len(G.edges) + len(darts.free) == most
+    assert max(G.edges) > 20 * len(G.edges)
+    assert named_darts(G) == named_darts(
+        plabic.PlabicGraph(G.boundary_order, G.labels, G.colors, G.edges, G.rot))
+
+
+def test_carried_darts_follow_other_edits():
+    # edits that square moves do not make, carried as a move carries its
+    # own: an (M3) pair contracted away again; a pendant edge subdivided at
+    # its inner end, which gives its boundary vertex a new pendant dart, or
+    # at its boundary end after its ends are listed the other way round, so
+    # that it lists them anew; a corner expansion; and the expansion of a
+    # trivalent vertex, contracted into the neighbor across its third edge,
+    # whose rotation only the contraction changes
+    kinds = Counter()
+    for G in itertools.islice(exchange_walk_graphs(steps=8), 0, None, 2):
+        G = plabic.full_contract(G)
+        edits = []
+        for eid, (a, b) in sorted(G.edges.items()):
+            edits.append(plabic._Edit(G))
+            if a > 0 and b > 0:
+                y = edits[-1].subdivide(eid, a, plabic._OTHER[G.colors[a]])
+                edits[-1].subdivide(edits[-1].rot[y][1], y, G.colors[a])
+                kinds["pair"] += edits[-1].contract()
+            else:
+                v, bd = max(a, b), min(a, b)
+                edits[-1].subdivide(eid, v, plabic._OTHER[G.colors[v]])
+                swapped = plabic.PlabicGraph(G.boundary_order, G.labels, G.colors,
+                                             {**G.edges, eid: (v, bd)}, G.rot)
+                edits.append(plabic._Edit(swapped))
+                edits[-1].subdivide(eid, bd, plabic._OTHER[G.colors[v]])
+                kinds["pendant"] += 1
+        for v, order in sorted(G.rot.items()):
+            edits.append(plabic._Edit(G))
+            if len(order) > 3:
+                edits[-1].expand(v, order[:2])
+                kinds["expand"] += 1
+            elif len(order) == 3 and G.other_end(order[0], v) > 0:
+                edits[-1].expand(v, order[1:])
+                kinds["expand and contract"] += edits[-1].contract()
+        for ed in edits:
+            H = ed.build()
+            plabic._carry_faces(ed, H)
+            assert named_darts(H) == named_darts(
+                plabic.PlabicGraph(H.boundary_order, H.labels, H.colors, H.edges, H.rot))
+    assert kinds["pair"] >= 200 and kinds["pendant"] >= 80, kinds
+    assert kinds["expand"] >= 30 and kinds["expand and contract"] >= 50, kinds
 
 
 def test_moved_graph_does_not_keep_the_graph_it_moved():
@@ -734,7 +796,7 @@ def test_square_move_falls_back_to_the_sweep(monkeypatch, mode):
     lab = plabic.square_eligible_labels(G)[0]
     carried = plabic.square_move(G, lab)
     assert "_labelings" in vars(carried)
-    K = plabic.from_json(plabic.to_json(G))
+    K = plabic_json.from_json(plabic_json.to_json(G))
     target = plabic.face_labeling(K, "target")
     i = target.index_of(lab)
     labelings = dict(K._labelings)
@@ -765,6 +827,95 @@ def doubled_edge(G, e):
                            {**G.rot, u: tuple(ru), v: tuple(rv)})
     H.validate()
     return H
+
+
+def with_chord(G, rng):
+    """G with a new edge across one of its interior faces, joining two of its
+    internal corners of opposite colors, or None when no face has two.  The
+    result is a valid graph, seldom reduced; a chord between two adjacent
+    corners doubles their edge."""
+    head, eids = G._darts.head, G._darts.eids
+    chords = [(f.darts, i, j) for f in plabic.faces(G).faces
+              for i, j in itertools.combinations(range(len(f.darts)), 2)
+              if min(head[f.darts[i]], head[f.darts[j]]) > 0
+              and G.colors[head[f.darts[i]]] != G.colors[head[f.darts[j]]]]
+    if not chords:
+        return None
+    darts, i, j = rng.choice(chords)
+    e = max(G.edges) + 1
+    rot = dict(G.rot)
+    for k in (i, j):
+        # the face's corner at the head of darts[k] runs ccw from the edge
+        # of darts[k + 1] to that of darts[k]
+        v, after = head[darts[k]], eids[darts[(k + 1) % len(darts)] >> 1]
+        order = list(rot[v])
+        order.insert(order.index(after) + 1, e)
+        rot[v] = tuple(order)
+    H = plabic.PlabicGraph(G.boundary_order, G.labels, G.colors,
+                           {**G.edges, e: (head[darts[i]], head[darts[j]])}, rot)
+    H.validate()
+    return H
+
+
+def chord_fuzz_graphs(seed):
+    """The graphs of seeded square-move walks with one to three chords
+    added: seldom reduced, mostly with parallel edges, and often with faces
+    that share a target label."""
+    rng = random.Random(seed)
+    for G in square_walk_graphs(seed=seed, walks=30, steps=4):
+        for _ in range(rng.randint(1, 3)):
+            G = with_chord(G, rng) or G
+        yield G
+
+
+def test_square_eligible_labels_are_accepted_on_graphs_that_are_not_reduced():
+    # a label that several faces carry is listed only at the first of them,
+    # the face square_move finds; each move's darts and faces are carried
+    shared = moves = 0
+    for G in chord_fuzz_graphs(seed=7):
+        try:
+            eligible = plabic.square_eligible_labels(G)
+        except plabic.PlabicError:  # faces on both sides of a trip
+            continue
+        H = plabic.full_contract(G)
+        labels = plabic.face_labeling(H, "target").labels
+        every = [lab for i, lab in enumerate(labels) if plabic._square_defect(H, i) is None]
+        shared += len(every) > len(eligible)
+        assert len(set(eligible)) == len(eligible)
+        for lab in eligible:
+            K = plabic.square_move(G, lab)
+            assert named_darts(K) == named_darts(
+                plabic.PlabicGraph(K.boundary_order, K.labels, K.colors, K.edges, K.rot))
+            moves += 1
+    assert shared >= 40 and moves >= 10, (shared, moves)
+
+
+def face_cycles(G):
+    """G's faces as cyclic sequences of the vertices their darts enter, each
+    from its least rotation, sorted: the same for two graphs whose
+    embeddings differ only in which of two parallel edges is which."""
+    head = G._darts.head
+    cycles = []
+    for f in plabic.faces(G).faces:
+        seq = [head[d] for d in f.darts]
+        cycles.append(min(tuple(seq[i:] + seq[:i]) for i in range(len(seq))))
+    return sorted(cycles)
+
+
+def test_json_round_trip_keeps_parallel_edges():
+    # a bigon, two bigons side by side, and the chord fuzz's parallel edges
+    # with other parts of the graph between them
+    bigon = doubled_edge(plabic.bridge_graph(2, 4, (3, 4, 1, 2)), 5)
+    graphs = [bigon, doubled_edge(bigon, 5), *chord_fuzz_graphs(seed=8)]
+    parallel = 0
+    for G in graphs:
+        H = plabic_json.from_json(plabic_json.to_json(G))
+        assert plabic_json.to_json(H) == plabic_json.to_json(G)
+        assert face_cycles(H) == face_cycles(G)
+        assert plabic.trips(H)[1] == plabic.trips(G)[1]
+        parallel += len({tuple(sorted(ends)) for ends in G.edges.values()}) < len(G.edges)
+    assert len(plabic.faces(plabic_json.from_json(plabic_json.to_json(bigon)))) == 6
+    assert parallel >= 60, parallel
 
 
 def test_ambiguous_side_is_raised_on_every_call():
@@ -1069,7 +1220,7 @@ def test_graph_without_boundary_has_no_outer_face():
     digon = {"n": 0, "boundary_labels": [], "vertices": [{"id": 1, "color": "w"}, {"id": 2, "color": "b"}],
              "edges": [[1, 2], [1, 2]], "rotations": {"1": [2, 2], "2": [1, 1]}}
     with pytest.raises(plabic.PlabicError, match="without boundary vertices has no outer face"):
-        plabic.from_json(digon)
+        plabic_json.from_json(digon)
 
 
 # ---------------------------------------------------------------------------
@@ -1209,7 +1360,7 @@ def test_face_labeling_matches_per_trip_flood_fill():
     for G in reference_corpus():
         for mode in ("source", "target"):
             got = labeling_outcome(sweep_labels, G, mode)
-            assert got == labeling_outcome(reference_face_labeling, G, mode), plabic.to_json(G)
+            assert got == labeling_outcome(reference_face_labeling, G, mode), plabic_json.to_json(G)
             outcomes[got[0] if isinstance(got[0], str) else "labels"] += 1
     assert outcomes["labels"] >= 2000 and outcomes["AmbiguousSide"] >= 400, outcomes
 
@@ -1413,7 +1564,7 @@ def test_pendant_edge_needs_degree_one():
 
 def test_json_roundtrip(gr25_graph, gr37_graph):
     for G in (gr25_graph, gr37_graph, plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))):
-        H = plabic.from_json(plabic.to_json(G))
+        H = plabic_json.from_json(plabic_json.to_json(G))
         _, s1 = plabic.trips(G)
         _, s2 = plabic.trips(H)
         assert s1 == s2

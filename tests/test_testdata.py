@@ -4,7 +4,7 @@ accepts them directly."""
 import json
 import pathlib
 
-from positroids import cli, lediag, perm, plabic, ppalg, seeds
+from positroids import cli, lediag, perm, plabic, plabic_json, ppalg, seeds
 from conftest import golden_gr25_graph, golden_gr37_graph
 from test_cli import run_cli
 
@@ -21,7 +21,7 @@ def test_graph_goldens_match_fixtures():
         ("graph_gr37.json", golden_gr37_graph),
         ("bridge_gr25.json", lambda: plabic.bridge_graph(2, 5, (3, 5, 1, 2, 4))),
     ):
-        assert load(name) == plabic.to_json(builder())
+        assert load(name) == plabic_json.to_json(builder())
 
 
 def test_cli_trips_on_golden_json():
