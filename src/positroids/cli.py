@@ -121,9 +121,17 @@ def perm_columnar(args) -> str:
     return fmt_word(perm.columnar_expression(x, args.k))
 
 
+# `perm pds --v wK --w w0` takes 0.31 s at n = 300 and 0.55 s at n = 400 (as
+# a subprocess), about as n^2.8; --n sizes a named permutation, and one given
+# in one-line notation is as long as its argv
+_MAX_PDS_N = 300
+
+
 def perm_pds(args) -> str:
     if (args.w is None) == (args.word is None):
         raise UsageError("perm pds needs exactly one of --w and --word")
+    if args.n is not None:
+        check_n(args.n, _MAX_PDS_N, "perm pds")
     v = parse_perm(args.v, args.k, args.n)
     if args.w is not None:
         word = perm.any_reduced_word(parse_perm(args.w, args.k, len(v)))
@@ -221,9 +229,16 @@ def plabic_dualquiver(args) -> str | dict:
 # seed subcommands
 # ---------------------------------------------------------------------------
 
+# `seed rectangles` with k = n/2, v = wK and the full shape writes about n^3
+# bytes: 2.7 MB in 0.38 s with an 81 MB peak RSS at n = 160, and 5.1 MB in
+# 0.58 s with 118 MB at n = 200 (as a subprocess)
+_MAX_RECTANGLES_N = 160
+
+
 def seed_rectangles(args) -> dict:
     from positroids import seeds
 
+    check_n(args.n, _MAX_RECTANGLES_N, "seed rectangles")
     return seeds.seed_to_json(seeds.rectangles_seed(args.k, args.n, *parse_pair(args)))
 
 
@@ -451,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--x", required=True)
     p = command(g, "pds", perm_pds)
-    kn(p, required=False)
+    kn(p, required=False, n_help=f"at most {_MAX_PDS_N}")
     p.add_argument("--v", required=True)
     p.add_argument("--w")
     p.add_argument("--word", help="reduced word letters in application order")
@@ -478,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true")
 
     g = groups.add_parser("seed").add_subparsers(dest="sub", required=True)
-    pair(command(g, "rectangles", seed_rectangles, writes=True))
+    pair(command(g, "rectangles", seed_rectangles, writes=True),
+         n_help=f"at most {_MAX_RECTANGLES_N}")
     p = command(g, "classify", seed_classify)
     p.add_argument("--lambda", dest="lam", required=True)
     p = command(g, "from-graph", seed_from_graph, reads=True, writes=True)

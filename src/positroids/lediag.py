@@ -172,7 +172,7 @@ def leify(O: OplusDiagram) -> OplusDiagram:
     n = k + max(O.shape, default=0)
     boxes = tuple(shapes.boxes(O.shape))
     zeros = permmod.positive_distinguished_subexpression(
-        reading_word(O, k, n), [k + c - r for r, c in boxes])
+        reading_word(O, k, n, boxes), [k + c - r for r, c in boxes])
     return OplusDiagram(O.shape, frozenset(b for j, b in enumerate(boxes, start=1) if j not in zeros))
 
 
@@ -195,8 +195,8 @@ def le_to_positroid(M: OplusDiagram, k: int, n: int) -> tuple[Permutation, Permu
         raise ValueError("not a Le-diagram")
     u = permmod.grassmannian_from_image(shapes.vert_ne(M.shape, k, n), k, n)
     r = reading_word(M, k, n)
-    w0 = permmod.longest_element(n)
-    return permmod.multiply(permmod.inverse(u), w0), permmod.multiply(permmod.inverse(r), w0)
+    # y w_0 is y read backwards
+    return permmod.inverse(u)[::-1], permmod.inverse(r)[::-1]
 
 
 def le_decoration(M: OplusDiagram, k: int, n: int) -> DecoratedPermutation:

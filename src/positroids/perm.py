@@ -135,10 +135,6 @@ def is_length_additive(x: Permutation, v: Permutation) -> bool:
     return coxeter_length(multiply(x, v)) == coxeter_length(x) + coxeter_length(v)
 
 
-def descents(w: Permutation) -> tuple[int, ...]:
-    return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
-
-
 # ---------------------------------------------------------------------------
 # Parabolic cosets of W_K = S_{1..k} x S_{k+1..n}
 # ---------------------------------------------------------------------------
@@ -158,7 +154,7 @@ def is_grassmannian(x: Permutation, k: int) -> bool:
     >>> is_grassmannian((2, 4, 7, 8, 1, 3, 5, 6), 4)
     True
     """
-    return all(d == k for d in descents(x))
+    return all(x[i - 1] <= x[i] for i in range(1, len(x)) if i != k)
 
 
 def is_max_rep(v: Permutation, k: int) -> bool:
@@ -167,9 +163,12 @@ def is_max_rep(v: Permutation, k: int) -> bool:
     >>> is_max_rep((8, 3, 2, 7, 6, 5, 4, 1), 3)
     True
     """
-    vi = inverse(v)
-    n = len(v)
-    return all(vi[i - 1] > vi[i] for i in range(1, n) if i != k)
+    return _decreases_off_k(inverse(v), k)
+
+
+def _decreases_off_k(vi: Permutation, k: int) -> bool:
+    """``vi[i-1] > vi[i]`` at every i but k: :func:`is_max_rep` on ``v^{-1}``."""
+    return all(vi[i - 1] > vi[i] for i in range(1, len(vi)) if i != k)
 
 
 def check_skew_pair(v: Permutation, x: Permutation, k: int) -> tuple[Partition, Partition]:
@@ -191,13 +190,14 @@ def check_skew_pair(v: Permutation, x: Permutation, k: int) -> tuple[Partition, 
     n = len(v)
     if len(x) != n or not 0 < k < n:
         raise ValueError(f"need v, x in S_n and 0 < k < n; got v={v}, x={x}, k={k}")
-    if not is_max_rep(v, k):
+    vi = inverse(v)
+    if not _decreases_off_k(vi, k):
         raise ValueError(f"{v} is not in W^K_max")
     if not is_grassmannian(x, k):
         raise ValueError(f"{x} is not in ^K W")
     from positroids import shapes
 
-    lam_v = shapes.from_vert_sw(inverse(v)[:k], k, n)
+    lam_v = shapes.from_vert_sw(vi[:k], k, n)
     lam_x = shapes.from_vert_ne(x[:k], k, n)
     if not shapes.contains(lam_v, lam_x):
         raise ValueError("factorization x*v is not length-additive")
@@ -261,14 +261,15 @@ def columnar_expression(x: Permutation, k: int) -> ReducedWord:
         raise ValueError(f"{x} is not Grassmannian of type ({k}, {n})")
     from positroids import shapes
 
-    lam = shapes.from_vert_ne(x[:k], k, n)
+    return _columnar_word(shapes.from_vert_ne(x[:k], k, n), k)
+
+
+def _columnar_word(lam: Partition, k: int) -> ReducedWord:
+    """The columnar word of a shape: ``s_{k+c-r}`` in box (r, c), in
+    columnar order."""
+    from positroids import shapes
+
     return tuple(k + c - r for r, c in shapes.boxes(lam))
-
-
-def min_rep_expression(y: Permutation, k: int) -> ReducedWord:
-    """Columnar reduced word for y in W^K_min (the reversal of the columnar
-    word of its Grassmannian inverse)."""
-    return tuple(reversed(columnar_expression(inverse(y), k)))
 
 
 def parabolic_longest_word(k: int, n: int) -> ReducedWord:
@@ -286,15 +287,25 @@ def standard_reduced_expression(x: Permutation, v: Permutation, k: int) -> Reduc
     (so the letters of v' come first).
 
     Requires a skew pair (:func:`check_skew_pair`); ``v'`` is the W^K_min
-    part of ``v = w_K v'``.
+    part of ``v = w_K v'``, and its word is the reversed columnar word of the
+    shape of ``v'^{-1}([k]) = v^{-1}([k])``: lambda_v's complement in the
+    ``k x (n-k)`` box, turned through a half turn.
+
+    >>> standard_reduced_expression((1, 3, 2, 4), (2, 4, 1, 3), 2)
+    (2, 1, 3, 2)
     """
+    return _standard_word(x, v, k)[0]
+
+
+def _standard_word(x: Permutation, v: Permutation, k: int) -> tuple[ReducedWord, Partition]:
+    """:func:`standard_reduced_expression` and lambda_x, from one check."""
     n = len(x)
-    check_skew_pair(v, x, k)
-    w_K = parabolic_longest(k, n)
-    v_prime = multiply(w_K, v)  # w_K^{-1} v, as w_K is an involution
-    word = min_rep_expression(v_prime, k) + parabolic_longest_word(k, n) + columnar_expression(x, k)
+    lam_v, lam_x = check_skew_pair(v, x, k)
+    lam_v_prime = tuple(n - k - p for p in (0,) * (k - len(lam_v)) + lam_v[::-1])
+    word = (_columnar_word(lam_v_prime, k)[::-1] + parabolic_longest_word(k, n)
+            + _columnar_word(lam_x, k))
     assert len(word) == coxeter_length(multiply(x, v))
-    return word
+    return word, lam_x
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +447,11 @@ def positroid_decoration(v: Permutation, w: Permutation, k: int) -> DecoratedPer
     """Decorated trip permutation ``v^{-1} w`` of the positroid for (v, w),
     with white fixed points exactly those lying in ``v^{-1}([k])``.
     """
-    if not is_max_rep(v, k):
+    vi = inverse(v)
+    if not _decreases_off_k(vi, k):
         raise ValueError(f"{v} is not in W^K_max")
     if not bruhat_leq(v, w):
         raise ValueError("need v <= w in Bruhat order")
-    vi = inverse(v)
     pi = multiply(vi, w)
     vik = set(vi[:k])
     white = frozenset(i for i, p in enumerate(pi, start=1) if p == i and i in vik)

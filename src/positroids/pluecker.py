@@ -255,18 +255,15 @@ def project_minor(
     ``v^{-1}([ell] - [k])`` when ell > k; returns None when the size comes out
     wrong (the minor does not project to a single Pluecker coordinate).
     """
-    from positroids.perm import inverse
-
     J = frozenset(J)
     if len(J) != ell:
         raise ValueError(f"column set {sorted(J)} does not have size {ell}")
-    vi = inverse(tuple(v))
     if ell == k:
         return J
+    # v^{-1}([b] - [a]) is the set of positions p with a < v(p) <= b
+    lo, hi = sorted((ell, k))
+    rows = {p for p, vp in enumerate(v, start=1) if lo < vp <= hi}
     if ell < k:
-        padded = J | {vi[i - 1] for i in range(ell + 1, k + 1)}
+        padded = J | rows
         return padded if len(padded) == k else None
-    strip = {vi[i - 1] for i in range(k + 1, ell + 1)}
-    if not strip <= J:
-        return None
-    return J - strip
+    return J - rows if rows <= J else None

@@ -54,10 +54,10 @@ class DiagramModule:
 
     def normalized(self) -> "DiagramModule":
         """Shift levels so the minimum is 0 (modules agree up to translation)."""
-        lo = min((t for _, t in self.cells), default=0)
+        lo = min([t for _, t in self.cells], default=0)
         if lo == 0:
             return self
-        return DiagramModule(self.n, frozenset((i, t - lo) for i, t in self.cells))
+        return DiagramModule(self.n, frozenset([(i, t - lo) for i, t in self.cells]))
 
     def render(self) -> str:
         """Staggered text diagram in the style of composition-factor pictures."""
@@ -159,18 +159,19 @@ def soc_chain(ambient: DiagramModule, word: Sequence[int]) -> DiagramModule:
 
 class _WordData(NamedTuple):
     """What the summands of one ``(n, v, word)`` read: the PDS, ``v^{-1}``, at
-    index ``j - 1`` the sets ``w_(j)^{-1}([i_j])`` and ``v_(j)^{-1}([i_j])``,
-    and U_j itself at each position j outside the PDS, in order."""
+    index ``j - 1`` the sets ``w_(j)^{-1}([i_j])`` and ``v_(j)^{-1}([i_j])``
+    as tuples in no order, and U_j itself at each position j outside the
+    PDS, in order."""
 
     pds: frozenset[int]
     v_inv: Permutation
-    w_rows: tuple[frozenset[int], ...]
-    v_rows: tuple[frozenset[int], ...]
+    w_rows: tuple[tuple[int, ...], ...]
+    v_rows: tuple[tuple[int, ...], ...]
     summands: dict[int, DiagramModule]
 
 
 # A pair's summands are built back to back, so a few entries serve them all;
-# each entry holds 2 * len(word) subsets of [n] and the word's summands.
+# each entry holds 2 * len(word) tuples of labels and the word's summands.
 @lru_cache(maxsize=32)
 def _word_data(n: int, v: Permutation, word: tuple[int, ...]) -> _WordData:
     if len(v) != n:
@@ -192,8 +193,8 @@ def _word_data(n: int, v: Permutation, word: tuple[int, ...]) -> _WordData:
             # U_j: socle chain in Q_{i_j} along w_(j)^{-1}, socle removal along v_(j)^{-1}
             C = _chain_masks(_injective_masks(n, i), reversed(word[:j]))
             summands[j] = _from_masks(n, _remove_socle_masks(C, reversed(v_letters)), 0)
-        w_rows.append(frozenset(w_pos[:i]))
-        v_rows.append(frozenset(v_pos[:i]))
+        w_rows.append(tuple(w_pos[:i]))
+        v_rows.append(tuple(v_pos[:i]))
     return _WordData(pds, permmod.inverse(v), tuple(w_rows), tuple(v_rows), summands)
 
 
@@ -258,7 +259,7 @@ def plucker_of_module(
     if not 1 <= j <= len(w_word):
         raise ValueError(f"position {j} outside the word")
     i_j = w_word[j - 1]
-    if data.v_rows[j - 1] != frozenset(data.v_inv[:i_j]):
+    if set(data.v_rows[j - 1]) != set(data.v_inv[:i_j]):
         raise ValueError("generalized minor rows are not v^{-1}([l]); "
                          "input word is not standard for a skew pair")
     result = pluecker.project_minor(v, k, i_j, data.w_rows[j - 1])
@@ -286,8 +287,7 @@ class TiltingModule:
 
 def tilting_module(k: int, n: int, v: Permutation, x: Permutation) -> TiltingModule:
     """The cluster-tilting module of the skew pair ``(v, x v)``."""
-    word = permmod.standard_reduced_expression(x, v, k)  # checks the skew pair
-    shape = shapes.from_vert_ne(tuple(x)[:k], k, n)
+    word, shape = permmod._standard_word(x, v, k)  # checks the skew pair
     data = _word_data(n, tuple(v), word)
     offset = len(data.pds)
     positions = tuple(data.summands)

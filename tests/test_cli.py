@@ -736,6 +736,40 @@ def test_ppalg_at_its_cap_runs(command, monkeypatch, capsys):
     assert code == 0 and out.strip()
 
 
+def capped_argv(command, n):
+    """argv of ``seed rectangles`` or ``perm pds`` at its most costly on [n]:
+    k = n // 2, v = wK, and the full shape for x or w0 for w."""
+    k = n // 2
+    argv = command.split() + ["--k", str(k), "--n", str(n), "--v", "wK"]
+    if command == "perm pds":
+        return argv + ["--w", "w0"]
+    x = perm.grassmannian_from_image(shapes.vert_ne((n - k,) * k, k, n), k, n)
+    return argv + ["--x", _fmt(x)]
+
+
+CAPPED = (("seed rectangles", "_MAX_RECTANGLES_N"), ("perm pds", "_MAX_PDS_N"))
+
+
+@pytest.mark.parametrize("command, cap", CAPPED, ids=[c for c, _ in CAPPED])
+def test_capped_command_beyond_its_cap_exits_2(command, cap, monkeypatch, capsys):
+    def no_building(*args):
+        raise AssertionError("named permutation built beyond the cap")
+
+    n = getattr(cli, cap)
+    argv = capped_argv(command, n + 1)
+    monkeypatch.setattr(perm, "parabolic_longest", no_building)
+    code, out, err = run_main_on(argv, "", monkeypatch, capsys)
+    assert (code, out, err) == (2, "", f"error: --n must be at most {n} for {command}\n")
+    code, out, _ = run_cli(command.split() + ["--help"])
+    assert code == 0 and f"at most {n}" in out
+
+
+@pytest.mark.parametrize("command, cap", CAPPED, ids=[c for c, _ in CAPPED])
+def test_capped_command_at_its_cap_runs(command, cap, monkeypatch, capsys):
+    code, out, _ = run_main_on(capped_argv(command, getattr(cli, cap)), "", monkeypatch, capsys)
+    assert code == 0 and out.strip()
+
+
 # ---------------------------------------------------------------------------
 # every non-graph command on small arbitrary arguments: exit 0, 1 or 2, and
 # exit 2 with one error line; never a traceback

@@ -116,6 +116,32 @@ def test_standard_reduced_expression_wK_only():
     assert perm.apply_word(word, n) == v
 
 
+def _composed_standard_word(x, v, k):
+    # the word as a composition: the reversed columnar word of v'^{-1} for
+    # v' = w_K v, then w_K's word, then the columnar word of x
+    n = len(x)
+    v_prime = perm.multiply(perm.parabolic_longest(k, n), v)
+    return (tuple(reversed(perm.columnar_expression(perm.inverse(v_prime), k)))
+            + perm.parabolic_longest_word(k, n) + perm.columnar_expression(x, k))
+
+
+def test_standard_reduced_expression_is_the_composition_on_every_pair():
+    # every skew pair with n <= 8 (6,900 pairs); the tilting module's shape
+    # is lambda_x of the same pair
+    from positroids import ppalg
+
+    pairs = 0
+    for n in range(2, 9):
+        for k in range(1, n):
+            for lam_v in shapes.partitions_in_box(k, n - k):
+                for lam_x in shapes.subpartitions(lam_v):
+                    v, x = perm.skew_pair(k, n, lam_v, lam_x)
+                    assert perm.standard_reduced_expression(x, v, k) == _composed_standard_word(x, v, k)
+                    assert ppalg.tilting_module(k, n, v, x).shape == shapes.from_vert_ne(x[:k], k, n)
+                    pairs += 1
+    assert pairs == 6_900
+
+
 def test_pds_running_example():
     k, n = 3, 7
     v = perm.multiply(perm.parabolic_longest(k, n), perm.simple_reflection(3, n))
@@ -324,6 +350,31 @@ def test_check_skew_pair_raises_each_reason():
         with pytest.raises(ValueError, match="0 < k < n"):
             perm.check_skew_pair(perm.longest_element(4), perm.identity(4), bad_k)
     perm.check_skew_pair(wK, (3, 4, 1, 2), k)
+
+
+@pytest.mark.parametrize("func, args, message", [
+    # each input breaks more than one condition (or is no permutation), and
+    # the message is that of the first condition checked
+    ("check_skew_pair", ((1, 2, 3), (2, 1), 1),
+     "need v, x in S_n and 0 < k < n; got v=(1, 2, 3), x=(2, 1), k=1"),
+    ("check_skew_pair", ((1, 2, 3, 4), (2, 1, 4, 3), 0),
+     "need v, x in S_n and 0 < k < n; got v=(1, 2, 3, 4), x=(2, 1, 4, 3), k=0"),
+    ("check_skew_pair", ((1, 2, 3, 4), (2, 1, 4, 3), 2), "(1, 2, 3, 4) is not in W^K_max"),
+    ("check_skew_pair", ((2, 1, 4, 3), (2, 1, 4, 3), 2), "(2, 1, 4, 3) is not in ^K W"),
+    ("check_skew_pair", ((3, 1, 3, 1), (2, 1, 4, 3), 2), "(2, 1, 4, 3) is not in ^K W"),
+    ("check_skew_pair", ((1, 1, 3, 4), (1, 1, 2, 3), 2), "(1, 1, 3, 4) is not in W^K_max"),
+    ("check_skew_pair", ((3, 1, 3, 1), (1, 2, 3, 4), 2), "not a 2-subset of [4]: [1, 5]"),
+    ("check_skew_pair", ((2, 1, 4, 3), (1, 1, 2, 3), 2), "not a 2-subset of [4]: [1, 1]"),
+    ("positroid_decoration", ((2, 1, 3), (1, 2, 3), 1), "(2, 1, 3) is not in W^K_max"),
+    ("positroid_decoration", ((1, 2, 3, 4), (2, 1, 4, 3), 2), "(1, 2, 3, 4) is not in W^K_max"),
+    ("positroid_decoration", ((2, 1, 4, 3), (4, 3, 2, 1), 0), "(2, 1, 4, 3) is not in W^K_max"),
+    ("positroid_decoration", ((3, 1, 3, 1), (1, 2, 3, 4), 2), "need v <= w in Bruhat order"),
+    ("positroid_decoration", ((2, 1, 4, 3), (1, 1, 2, 3), 2), "need v <= w in Bruhat order"),
+])
+def test_pair_checks_raise_the_first_broken_condition(func, args, message):
+    with pytest.raises(ValueError) as info:
+        getattr(perm, func)(*args)
+    assert str(info.value) == message
 
 
 def test_skew_pair_figure():

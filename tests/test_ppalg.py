@@ -286,8 +286,9 @@ def test_endomorphism_quiver_needs_summands_after_v(monkeypatch):
     k, n, v = running_pair()
     w = perm.apply_word(RUNNING_WORD, n)
     x = perm.multiply(w, perm.inverse(v))
-    monkeypatch.setattr(perm, "standard_reduced_expression",
-                        lambda x, v, k: perm.any_reduced_word(w))
+    real = perm._standard_word
+    monkeypatch.setattr(perm, "_standard_word",
+                        lambda x, v, k: (perm.any_reduced_word(w), real(x, v, k)[1]))
     for build in (ppalg.tilting_module, ppalg.endomorphism_quiver):
         with pytest.raises(ValueError, match="summand positions"):
             build(k, n, v, x)
@@ -320,6 +321,20 @@ def test_modules_equal_up_to_shift_only_once_normalized():
     low, high = ppalg.module(4, {(1, 0), (2, 1)}), ppalg.module(4, {(1, 3), (2, 4)})
     assert low != high
     assert low.normalized() == high.normalized() == low
+
+
+@pytest.mark.parametrize("bad", (0, 5))
+@pytest.mark.parametrize("others", (
+    (),                  # the bad cell alone
+    ((1, 0), (2, 1)),    # vertex 0 is the least, vertex 5 the greatest
+    ((4, 0), (3, 1)),    # vertex 0 below the others, vertex 5 above them
+    ((1, 2), (4, 1)),    # a valid cell on each side
+), ids=("alone", "low-vertices", "high-vertices", "between"))
+def test_diagram_module_rejects_a_vertex_outside_wherever_it_sits(bad, others):
+    with pytest.raises(ValueError) as info:
+        ppalg.module(5, {(bad, 3), *others})
+    assert str(info.value) == f"vertex {bad} outside [1, 4]"
+    ppalg.module(5, others)
 
 
 def test_endomorphism_quiver_single_box():
