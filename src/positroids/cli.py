@@ -55,7 +55,8 @@ def parse_perm(text: str, k: int | None = None, n: int | None = None) -> perm.Pe
     elif text == "wK":
         if n is None or k is None:
             raise UsageError("wK needs --k and --n")
-        w = perm.parabolic_longest(k, n)
+        # a k outside [0, n] names no permutation of [n], and would build |k| letters
+        w = perm.parabolic_longest(k, n) if 0 <= k <= n else ()
     else:
         w = tuple(int(t) for t in text.replace(",", " ").split())
     if not w or not perm.is_permutation(w) or n is not None and len(w) != n:
@@ -121,17 +122,9 @@ def perm_columnar(args) -> str:
     return fmt_word(perm.columnar_expression(x, args.k))
 
 
-# `perm pds --v wK --w w0` takes 0.31 s at n = 300 and 0.55 s at n = 400 (as
-# a subprocess), about as n^2.8; --n sizes a named permutation, and one given
-# in one-line notation is as long as its argv
-_MAX_PDS_N = 300
-
-
 def perm_pds(args) -> str:
     if (args.w is None) == (args.word is None):
         raise UsageError("perm pds needs exactly one of --w and --word")
-    if args.n is not None:
-        check_n(args.n, _MAX_PDS_N, "perm pds")
     v = parse_perm(args.v, args.k, args.n)
     if args.w is not None:
         word = perm.any_reduced_word(parse_perm(args.w, args.k, len(v)))
@@ -158,22 +151,9 @@ def perm_bounded_affine(args) -> str:
 # plabic subcommands
 # ---------------------------------------------------------------------------
 
-# a bridge graph on [n] has up to n^2/4 + 1 faces (k = n/2, full shape);
-# building one takes 0.05 s at n = 16, 0.11 s at n = 20 and 0.25 s at n = 24,
-# growing about as n^5 (one CPU of a 2-CPU Xeon, Python 3.11), and `seed
-# verify-exchange` with its default samples and steps takes 0.6 s at n = 24
-_MAX_BRIDGE_N = 24
-
-
-def check_n(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise UsageError(f"--n must be at most {cap} for {what}")
-
-
 def plabic_bridge(args) -> dict:
     from positroids import plabic, plabic_json
 
-    check_n(args.n, _MAX_BRIDGE_N, "a bridge graph")
     x = parse_perm(args.x, args.k, args.n)
     return plabic_json.to_json(plabic.bridge_graph(args.k, args.n, x))
 
@@ -229,16 +209,9 @@ def plabic_dualquiver(args) -> str | dict:
 # seed subcommands
 # ---------------------------------------------------------------------------
 
-# `seed rectangles` with k = n/2, v = wK and the full shape writes about n^3
-# bytes: 2.7 MB in 0.38 s with an 81 MB peak RSS at n = 160, and 5.1 MB in
-# 0.58 s with 118 MB at n = 200 (as a subprocess)
-_MAX_RECTANGLES_N = 160
-
-
 def seed_rectangles(args) -> dict:
     from positroids import seeds
 
-    check_n(args.n, _MAX_RECTANGLES_N, "seed rectangles")
     return seeds.seed_to_json(seeds.rectangles_seed(args.k, args.n, *parse_pair(args)))
 
 
@@ -265,16 +238,6 @@ def seed_mutate(args) -> dict:
     return seeds.seed_to_json(S)
 
 
-# the walk evaluates every exchange at every sample, and each sample keeps the
-# minors it was asked, so time and memory grow with --samples x --steps (one
-# CPU of a shared 2-CPU Xeon, Python 3.11, no bytecode cache; ranges over
-# repeated runs): on Gr(4,8), 1,000 samples x 1,000 steps take 4.5-5 s and
-# peak at 23 MB; on Gr(8,16) 24 s and 53 MB; on Gr(12,24), 1,000 samples
-# x 100 steps take 17 s and peak at 35 MB
-_MAX_SAMPLES = 1000
-_MAX_STEPS = 1000
-
-
 def seed_verify_exchange(args) -> dict:
     """Criterion 6 as a seeded walk: square-move the bridge graph of x,
     relabelled by v^-1, at a random eligible face; the exchange expression of
@@ -283,11 +246,6 @@ def seed_verify_exchange(args) -> dict:
     eligible face is a usage error, since there is nothing to check."""
     from positroids import plabic, pluecker, seeds
 
-    if not 1 <= args.samples <= _MAX_SAMPLES:
-        raise UsageError(f"--samples must be between 1 and {_MAX_SAMPLES}")
-    if not 1 <= args.steps <= _MAX_STEPS:
-        raise UsageError(f"--steps must be between 1 and {_MAX_STEPS}")
-    check_n(args.n, _MAX_BRIDGE_N, "a bridge graph")
     rng = random.Random(args.rng_seed)
     v, x = parse_pair(args)
     perm.check_skew_pair(v, x, args.k)
@@ -339,17 +297,11 @@ def le_leify(args) -> str:
     return lediag.leify(lediag.parse(read_input(args))).render()
 
 
-# `le read` builds and prints a permutation of [n], about 100 bytes of memory
-# per unit of n: at n = 1000 it takes 18 ms in process and prints 3.9 kB
-_MAX_LE_READ_N = 1000
-
-
 def le_read(args) -> str:
     from positroids import lediag
 
     if args.k is None or args.n is None:
         raise UsageError("le read needs --k and --n")
-    check_n(args.n, _MAX_LE_READ_N, "le read")
     O = lediag.parse(read_input(args))
     return " ".join(str(i) for i in lediag.reading_word(O, args.k, args.n))
 
@@ -358,15 +310,9 @@ def le_read(args) -> str:
 # ppalg subcommands
 # ---------------------------------------------------------------------------
 
-# `ppalg module` and `quiver` with k = n/2, the full shape and v = wK take
-# 0.2-0.4 s at n = 40 and 0.9 s at n = 60 (as subprocesses), about as n^4.5
-_MAX_PPALG_N = 40
-
-
 def ppalg_module(args) -> str:
     from positroids import ppalg
 
-    check_n(args.n, _MAX_PPALG_N, "ppalg module and quiver")
     v, x = parse_pair(args)
     word = perm.standard_reduced_expression(x, v, args.k)
     return ppalg.tilting_summand(args.k, args.n, v, word, args.j).render()
@@ -375,7 +321,6 @@ def ppalg_module(args) -> str:
 def ppalg_quiver(args) -> dict:
     from positroids import ppalg, seeds
 
-    check_n(args.n, _MAX_PPALG_N, "ppalg module and quiver")
     quiver, labels = ppalg.endomorphism_quiver(args.k, args.n, *parse_pair(args))
     S = seeds.LabeledSeed(quiver, {b: seeds.PluckerSymbol(l) for b, l in labels.items()})
     return seeds.seed_to_json(S)
@@ -397,22 +342,11 @@ def _crosscheck_instance(task) -> dict:
     }
 
 
-# every skew pair with n <= --n is listed before any is checked; each step of
-# n brings about 3.4x the pairs and 4-5x the time (with --jobs 1 on a 2-CPU
-# Xeon, Python 3.11, three runs each: 6,900 pairs in 2.4-2.8 s at n = 8,
-# 23,694 in 12-14 s at n = 9, with the summands built on level bitmasks)
-_CROSSCHECK_MAX_N = 9
-
-
 def ppalg_crosscheck(args) -> dict:
     """Every skew pair with 2 <= n <= --n: tilting summands against region
-    modules.  An --n below 2 has no pair to check, so it is a usage error."""
+    modules."""
     from positroids import shapes
 
-    if not 2 <= args.n <= _CROSSCHECK_MAX_N:
-        raise UsageError(f"--n must be between 2 and {_CROSSCHECK_MAX_N}")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
     tasks = [
         (n, k, lam_v, lam_x)
         for n in range(2, args.n + 1)
@@ -434,13 +368,77 @@ def ppalg_crosscheck(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Caps
+# ---------------------------------------------------------------------------
+
+# Every argument that sizes a command's work, as (command, option, lowest,
+# highest, what an "at most" message names); main checks them before the
+# handler runs.  Costs are medians of subprocess runs on one CPU of a shared
+# 2-CPU Xeon (Python 3.11, no bytecode cache) at k = n/2, the full shape,
+# v = wK and w or pi = w0.
+CAPS = (
+    # 0.16 s, 1.2 MB out, 43 MB peak RSS at n = 1000; 0.63 s, 128 MB at 2000
+    ("perm columnar", "--n", None, 1000, "perm columnar"),
+    # 0.31 s at n = 300 and 0.55 s at 400 (n^2.8); a 1,000-letter --v: 6.9 s
+    ("perm pds", "--n", None, 300, "perm pds"),
+    # 0.15 s, 2 MB out, 33 MB at n = 1000; 0.41 s, 9 MB out, 87 MB at 2000
+    ("perm necklace", "--n", None, 1000, "perm necklace"),
+    # 0.07 s and 16 MB, interpreter start included, at n = 1000 and 2000
+    ("perm bounded-affine", "--n", None, 1000, "perm bounded-affine"),
+    # up to n^2/4 + 1 faces, built in 0.11 s at n = 20 and 0.25 s at 24 (n^5)
+    ("plabic bridge", "--n", None, 24, "a bridge graph"),
+    # JSON of about n^3 bytes: 2.7 MB in 0.38 s with an 81 MB peak at n = 160,
+    # and 5.1 MB in 0.58 s with 118 MB at n = 200
+    ("seed rectangles", "--n", None, 160, "seed rectangles"),
+    # every sample keeps the minors it was asked, so cost grows with samples x
+    # steps: on Gr(4,8) 1,000 x 1,000 take 4.5-5 s, peaking at 23 MB; on
+    # Gr(8,16) 24 s and 53 MB; on Gr(12,24) 1,000 x 100 take 17 s and 35 MB
+    ("seed verify-exchange", "--samples", 1, 1000, None),
+    ("seed verify-exchange", "--steps", 1, 1000, None),
+    # the default walk takes 0.6 s at n = 24
+    ("seed verify-exchange", "--n", None, 24, "a bridge graph"),
+    # 0.29 s and 44 MB at n = 1000; 1.8 s and 136 MB at 2000
+    ("le skew", "--n", None, 1000, "le skew"),
+    # about 100 bytes of memory per unit of n; 18 ms in process at n = 1000
+    ("le read", "--n", None, 1000, "le read"),
+    # 0.2-0.4 s at n = 40 and 0.9 s at n = 60, about as n^4.5
+    ("ppalg module", "--n", None, 40, "ppalg module and quiver"),
+    ("ppalg quiver", "--n", None, 40, "ppalg module and quiver"),
+    # no skew pair below n = 2; each step of n brings 3.4x the pairs and 4-5x
+    # the time: 6,900 in 2.4-2.8 s at n = 8, 23,694 in 12-14 s at 9 (--jobs 1)
+    ("ppalg crosscheck", "--n", 2, 9, None),
+    ("ppalg crosscheck", "--jobs", 1, None, None),
+)
+
+
+def _bounds(low: int | None, high: int | None) -> str:
+    if low is None:
+        return f"at most {high}"
+    return f"at least {low}" if high is None else f"between {low} and {high}"
+
+
+def check_caps(args) -> None:
+    """Raise UsageError unless every capped argument of the command is within
+    its row of CAPS.  A command's n is --n when given, else the letter count
+    of its one-line permutation (--x, --v or --pi), read before it is parsed."""
+    command = f"{args.group} {args.sub}"
+    for option, low, high, what in (row[1:] for row in CAPS if row[0] == command):
+        value = getattr(args, option[2:])
+        if value is None:
+            text = getattr(args, "x", None) or getattr(args, "v", None) or getattr(args, "pi", "")
+            value = len(text.replace(",", " ").split())
+        if low is not None and value < low or high is not None and value > high:
+            raise UsageError(f"{option} must be {_bounds(low, high)}"
+                             + (f" for {what}" if what else ""))
+
+
+# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="positroids", description=__doc__.splitlines()[0])
     groups = top.add_subparsers(dest="group", required=True)
-    bridge_n = f"at most {_MAX_BRIDGE_N}"
 
     def command(group, name, func, reads=False, writes=False):
         p = group.add_parser(name)
@@ -451,22 +449,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", dest="outfile")
         return p
 
-    def kn(p, required=True, n_help=None):
-        p.add_argument("--k", type=int, required=required)
-        p.add_argument("--n", type=int, required=required, help=n_help)
+    def sized(p, option, text=None, **kwargs):
+        """An int option whose help names its bounds from CAPS."""
+        row = (p.prog.partition(" ")[2], option)  # p.prog is "positroids group sub"
+        bounds = [_bounds(low, high) for *key, low, high, _ in CAPS if tuple(key) == row]
+        p.add_argument(option, type=int, help="; ".join(filter(None, [text, *bounds])), **kwargs)
 
-    def pair(p, n_help=None):
-        kn(p, n_help=n_help)
+    def kn(p, required=True):
+        p.add_argument("--k", type=int, required=required)
+        sized(p, "--n", required=required)
+
+    def pair(p):
+        kn(p)
         p.add_argument("--v", required=True)
         p.add_argument("--x", required=True)
 
     g = groups.add_parser("perm").add_subparsers(dest="sub", required=True)
     p = command(g, "columnar", perm_columnar)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int)
+    sized(p, "--n")
     p.add_argument("--x", required=True)
     p = command(g, "pds", perm_pds)
-    kn(p, required=False, n_help=f"at most {_MAX_PDS_N}")
+    kn(p, required=False)
     p.add_argument("--v", required=True)
     p.add_argument("--w")
     p.add_argument("--word", help="reduced word letters in application order")
@@ -478,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = groups.add_parser("plabic").add_subparsers(dest="sub", required=True)
     p = command(g, "bridge", plabic_bridge, writes=True)
-    kn(p, n_help=bridge_n)
+    kn(p)
     p.add_argument("--x", required=True)
     command(g, "trips", plabic_trips, reads=True, writes=True)
     command(g, "mirror", plabic_mirror, reads=True, writes=True)
@@ -493,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true")
 
     g = groups.add_parser("seed").add_subparsers(dest="sub", required=True)
-    pair(command(g, "rectangles", seed_rectangles, writes=True),
-         n_help=f"at most {_MAX_RECTANGLES_N}")
+    pair(command(g, "rectangles", seed_rectangles, writes=True))
     p = command(g, "classify", seed_classify)
     p.add_argument("--lambda", dest="lam", required=True)
     p = command(g, "from-graph", seed_from_graph, reads=True, writes=True)
@@ -504,30 +507,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("source", "target"), default="target")
     p.add_argument("--seq", required=True, help="semicolon-separated face labels")
     p = command(g, "verify-exchange", seed_verify_exchange, writes=True)
-    pair(p, n_help=bridge_n)
-    p.add_argument("--samples", type=int, default=20, help=f"1 to {_MAX_SAMPLES}")
-    p.add_argument("--steps", type=int, default=8, help=f"1 to {_MAX_STEPS}")
+    pair(p)
+    sized(p, "--samples", default=20)
+    sized(p, "--steps", default=8)
     p.add_argument("--rng-seed", type=int, default=0)
 
     g = groups.add_parser("le").add_subparsers(dest="sub", required=True)
     pair(command(g, "skew", le_skew))
     command(g, "leify", le_leify, reads=True, writes=True)
-    kn(command(g, "read", le_read, reads=True, writes=True), required=False,
-       n_help=f"at most {_MAX_LE_READ_N}")
+    kn(command(g, "read", le_read, reads=True, writes=True), required=False)
 
     g = groups.add_parser("ppalg").add_subparsers(dest="sub", required=True)
-    ppalg_n = f"at most {_MAX_PPALG_N}"
     p = command(g, "module", ppalg_module)
-    pair(p, n_help=ppalg_n)
+    pair(p)
     p.add_argument("--j", type=int, required=True)
-    pair(command(g, "quiver", ppalg_quiver, writes=True), n_help=ppalg_n)
+    pair(command(g, "quiver", ppalg_quiver, writes=True))
     p = command(g, "crosscheck", ppalg_crosscheck, writes=True)
-    p.add_argument("--n", type=int, required=True,
-                   help=f"check every skew pair with n at most this, 2 to {_CROSSCHECK_MAX_N} "
-                        "(n = 9 is 23,694 pairs, about 13 s a CPU)")
+    sized(p, "--n", "check every skew pair with n at most this", required=True)
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at least 1; capped at the CPU count")
+    sized(p, "--jobs", "worker processes, capped at the CPU count", default=1)
 
     return top
 
@@ -535,6 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_caps(args)
         result = args.func(args)
         text = (result if isinstance(result, str) else json.dumps(result)) + "\n"
         if getattr(args, "outfile", None):

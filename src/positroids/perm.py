@@ -158,7 +158,8 @@ def is_grassmannian(x: Permutation, k: int) -> bool:
 
 
 def is_max_rep(v: Permutation, k: int) -> bool:
-    """Membership in W^K_max: v^{-1} decreases on [1..k] and on [k+1..n].
+    """Membership in W^K_max: v^{-1} decreases on [1..k] and on [k+1..n];
+    ValueError unless ``0 <= k <= n``.
 
     >>> is_max_rep((8, 3, 2, 7, 6, 5, 4, 1), 3)
     True
@@ -168,6 +169,8 @@ def is_max_rep(v: Permutation, k: int) -> bool:
 
 def _decreases_off_k(vi: Permutation, k: int) -> bool:
     """``vi[i-1] > vi[i]`` at every i but k: :func:`is_max_rep` on ``v^{-1}``."""
+    if not 0 <= k <= len(vi):
+        raise ValueError(f"need 0 <= k <= n; got k={k}, n={len(vi)}")
     return all(vi[i - 1] > vi[i] for i in range(1, len(vi)) if i != k)
 
 

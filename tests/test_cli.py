@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from positroids import cli, lediag, perm, plabic, plabic_json, pluecker, shapes
+from positroids import cli, lediag, perm, plabic, plabic_json, shapes
 from positroids.cli import main
 from conftest import skew_pairs
 
@@ -524,39 +524,6 @@ def test_perm_columnar_k_beyond_n_exits_2(argv, monkeypatch, capsys):
     assert_usage_error(argv, monkeypatch, capsys)
 
 
-VERIFY_EXCHANGE = ["seed", "verify-exchange", "--k", "2", "--n", "5", "--v", "wK",
-                   "--x", "3 5 1 2 4"]
-
-
-@pytest.mark.parametrize("flag", ("--samples", "--steps"))
-@pytest.mark.parametrize("value", ("0", "-1"))
-def test_verify_exchange_needs_something_to_check(flag, value, monkeypatch, capsys):
-    assert_usage_error(VERIFY_EXCHANGE + [flag, value], monkeypatch, capsys)
-
-
-@pytest.mark.parametrize("flags", (
-    ["--samples", str(cli._MAX_SAMPLES + 1), "--steps", "1"],
-    ["--samples", "1", "--steps", str(cli._MAX_STEPS + 1)],
-), ids=" ".join)
-def test_verify_exchange_beyond_its_caps_exits_2(flags, monkeypatch, capsys):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("samples drawn for an out-of-range walk")
-
-    monkeypatch.setattr(pluecker, "sample_schubert_cell", no_sampling)
-    assert_usage_error(VERIFY_EXCHANGE + flags, monkeypatch, capsys)
-
-
-@pytest.mark.parametrize("flags", (
-    ["--samples", str(cli._MAX_SAMPLES), "--steps", "1"],
-    ["--samples", "1", "--steps", str(cli._MAX_STEPS)],
-), ids=" ".join)
-def test_verify_exchange_at_its_caps_runs(flags, monkeypatch, capsys):
-    code, out, _ = run_main_on(VERIFY_EXCHANGE + flags, "", monkeypatch, capsys)
-    assert code == 0
-    report = json.loads(out)
-    assert report["failures"] == 0 and report["checks"]
-
-
 @pytest.mark.parametrize("k, n, x", (
     (2, 4, "1 3 2 4"), (2, 4, "1 2 3 4"), (3, 6, "1 2 4 3 5 6"),
 ), ids=str)
@@ -567,74 +534,6 @@ def test_verify_exchange_without_an_eligible_face_exits_2(k, n, x, monkeypatch, 
     argv = ["seed", "verify-exchange", "--k", str(k), "--n", str(n), "--v", "wK", "--x", x,
             "--samples", "2", "--steps", "3"]
     assert_usage_error(argv, monkeypatch, capsys)
-
-
-def bridge_argv(command, n):
-    """argv of ``command`` on the bridge graph of the full k x (n - k) shape,
-    k = n // 2: the largest bridge graph on [n]."""
-    k = n // 2
-    x = perm.grassmannian_from_image(shapes.vert_ne((n - k,) * k, k, n), k, n)
-    argv = command + ["--k", str(k), "--n", str(n), "--x", _fmt(x)]
-    if command[0] == "seed":
-        argv += ["--v", "wK", "--samples", "1", "--steps", "1"]
-    return argv
-
-
-BRIDGE_COMMANDS = (["plabic", "bridge"], ["seed", "verify-exchange"])
-
-
-@pytest.mark.parametrize("command", BRIDGE_COMMANDS, ids=" ".join)
-def test_bridge_beyond_its_cap_exits_2(command, monkeypatch, capsys):
-    def no_building(*args, **kwargs):
-        raise AssertionError("bridge graph built beyond the cap")
-
-    monkeypatch.setattr(plabic, "bridge_graph", no_building)
-    monkeypatch.setattr(pluecker, "sample_schubert_cell", no_building)
-    assert_usage_error(bridge_argv(command, cli._MAX_BRIDGE_N + 1), monkeypatch, capsys)
-
-
-@pytest.mark.parametrize("command", BRIDGE_COMMANDS, ids=" ".join)
-def test_bridge_at_its_cap_runs(command, monkeypatch, capsys):
-    code, out, _ = run_main_on(bridge_argv(command, cli._MAX_BRIDGE_N), "", monkeypatch, capsys)
-    assert code == 0
-    data = json.loads(out)
-    if command[0] == "plabic":
-        assert data["n"] == cli._MAX_BRIDGE_N
-    else:
-        assert data["failures"] == 0 and data["checks"]
-
-
-def test_bridge_cap_is_in_the_help():
-    for command in BRIDGE_COMMANDS:
-        code, out, _ = run_cli(command + ["--help"])
-        assert code == 0 and f"at most {cli._MAX_BRIDGE_N}" in out
-
-
-@pytest.mark.parametrize("n", ("1", "0", "-3", "10", "100"))
-def test_ppalg_crosscheck_n_out_of_range_exits_2(n, monkeypatch, capsys):
-    # below 2 there is no skew pair to check; at n = 10 the pair list alone
-    # holds 82,478 entries before any check.  Listing pairs fails the test at
-    # once, so a missing bound cannot make it run for hours.
-    def no_listing(*args):
-        raise AssertionError("skew pairs listed for an out-of-range --n")
-
-    monkeypatch.setattr(shapes, "partitions_in_box", no_listing)
-    assert_usage_error(["ppalg", "crosscheck", "--n", n], monkeypatch, capsys)
-
-
-@pytest.mark.parametrize("jobs", ("0", "-1"))
-def test_ppalg_crosscheck_jobs_below_1_exits_2(jobs, monkeypatch, capsys):
-    def no_listing(*args):
-        raise AssertionError("skew pairs listed for --jobs below 1")
-
-    monkeypatch.setattr(shapes, "partitions_in_box", no_listing)
-    assert_usage_error(["ppalg", "crosscheck", "--n", "3", "--jobs", jobs], monkeypatch, capsys)
-
-
-def test_ppalg_crosscheck_smallest_n_checks_something(monkeypatch, capsys):
-    code, out, _ = run_main_on(["ppalg", "crosscheck", "--n", "2"], "", monkeypatch, capsys)
-    assert code == 0
-    assert json.loads(out) == {"checks": 3, "failures": 0}
 
 
 @pytest.mark.parametrize("lam", ("2 -1 2", "3 0 2", "-1", "1 2"))
@@ -664,26 +563,6 @@ def test_le_read_checks_its_options_before_reading(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: le read needs --k and --n\n")
 
 
-def test_le_read_beyond_its_cap_exits_2(monkeypatch, capsys):
-    def no_reading(*args):
-        raise AssertionError("reading word built beyond the cap")
-
-    monkeypatch.setattr(lediag, "reading_word", no_reading)
-    monkeypatch.setattr(sys, "stdin", FailingStdin())
-    n = cli._MAX_LE_READ_N + 1
-    assert main(["le", "read", "--k", "1", "--n", str(n)]) == 2
-    assert capsys.readouterr() == ("", f"error: --n must be at most {cli._MAX_LE_READ_N} for le read\n")
-    code, out, _ = run_cli(["le", "read", "--help"])
-    assert code == 0 and f"at most {cli._MAX_LE_READ_N}" in out
-
-
-def test_le_read_at_its_cap_runs(monkeypatch, capsys):
-    n = cli._MAX_LE_READ_N
-    code, out, _ = run_main_on(["le", "read", "--k", "1", "--n", str(n)], "0 0\n", monkeypatch, capsys)
-    assert code == 0
-    assert sorted(map(int, out.split())) == list(range(1, n + 1))
-
-
 @pytest.mark.parametrize("k", ("5", "-1"))
 def test_le_read_with_k_outside_0_to_n_exits_2(k, monkeypatch, capsys):
     # k = 5 > n = 3 leaves no box; the empty diagram once read as 1 2 3
@@ -709,65 +588,210 @@ def test_le_leify_takes_any_side(side, pattern, monkeypatch, capsys):
     assert lediag.reading_word(M, side, 2 * side) == lediag.reading_word(O, side, 2 * side)
 
 
-def ppalg_argv(command, n):
-    """argv of ``ppalg command`` on the pair of :func:`bridge_argv` with v = wK;
-    ``module`` asks for the last summand."""
-    argv = bridge_argv(["ppalg", command], n) + ["--v", "wK"]
-    return argv + ["--j", str((n // 2) * (n - n // 2))] if command == "module" else argv
+def test_wk_with_k_outside_0_to_n_is_not_built(monkeypatch, capsys):
+    # built, w_K would hold |k| letters before it is found not to be of [5]
+    monkeypatch.setattr(perm, "parabolic_longest", None)
+    for k in ("1000000000", "-1000000000"):
+        argv = ["perm", "pds", "--k", k, "--n", "5", "--v", "wK", "--w", "w0"]
+        assert run_main_on(argv, "", monkeypatch, capsys) == (
+            2, "", "error: not a permutation of [5]: 'wK'\n")
+
+
+# ---------------------------------------------------------------------------
+# caps: main checks each row of cli.CAPS before the command's handler runs, so
+# one step past a bound exits 2 with no work done
+# ---------------------------------------------------------------------------
+
+VERIFY_EXCHANGE = ["seed", "verify-exchange", "--k", "2", "--n", "5", "--v", "wK",
+                   "--x", "3 5 1 2 4"]
+WALK = VERIFY_EXCHANGE + ["--samples", "1", "--steps", "1"]
+CROSSCHECK = ["ppalg", "crosscheck", "--n", "3", "--jobs", "1"]
+
+
+def cap(command, option="--n"):
+    """(lowest, highest, what) of ``command``'s ``option`` in cli.CAPS."""
+    (row,) = [row[2:] for row in cli.CAPS if row[:2] == (command, option)]
+    return row
+
+
+def past_bounds(command, option="--n"):
+    """Each value one step past a bound of the row, with the stderr it brings."""
+    low, high, what = cap(command, option)
+    message = f"error: {option} must be {cli._bounds(low, high)}{f' for {what}' if what else ''}\n"
+    values = ([] if low is None else [low - 1]) + ([] if high is None else [high + 1])
+    return [(value, message) for value in values]
+
+
+def with_option(argv, option, value):
+    i = argv.index(option) + 1
+    return argv[:i] + [str(value)] + argv[i + 1:]
+
+
+def cap_argv(command, option, value, one_line=False):
+    """argv of ``command`` with ``option`` at ``value``: any option but --n is the
+    walk's on Gr(2,5); at --n = n, k = n // 2, v = wK, the full shape for x, w0 for w
+    and pi and the last summand for --j.  ``one_line`` spells them out, with no --n."""
+    if option != "--n":
+        return with_option(WALK, option, value)
+    n, k = value, value // 2
+    x = _fmt(perm.grassmannian_from_image(shapes.vert_ne((n - k,) * k, k, n), k, n))
+    wK, w0 = ((_fmt(perm.parabolic_longest(k, n)), _fmt(perm.longest_element(n))) if one_line
+              else ("wK", "w0"))
+    pair = ["--v", wK, "--x", x]
+    return command.split() + ["--k", str(k)] + ([] if one_line else ["--n", str(n)]) + {
+        "perm columnar": ["--x", x], "plabic bridge": ["--x", x], "le read": [],
+        "perm pds": ["--v", wK, "--w", "w0"],
+        "perm necklace": ["--pi", w0], "perm bounded-affine": ["--pi", w0],
+        "seed verify-exchange": pair + ["--samples", "1", "--steps", "1"],
+        "ppalg module": pair + ["--j", str(k * (n - k))],
+    }.get(command, pair)
+
+
+def assert_stops_before_work(argv, message, monkeypatch, capsys):
+    """``main(argv)`` exits 2 with ``message`` and an empty stdout, without
+    running the command's handler or reading stdin."""
+    monkeypatch.setattr(cli, "_".join(argv[:2]).replace("-", "_"), None)
+    monkeypatch.setattr(sys, "stdin", FailingStdin())
+    assert (main(argv), *capsys.readouterr()) == (2, "", message)
+
+
+def help_entry(command, option, capsys) -> str:
+    """The --help text of ``command``'s ``option``, on one line."""
+    with pytest.raises(SystemExit):
+        main(command.split() + ["--help"])
+    text = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+    return text.split(f" {option} {option[2:].upper()} ", 1)[1].split(" --", 1)[0]
+
+
+def assert_capped(command, option, monkeypatch, capsys):
+    """Past each bound of the row, main stops before any work; --help names the bounds."""
+    for value, message in past_bounds(command, option):
+        assert_stops_before_work(cap_argv(command, option, value), message, monkeypatch, capsys)
+    assert cli._bounds(*cap(command, option)[:2]) in help_entry(command, option, capsys)
+
+
+def run_at_cap(command, option, monkeypatch, capsys, stdin_text=""):
+    argv = cap_argv(command, option, cap(command, option)[1])
+    code, out, _ = run_main_on(argv, stdin_text, monkeypatch, capsys)
+    assert code == 0
+    return out
+
+
+WALK_OPTIONS = ("--samples", "--steps")
+
+
+def walk_ids(step):
+    return [" ".join(with_option(WALK, option, cap("seed verify-exchange", option)[1] + step)[-4:])
+            for option in WALK_OPTIONS]
+
+
+@pytest.mark.parametrize("flag", WALK_OPTIONS)
+@pytest.mark.parametrize("value", ("0", "-1"))
+def test_verify_exchange_needs_something_to_check(flag, value, monkeypatch, capsys):
+    ((_, message), _) = past_bounds("seed verify-exchange", flag)
+    assert_stops_before_work(with_option(WALK, flag, value), message, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("flag", WALK_OPTIONS, ids=walk_ids(1))
+def test_verify_exchange_beyond_its_caps_exits_2(flag, monkeypatch, capsys):
+    assert_capped("seed verify-exchange", flag, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("flag", WALK_OPTIONS, ids=walk_ids(0))
+def test_verify_exchange_at_its_caps_runs(flag, monkeypatch, capsys):
+    report = json.loads(run_at_cap("seed verify-exchange", flag, monkeypatch, capsys))
+    assert report["failures"] == 0 and report["checks"]
+
+
+BRIDGE_COMMANDS = ("plabic bridge", "seed verify-exchange")
+
+
+@pytest.mark.parametrize("command", BRIDGE_COMMANDS)
+def test_bridge_beyond_its_cap_exits_2(command, monkeypatch, capsys):
+    assert_capped(command, "--n", monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", BRIDGE_COMMANDS)
+def test_bridge_at_its_cap_runs(command, monkeypatch, capsys):
+    data = json.loads(run_at_cap(command, "--n", monkeypatch, capsys))
+    if command == "plabic bridge":
+        assert data["n"] == cap(command)[1]
+    else:
+        assert data["failures"] == 0 and data["checks"]
+
+
+@pytest.mark.parametrize("n", ("1", "0", "-3", "10", "100"))
+def test_ppalg_crosscheck_n_out_of_range_exits_2(n, monkeypatch, capsys):
+    # below 2 there is no skew pair to check; at n = 10 the pair list alone
+    # holds 82,478 entries before any check
+    ((_, message), _) = past_bounds("ppalg crosscheck")
+    assert_stops_before_work(with_option(CROSSCHECK, "--n", n), message, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("jobs", ("0", "-1"))
+def test_ppalg_crosscheck_jobs_below_1_exits_2(jobs, monkeypatch, capsys):
+    assert_stops_before_work(with_option(CROSSCHECK, "--jobs", jobs),
+                             "error: --jobs must be at least 1\n", monkeypatch, capsys)
+
+
+def test_ppalg_crosscheck_caps_are_in_the_help(capsys):
+    for option in ("--n", "--jobs"):
+        bounds = cli._bounds(*cap("ppalg crosscheck", option)[:2])
+        assert bounds in help_entry("ppalg crosscheck", option, capsys)
+
+
+def test_ppalg_crosscheck_smallest_n_checks_something(monkeypatch, capsys):
+    # at its highest n, 9, the crosscheck takes about 13 s; its lowest runs here
+    code, out, _ = run_main_on(["ppalg", "crosscheck", "--n", "2"], "", monkeypatch, capsys)
+    assert (code, json.loads(out)) == (0, {"checks": 3, "failures": 0})
+
+
+def test_le_read_beyond_its_cap_exits_2(monkeypatch, capsys):
+    assert_capped("le read", "--n", monkeypatch, capsys)
+
+
+def test_le_read_at_its_cap_runs(monkeypatch, capsys):
+    out = run_at_cap("le read", "--n", monkeypatch, capsys, "0 0\n")
+    assert sorted(map(int, out.split())) == list(range(1, cap("le read")[1] + 1))
 
 
 @pytest.mark.parametrize("command", ("module", "quiver"))
 def test_ppalg_beyond_its_cap_exits_2(command, monkeypatch, capsys):
-    from positroids import ppalg
-
-    def no_building(*args):
-        raise AssertionError("module built beyond the cap")
-
-    for name in ("tilting_summand", "endomorphism_quiver"):
-        monkeypatch.setattr(ppalg, name, no_building)
-    assert_usage_error(ppalg_argv(command, cli._MAX_PPALG_N + 1), monkeypatch, capsys)
-    code, out, _ = run_cli(["ppalg", command, "--help"])
-    assert code == 0 and f"at most {cli._MAX_PPALG_N}" in out
+    assert_capped(f"ppalg {command}", "--n", monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("command", ("module", "quiver"))
 def test_ppalg_at_its_cap_runs(command, monkeypatch, capsys):
-    code, out, _ = run_main_on(ppalg_argv(command, cli._MAX_PPALG_N), "", monkeypatch, capsys)
-    assert code == 0 and out.strip()
+    assert run_at_cap(f"ppalg {command}", "--n", monkeypatch, capsys).strip()
 
 
-def capped_argv(command, n):
-    """argv of ``seed rectangles`` or ``perm pds`` at its most costly on [n]:
-    k = n // 2, v = wK, and the full shape for x or w0 for w."""
-    k = n // 2
-    argv = command.split() + ["--k", str(k), "--n", str(n), "--v", "wK"]
-    if command == "perm pds":
-        return argv + ["--w", "w0"]
-    x = perm.grassmannian_from_image(shapes.vert_ne((n - k,) * k, k, n), k, n)
-    return argv + ["--x", _fmt(x)]
+# the capped commands with no cap test of their own above
+CAPPED = ("seed rectangles", "perm pds", "perm columnar", "perm necklace", "perm bounded-affine",
+          "le skew")
 
 
-CAPPED = (("seed rectangles", "_MAX_RECTANGLES_N"), ("perm pds", "_MAX_PDS_N"))
+def test_every_capped_command_has_a_cap_test():
+    tested = {*CAPPED, *BRIDGE_COMMANDS, "le read", "ppalg module", "ppalg quiver",
+              "ppalg crosscheck"}
+    assert {row[0] for row in cli.CAPS} == tested
 
 
-@pytest.mark.parametrize("command, cap", CAPPED, ids=[c for c, _ in CAPPED])
-def test_capped_command_beyond_its_cap_exits_2(command, cap, monkeypatch, capsys):
-    def no_building(*args):
-        raise AssertionError("named permutation built beyond the cap")
-
-    n = getattr(cli, cap)
-    argv = capped_argv(command, n + 1)
-    monkeypatch.setattr(perm, "parabolic_longest", no_building)
-    code, out, err = run_main_on(argv, "", monkeypatch, capsys)
-    assert (code, out, err) == (2, "", f"error: --n must be at most {n} for {command}\n")
-    code, out, _ = run_cli(command.split() + ["--help"])
-    assert code == 0 and f"at most {n}" in out
+@pytest.mark.parametrize("command", CAPPED)
+def test_capped_command_beyond_its_cap_exits_2(command, monkeypatch, capsys):
+    assert_capped(command, "--n", monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("command, cap", CAPPED, ids=[c for c, _ in CAPPED])
-def test_capped_command_at_its_cap_runs(command, cap, monkeypatch, capsys):
-    code, out, _ = run_main_on(capped_argv(command, getattr(cli, cap)), "", monkeypatch, capsys)
-    assert code == 0 and out.strip()
+@pytest.mark.parametrize("command", CAPPED)
+def test_capped_command_at_its_cap_runs(command, monkeypatch, capsys):
+    assert run_at_cap(command, "--n", monkeypatch, capsys).strip()
+
+
+@pytest.mark.parametrize("command", ("perm pds", "perm columnar", "perm necklace",
+                                     "perm bounded-affine"))
+def test_one_line_permutation_beyond_its_cap_exits_2(command, monkeypatch, capsys):
+    # with no --n, a command's n is the letter count of its permutation
+    ((n, stderr),) = past_bounds(command)
+    assert_stops_before_work(cap_argv(command, "--n", n, one_line=True), stderr, monkeypatch, capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,11 @@ def test_check_skew_pair_raises_each_reason():
     ("positroid_decoration", ((2, 1, 4, 3), (4, 3, 2, 1), 0), "(2, 1, 4, 3) is not in W^K_max"),
     ("positroid_decoration", ((3, 1, 3, 1), (1, 2, 3, 4), 2), "need v <= w in Bruhat order"),
     ("positroid_decoration", ((2, 1, 4, 3), (1, 1, 2, 3), 2), "need v <= w in Bruhat order"),
+    # a k outside [0, n] once read every adjacent pair, and vi[:k] picked the
+    # white fixed points {2, 3, 4} at k = -1
+    ("positroid_decoration", ((4, 3, 2, 1), (4, 3, 2, 1), -1), "need 0 <= k <= n; got k=-1, n=4"),
+    ("positroid_decoration", ((4, 3, 2, 1), (4, 3, 2, 1), 5), "need 0 <= k <= n; got k=5, n=4"),
+    ("is_max_rep", ((4, 3, 2, 1), -1), "need 0 <= k <= n; got k=-1, n=4"),
 ])
 def test_pair_checks_raise_the_first_broken_condition(func, args, message):
     with pytest.raises(ValueError) as info:
