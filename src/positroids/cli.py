@@ -391,12 +391,20 @@ CAPS = (
     # and 5.1 MB in 0.58 s with 118 MB at n = 200
     ("seed rectangles", "--n", None, 160, "seed rectangles"),
     # every sample keeps the minors it was asked, so cost grows with samples x
-    # steps: on Gr(4,8) 1,000 x 1,000 take 4.5-5 s, peaking at 23 MB; on
-    # Gr(8,16) 24 s and 53 MB; on Gr(12,24) 1,000 x 100 take 17 s and 35 MB
+    # steps: on Gr(4,8) 1,000 x 1,000 take 3.1 s, peaking at 23 MB; on
+    # Gr(8,16) 15 s and 43 MB; on Gr(12,24) 1,000 x 100 take 12 s and 35 MB
     ("seed verify-exchange", "--samples", 1, 1000, None),
     ("seed verify-exchange", "--steps", 1, 1000, None),
     # the default walk takes 0.6 s at n = 24
     ("seed verify-exchange", "--n", None, 24, "a bridge graph"),
+    # --seq counts its ;-separated steps.  Each exchange label nests its
+    # neighbours' labels and the JSON writes every shared subtree in full, so
+    # output grows about 1.6x a step.  At 20 steps, alternating the worst two
+    # adjacent faces of the bridge graph of x = 4 5 6 1 2 3 in Gr(3,6) (145,
+    # 124) prints 2.4 MB in 0.43 s with a 48 MB peak; of x = 5 6 7 8 1 2 3 4
+    # in Gr(4,8) (1456, 1567) 3.2 MB in 0.47 s and 52 MB.  The greedily
+    # largest sequences: 4.5 MB in 0.69 s and 74 MB, 7.2 MB in 1.3 s and 103 MB
+    ("seed mutate", "--seq", None, 20, "seed mutate"),
     # 0.29 s and 44 MB at n = 1000; 1.8 s and 136 MB at 2000
     ("le skew", "--n", None, 1000, "le skew"),
     # about 100 bytes of memory per unit of n; 18 ms in process at n = 1000
@@ -420,11 +428,14 @@ def _bounds(low: int | None, high: int | None) -> str:
 def check_caps(args) -> None:
     """Raise UsageError unless every capped argument of the command is within
     its row of CAPS.  A command's n is --n when given, else the letter count
-    of its one-line permutation (--x, --v or --pi), read before it is parsed."""
+    of its one-line permutation (--x, --v or --pi), read before it is parsed;
+    a --seq counts its ;-separated steps."""
     command = f"{args.group} {args.sub}"
     for option, low, high, what in (row[1:] for row in CAPS if row[0] == command):
         value = getattr(args, option[2:])
-        if value is None:
+        if isinstance(value, str):
+            value = value.count(";") + 1
+        elif value is None:
             text = getattr(args, "x", None) or getattr(args, "v", None) or getattr(args, "pi", "")
             value = len(text.replace(",", " ").split())
         if low is not None and value < low or high is not None and value > high:
@@ -450,10 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def sized(p, option, text=None, **kwargs):
-        """An int option whose help names its bounds from CAPS."""
+        """An option, an int unless kwargs give its type, whose help names its
+        bounds from CAPS."""
         row = (p.prog.partition(" ")[2], option)  # p.prog is "positroids group sub"
         bounds = [_bounds(low, high) for *key, low, high, _ in CAPS if tuple(key) == row]
-        p.add_argument(option, type=int, help="; ".join(filter(None, [text, *bounds])), **kwargs)
+        kwargs.setdefault("type", int)
+        p.add_argument(option, help="; ".join(filter(None, [text, *bounds])), **kwargs)
 
     def kn(p, required=True):
         p.add_argument("--k", type=int, required=required)
@@ -505,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delete")
     p = command(g, "mutate", seed_mutate, reads=True, writes=True)
     p.add_argument("--mode", choices=("source", "target"), default="target")
-    p.add_argument("--seq", required=True, help="semicolon-separated face labels")
+    sized(p, "--seq", "semicolon-separated face labels, one step each", type=str, required=True)
     p = command(g, "verify-exchange", seed_verify_exchange, writes=True)
     pair(p)
     sized(p, "--samples", default=20)

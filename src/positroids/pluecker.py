@@ -5,7 +5,8 @@ projection from generalized minors to Pluecker coordinates.
 All arithmetic is exact; there is no floating point anywhere in this module.
 An exact value that is an integer is an ``int``, any other rational a
 ``fractions.Fraction``: entries, minors and exchange quotients alike.  One
-Bareiss elimination on ints computes every minor.
+Bareiss elimination on ints computes every minor, on rows whose denominators
+each :class:`Matrix` clears once, when it is built.
 
 A :class:`Matrix` keeps its maximal minors: :func:`plucker` computes each
 column set's minor once per matrix and answers later calls from the matrix's
@@ -34,17 +35,42 @@ class Matrix(tuple):
     entries.  Rows are stored as tuples, so the matrix cannot change under its
     table.  Equality and hashing are those of the plain tuple of rows.
 
+    The denominators are cleared once, when the matrix is built: each row is
+    scaled to integers by the lcm of its entries' denominators, and ``scale``
+    is the product of those lcms.  ``integer_rows`` are the scaled rows, and
+    the matrix itself when every entry is an int (scale 1), so a Schubert-cell
+    sample holds no second copy of its rows.
+
     >>> M = Matrix([[1, 0, 2], [0, 1, 3]])
     >>> M == ((1, 0, 2), (0, 1, 3)), plucker(M, {2, 3}), M.minors
     (True, -2, {frozenset({2, 3}): -2})
+    >>> N = Matrix([[Fraction(1, 2), 1], [1, Fraction(2, 3)]])
+    >>> N.integer_rows, N.scale
+    ([[1, 2], [3, 2]], 6)
     """
 
     minors: dict[frozenset[int], int | Fraction]
+    scale: int
+    # the scaled rows when they differ from the matrix's own
+    _scaled: list[list[int]] | None = None
 
     def __new__(cls, rows: Iterable[Iterable]) -> Matrix:
         self = super().__new__(cls, map(tuple, rows))
         self.minors = {}
+        self.scale = 1
+        if not all(type(x) is int for row in self for x in row):
+            self._scaled = []
+            for row in self:
+                d = lcm(*[x.denominator for x in row])
+                self._scaled.append([x.numerator * (d // x.denominator) for x in row])
+                self.scale *= d
         return self
+
+    @property
+    def integer_rows(self) -> Sequence[Sequence[int]]:
+        """The rows times their denominators' lcms; integers whose k x k
+        minors are the matrix's times ``scale``."""
+        return self if self._scaled is None else self._scaled
 
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -60,8 +86,9 @@ def exact_quotient(num: int, den: int) -> int | Fraction:
 
 def determinant(rows: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
     """Bareiss fraction-free elimination on Python ints; exact for rational
-    entries.  Each row is first scaled by the lcm of its entries'
-    denominators, and the integer determinant divided by their product.
+    entries, whose denominators are cleared as a :class:`Matrix` clears them.
+    The full minor of a square :class:`Matrix`, kept in its table like any
+    other.
 
     >>> determinant(matrix([[1, 2], [3, 4]]))
     -2
@@ -69,15 +96,9 @@ def determinant(rows: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
     Fraction(-5, 6)
     """
     size = len(rows)
-    m = []
-    scale = 1
-    for row in rows:
-        if len(row) != size:
-            raise ValueError("determinant needs a square matrix")
-        d = lcm(*[x.denominator for x in row])
-        m.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
-    return exact_quotient(_bareiss(m), scale)
+    if any(len(row) != size for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    return plucker(rows, range(1, size + 1))
 
 
 def _bareiss(m: list[list[int]]) -> int:
@@ -110,21 +131,25 @@ def plucker(M: Sequence[Sequence[int | Fraction]], I: Iterable[int]) -> int | Fr
     """Maximal minor in the column set I (1-based columns), an exact value.
 
     A :class:`Matrix` answers from its table of minors and computes only a
-    column set it has not been asked before; any other row sequence computes
-    the minor every time.
+    column set it has not been asked before, by :func:`_bareiss` on its
+    integer rows divided by its scale.  Any other row sequence is wrapped in
+    a fresh :class:`Matrix` on each call, so it computes the minor every time
+    and keeps nothing.
 
     >>> plucker(matrix([[1, 0, -1, -2], [0, 1, 3, 1]]), {3, 4})
     5
     """
+    if not isinstance(M, Matrix):
+        M = Matrix(M)
     key = frozenset(I)
-    table = M.minors if isinstance(M, Matrix) else {}
-    value = table.get(key)
+    value = M.minors.get(key)
     if value is None:
         cols = sorted(key)
         n = len(M[0]) if M else 0
         if len(cols) != len(M) or cols and not 1 <= cols[0] <= cols[-1] <= n:
             raise ValueError(f"need {len(M)} distinct columns in 1..{n}, got {cols}")
-        value = table[key] = determinant([[row[c - 1] for c in cols] for row in M])
+        minor = _bareiss([[row[c - 1] for c in cols] for row in M.integer_rows])
+        value = M.minors[key] = exact_quotient(minor, M.scale)
     return value
 
 

@@ -283,9 +283,10 @@ class ClusterExpression:
 
     ``evaluate(M, memo)`` computes the value at the sample point M exactly,
     as an ``int`` when it is an integer and as a ``Fraction`` otherwise (the
-    rule of :mod:`positroids.pluecker`).  Pluecker values are read through
-    :func:`pluecker.plucker`, so a :class:`pluecker.Matrix` computes each
-    minor once over its whole life.
+    rule of :mod:`positroids.pluecker`).  A Pluecker symbol reads a
+    :class:`pluecker.Matrix`'s table of minors under its own column set and
+    calls :func:`pluecker.plucker` only for a minor not yet there, so the
+    matrix computes each minor once over its whole life.
     ``memo`` belongs to one sample and one call and holds only exchange
     quotients, under ``id()``, so shared subexpressions are evaluated once.  A
     memo must not outlive the expressions it holds, which is why quotients are
@@ -300,7 +301,10 @@ class PluckerSymbol(ClusterExpression):
     columns: frozenset[int]
 
     def evaluate(self, M: Matrix, memo: dict) -> int | Fraction:
-        return pluecker.plucker(M, self.columns)
+        try:
+            return M.minors[self.columns]
+        except (AttributeError, KeyError):  # a plain row sequence, or a new minor
+            return pluecker.plucker(M, self.columns)
 
     def __repr__(self) -> str:
         return "D" + "".join(str(c) for c in sorted(self.columns))

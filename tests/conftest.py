@@ -125,15 +125,17 @@ def exact_type(x) -> type:
 
 @pytest.fixture
 def count_determinants(monkeypatch):
-    """Count the calls of ``pluecker.determinant`` from here on."""
+    """Count the minors computed from here on: the calls of
+    ``pluecker._bareiss``, the one kernel every computed minor and
+    determinant passes through."""
     calls = []
-    determinant = pluecker.determinant
+    bareiss = pluecker._bareiss
 
-    def counted(rows):
-        calls.append(rows)
-        return determinant(rows)
+    def counted(m):
+        calls.append(m)
+        return bareiss(m)
 
-    monkeypatch.setattr(pluecker, "determinant", counted)
+    monkeypatch.setattr(pluecker, "_bareiss", counted)
     return calls
 
 

@@ -703,6 +703,33 @@ def test_verify_exchange_at_its_caps_runs(flag, monkeypatch, capsys):
     assert report["failures"] == 0 and report["checks"]
 
 
+GR36_BRIDGE = plabic_json.to_json(plabic.bridge_graph(3, 6, (4, 5, 6, 1, 2, 3)))
+
+
+def mutate_argv(steps, faces=("1 4 5", "1 2 4")):
+    """seed mutate with a --seq of ``steps`` steps cycling through ``faces``;
+    alternating 145 and 124 of the Gr(3,6) bridge graph grows its labels
+    fastest of any two adjacent faces."""
+    return ["seed", "mutate", "--seq", ";".join(faces[i % len(faces)] for i in range(steps))]
+
+
+def test_seed_mutate_beyond_its_step_cap_exits_2(monkeypatch, capsys):
+    ((steps, message),) = past_bounds("seed mutate", "--seq")
+    assert message == f"error: --seq must be at most {steps - 1} for seed mutate\n"
+    assert_stops_before_work(mutate_argv(steps), message, monkeypatch, capsys)
+    assert cli._bounds(*cap("seed mutate", "--seq")[:2]) in help_entry("seed mutate", "--seq", capsys)
+
+
+def test_seed_mutate_at_its_step_cap_runs(monkeypatch, capsys):
+    # mutating one face over and over nests one label a step, so the cap's
+    # 20 steps run here in a blink
+    steps = cap("seed mutate", "--seq")[1]
+    code, out, _ = run_main_on(mutate_argv(steps, ("1 4 5",)), json.dumps(GR36_BRIDGE),
+                               monkeypatch, capsys)
+    assert code == 0 and len(json.loads(out)["vertices"]) == 10
+
+
+BRIDGE_COMMANDS = ("plabic bridge", "seed verify-exchange")
 BRIDGE_COMMANDS = ("plabic bridge", "seed verify-exchange")
 
 
@@ -772,7 +799,7 @@ CAPPED = ("seed rectangles", "perm pds", "perm columnar", "perm necklace", "perm
 
 def test_every_capped_command_has_a_cap_test():
     tested = {*CAPPED, *BRIDGE_COMMANDS, "le read", "ppalg module", "ppalg quiver",
-              "ppalg crosscheck"}
+              "ppalg crosscheck", "seed mutate"}
     assert {row[0] for row in cli.CAPS} == tested
 
 

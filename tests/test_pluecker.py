@@ -249,6 +249,86 @@ def test_matrix_stores_integral_entries_as_ints():
     assert type(pluecker.determinant([[Fraction(1, 2), 0], [0, 4]])) is int
 
 
+def _rational_kxn(rng: random.Random, k: int, n: int):
+    """(kind, rows) pairs of k x n matrices whose denominators the Matrix
+    must clear: negative and mixed denominators, integral Fractions, zero
+    leading entries that force row swaps, and proportional columns or rows
+    that make minors singular."""
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice((-7, -4, -3, -2, 1, 2, 3, 5, 8)))
+
+    for _ in range(4):
+        yield "rational", [[entry() for _ in range(n)] for _ in range(k)]
+        yield "mixed", [[entry() for _ in range(n)] if r % 2 else [rng.randint(-9, 9) for _ in range(n)]
+                        for r in range(k)]
+        yield "integral fractions", [[Fraction(3 * rng.randint(-9, 9), 3) for _ in range(n)]
+                                     for _ in range(k)]
+        rows = [[entry() for _ in range(n)] for _ in range(k)]
+        for r in range(k - 1):  # zero pivots on the diagonal of the leading columns
+            rows[r][r] = 0
+        yield "zero pivots", rows
+        rows = [[entry() for _ in range(n)] for _ in range(k)]
+        ratio = Fraction(rng.randint(1, 5), rng.choice((-3, 2, 7)))
+        for row in rows:  # column 2 is a multiple of column 1
+            row[1] = ratio * row[0]
+        yield "proportional columns", rows
+        if k > 1:
+            rows = [[entry() for _ in range(n)] for _ in range(k)]
+            rows[-1] = [Fraction(-1, 2) * x for x in rows[0]]
+            yield "proportional rows", rows
+
+
+@pytest.mark.parametrize("k, n", ((1, 4), (2, 5), (3, 6), (4, 7)))
+def test_rational_matrix_minors_match_the_two_path_version(k, n):
+    rng = random.Random(1000 * k + n)
+    seen = set()
+    for kind, rows in _rational_kxn(rng, k, n):
+        M = pluecker.Matrix(rows)
+        assert all(type(x) is int for row in M.integer_rows for x in row), kind
+        for cols in itertools.combinations(range(1, n + 1), k):
+            want = ref_determinant([[row[c - 1] for c in cols] for row in rows])
+            value = pluecker.plucker(M, cols)
+            assert value == want and type(value) is exact_type(want), (kind, rows, cols)
+            seen.add((kind, want == 0, type(value)))
+        assert len(M.minors) == math.comb(n, k)
+        # a plain row sequence gets the same values
+        assert all(pluecker.plucker(rows, I) == value for I, value in M.minors.items())
+    assert ("rational", False, Fraction) in seen and ("integral fractions", False, int) in seen
+    if k > 1:  # columns 1 and 2 together, and every minor of the rows, are singular
+        assert ("proportional columns", True, int) in seen
+        assert all(zero for kind, zero, _ in seen if kind == "proportional rows")
+
+
+def test_matrix_clears_each_rows_denominators_once():
+    M = pluecker.Matrix([[Fraction(1, 2), Fraction(-1, 3), 1], [2, 4, Fraction(6, 3)]])
+    assert M.integer_rows == [[3, -2, 6], [2, 4, 2]]
+    assert M.scale == 6
+    assert M == ((Fraction(1, 2), Fraction(-1, 3), 1), (2, 4, 2))
+
+
+def test_all_int_matrix_holds_no_second_copy_of_its_rows():
+    for M in (pluecker.Matrix([[1, 0, 2], [0, 1, -3]]),
+              pluecker.matrix([[Fraction(4, 2), 1], [0, 1.0]]),
+              pluecker.sample_schubert_cell(3, 7, {1, 3, 5}, 2).matrix):
+        assert M.integer_rows is M and M.scale == 1
+        assert set(vars(M)) == {"minors", "scale"}
+    # a matrix with any non-int entry keeps its own scaled rows
+    assert "_scaled" in vars(pluecker.Matrix([[Fraction(1, 2), 1]]))
+    assert "_scaled" in vars(pluecker.Matrix([[Fraction(2, 1), 1]]))
+
+
+@pytest.mark.parametrize("size", range(1, 6))
+def test_determinant_of_a_matrix_equals_that_of_its_plain_rows(size):
+    rng = random.Random(77 + size)
+    for kind, rows in _random_matrices(rng, size):
+        M = pluecker.Matrix(rows)
+        value = pluecker.determinant(M)
+        plain = pluecker.determinant(rows)
+        assert value == plain and type(value) is type(plain), (kind, rows)
+        # the full minor is kept like any other
+        assert M.minors == {frozenset(range(1, size + 1)): value}
+
+
 @pytest.mark.parametrize("I", ({0, 1}, [1, 1], {4, 5}, {1, 2, 3}, {2}))
 def test_sample_schubert_cell_rejects_pivot_sets_outside_the_cells(I):
     # {0, 1} once wrote its pivot into the last column, [1, 1] pivoted two

@@ -138,6 +138,29 @@ def test_expressions_agree_again_computes_no_determinant(count_determinants):
     assert len(count_determinants) == first
 
 
+def test_plain_tuple_samples_agree_and_keep_nothing(count_determinants):
+    rng = random.Random(22)
+    samples, G = walk_instance(3, 7, (4, 3, 2), rng, count=4)
+    plain = [tuple(M) for M in samples]
+    S = seeds.seed_from_graph(G, "target")
+    q = plabic.square_eligible_labels(G)[0]
+    (new,) = set(plabic.face_labeling(plabic.square_move(G, q), "target").labels) - set(S.labels)
+    expr, target = seeds.mutate_seed(S, q).labels[q], seeds.PluckerSymbol(new)
+    for P, M in zip(plain, samples):
+        value = target.evaluate(P, {})
+        assert value == pluecker.plucker(M, new) and type(value) is int
+        assert expr.evaluate(P, {}) == value
+    count_determinants.clear()
+    assert seeds.expressions_agree(expr, target, plain)
+    first = len(count_determinants)
+    assert not seeds.expressions_agree(expr, seeds.PluckerSymbol(S.labels[q].columns), plain)
+    # the plain samples keep no minor, so a second check computes them all again
+    count_determinants.clear()
+    assert seeds.expressions_agree(expr, target, plain)
+    assert len(count_determinants) == first > 0
+    assert all(type(P) is tuple and not hasattr(P, "minors") for P in plain)
+
+
 @pytest.mark.parametrize("k, n, lam", ((3, 7, (4, 3, 2)), (4, 8, (4, 4, 4, 4))))
 def test_walk_step_computes_each_new_minor_once(k, n, lam, count_determinants):
     rng = random.Random(8)
